@@ -21,19 +21,57 @@ from . import metrics as _metrics
 from . import optimizer as _optimizer
 from . import scenegen as _scenegen
 from . import stft as _stft
-from .model import NumericsError
+from .model import DemixState, NumericsError
 
 __all__ = ["main", "ExperimentSpec", "run_algorithm", "run_bench"]
 
-# CLI algorithm names; values are the optimizer baselines they map to.
+
+def _reference_output(e, h, run_cfg):
+    """Result of a condition without a beamformer: the reference channel of e.
+
+    w = a = that channel's unit vector, so s_hat = w^H e, and there is no
+    backprojection scale and no iteration record.
+    """
+    n_freqs, _, m = e.shape
+    if run_cfg.reference_channel > m:
+        raise ValueError(f"reference channel {run_cfg.reference_channel} exceeds {m} microphones")
+    ref = run_cfg.reference_channel - 1
+    w = np.zeros((n_freqs, m), dtype=np.complex128)
+    w[:, ref] = 1.0
+    return _optimizer.RunResult(s_hat=e[:, :, ref], e=e, state=DemixState(h=h, w=w, a=w.copy()),
+                                diagnostics=_optimizer.RunDiagnostics())
+
+
+def _unprocessed(scene, run_cfg):
+    return _reference_output(scene.mixture, np.zeros_like(scene.mixture[:, 0, :]), run_cfg)
+
+
+def _ls_aec(scene, run_cfg):
+    e, h = _optimizer.run_ls_aec(scene.mixture, scene.loudspeaker)
+    return _reference_output(e, h, run_cfg)
+
+
+def _ive(scene, run_cfg):
+    return _optimizer.run_ive_only(scene.mixture, run_cfg, truth=scene.truth)
+
+
+def _bnlms_ive(scene, run_cfg):
+    return _optimizer.run_bnlms_ive(scene.mixture, scene.loudspeaker, run_cfg, truth=scene.truth)
+
+
+def _joint(scene, run_cfg):
+    return _optimizer.run_joint(scene.mixture, scene.loudspeaker, run_cfg, truth=scene.truth)
+
+
+# The algorithms by name, in table order; each maps (scene, RunConfig) to a
+# RunResult.
 CLI_ALGORITHMS = {
-    "unprocessed": "none",
-    "ls_aec": "ls_aec",
-    "ive": "ive_only",
-    "bnlms_ive": "bnlms_ive",
-    "joint": "joint",
+    "unprocessed": _unprocessed,
+    "ls_aec": _ls_aec,
+    "ive": _ive,
+    "bnlms_ive": _bnlms_ive,
+    "joint": _joint,
 }
-DEFAULT_ALGOS = ("unprocessed", "ls_aec", "ive", "bnlms_ive", "joint")
 
 
 class ConfigError(ValueError):
@@ -57,7 +95,7 @@ class ExperimentSpec:
     ser_db: tuple = (5.0, 10.0)
     ier_db: tuple = (0.0, 5.0)
     enr_db: tuple = (25.0, 35.0)
-    algorithms: tuple = DEFAULT_ALGOS
+    algorithms: tuple = tuple(CLI_ALGORITHMS)
     source_wavs: list = field(default_factory=list)
     rir_wavs: list = field(default_factory=list)
     out: str = "."
@@ -139,25 +177,8 @@ def _make_scene(spec, seed):
 
 
 def run_algorithm(name, scene, run_cfg):
-    """Run one CLI algorithm on a scene; returns (state, bp_scale, with_bf, result)."""
-    baseline = CLI_ALGORITHMS[name]
-    x, u = scene.mixture, scene.loudspeaker
-    if baseline == "none":
-        return None, None, False, None
-    if baseline == "ls_aec":
-        e, h = _optimizer.run_ls_aec(x, u)
-        from .model import DemixState
-
-        state = DemixState.initial(x.shape[0], x.shape[2])
-        state.h = h
-        return state, None, False, None
-    if baseline == "ive_only":
-        res = _optimizer.run_ive_only(x, run_cfg, truth=scene.truth)
-    elif baseline == "bnlms_ive":
-        res = _optimizer.run_bnlms_ive(x, u, run_cfg, truth=scene.truth)
-    else:
-        res = _optimizer.run_joint(x, u, run_cfg, truth=scene.truth)
-    return res.state, res.diagnostics.bp_scale, True, res
+    """Run one registered algorithm on a scene; returns its RunResult."""
+    return CLI_ALGORITHMS[name](scene, run_cfg)
 
 
 def run_bench(spec):
@@ -167,12 +188,11 @@ def run_bench(spec):
         seed = spec.seed + i
         scene = _make_scene(spec, seed)
         for name in spec.algorithms:
-            state, bp_scale, with_bf, _ = run_algorithm(name, scene, spec.run_config())
+            res = run_algorithm(name, scene, spec.run_config())
             rep = _metrics.evaluate_run(
                 scene,
-                state,
-                bp_scale,
-                with_beamformer=with_bf,
+                res.state,
+                res.diagnostics.bp_scale,
                 algorithm=name,
                 seed=seed,
                 iterations=spec.iterations,
@@ -200,33 +220,24 @@ def cmd_run(spec, scene_path, algo):
     run_cfg = spec.run_config()
     ref = spec.reference_channel - 1
 
-    state, bp_scale, with_bf, result = run_algorithm(algo, scene, run_cfg)
-    if state is None:  # unprocessed passthrough
-        out_time = scene.time_signals["mixture"][:, ref:ref + 1]
-        diagnostics = {"algorithm": algo, "iterations": 0}
-    elif not with_bf:  # echo cancellation only
-        e = scene.mixture - state.h[:, None, :] * scene.loudspeaker[:, :, None]
-        spg = _stft.Spectrogram(e[:, :, ref:ref + 1], scene.frame_spec)
-        n = scene.time_signals["mixture"].shape[0]
-        out_time = _stft.synthesize(spg, length=n)
-        diagnostics = {"algorithm": algo, "iterations": 1}
-        np.savez(out / "filters.npz", h=state.h)
+    res = run_algorithm(algo, scene, run_cfg)
+    mixture = scene.time_signals["mixture"]
+    if algo == "unprocessed":  # exact, without an STFT round trip
+        out_time = mixture[:, ref:ref + 1]
     else:
-        spg = _stft.Spectrogram(result.s_hat[:, :, None], scene.frame_spec)
-        n = scene.time_signals["mixture"].shape[0]
-        out_time = _stft.synthesize(spg, length=n)
-        diagnostics = {"algorithm": algo, "iterations": spec.iterations}
-        diagnostics.update(result.diagnostics.as_dict())
-        np.savez(out / "filters.npz", h=state.h, w=state.w, a=state.a,
-                 bp_scale=result.diagnostics.bp_scale)
-
+        spg = _stft.Spectrogram(res.s_hat[:, :, None], scene.frame_spec)
+        out_time = _stft.synthesize(spg, length=mixture.shape[0])
     _stft.write_wav(out / "enhanced.wav", out_time, sr, dtype="float32")
+    bp_scale = res.diagnostics.bp_scale
+    filters = {"h": res.state.h, "w": res.state.w, "a": res.state.a, "bp_scale": bp_scale}
+    np.savez(out / "filters.npz", **{k: v for k, v in filters.items() if v is not None})
+
     rep = _metrics.evaluate_run(
-        scene, state, bp_scale, with_beamformer=with_bf, algorithm=algo,
+        scene, res.state, bp_scale, algorithm=algo,
         seed=scene.config.seed, iterations=spec.iterations,
         reference_channel=spec.reference_channel,
     )
-    diagnostics["metrics"] = rep.row()
+    diagnostics = {"algorithm": algo, **res.diagnostics.as_dict(), "metrics": rep.row()}
     (out / "diagnostics.json").write_text(
         json.dumps(diagnostics, indent=2, sort_keys=True) + "\n"
     )
@@ -279,7 +290,7 @@ def _build_parser():
     p_bench.add_argument("--runs", type=int, default=None)
     p_bench.add_argument("--algo", default=None,
                          help="comma-separated algorithm list "
-                              f"(default: {','.join(DEFAULT_ALGOS)})")
+                              f"(default: {','.join(CLI_ALGORITHMS)})")
     return parser
 
 

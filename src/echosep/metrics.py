@@ -41,15 +41,7 @@ class MetricsReport:
     iterations: int = 0
 
     def row(self):
-        return {
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "sir_db": self.sir_db,
-            "ser_db": self.ser_db,
-            "sier_db": self.sier_db,
-            "erle_aec_db": self.erle_aec_db,
-            "erle_bf_db": self.erle_bf_db,
-        }
+        return {c: getattr(self, c) for c in CSV_COLUMNS}
 
 
 def component_pass(state, images, u, bp_scale=None):
@@ -110,21 +102,20 @@ def _to_time(tf_signal, frame_spec):
     return out[trim:out.shape[0] - trim]
 
 
-def evaluate_run(scene, state=None, bp_scale=None, with_beamformer=True,
+def evaluate_run(scene, state=None, bp_scale=None,
                  algorithm="", seed=0, iterations=0, reference_channel=1):
     """Compute the metric report for one processed scene.
 
-    state None means the unprocessed condition (h = 0, output = reference
-    microphone). with_beamformer False evaluates the echo-cancellation stage
-    at the reference channel as the final output (LS AEC condition).
+    state None means the unprocessed condition (h = 0). Without a
+    backprojection scale there is no beamformer, and the echo-cancellation
+    stage at the reference channel is the final output (unprocessed and LS
+    AEC conditions).
     """
     ref = reference_channel - 1
     if state is None:
         state = DemixState.initial(scene.mixture.shape[0], scene.n_channels)
-        bp_scale = None
-        with_beamformer = False
     aec_stage, bse_stage = component_pass(state, scene.images, scene.loudspeaker, bp_scale)
-    if with_beamformer:
+    if bp_scale is not None:
         out = {name: bse_stage[name] for name in COMPONENTS}
     else:
         out = {name: aec_stage[name][:, :, ref] for name in COMPONENTS}

@@ -15,8 +15,6 @@ n_channels); per-bin parameters are stacked on a leading frequency axis.
 import numpy as np
 from dataclasses import dataclass
 
-from .stft import Spectrogram
-
 __all__ = [
     "NumericsError",
     "DemixState",
@@ -42,17 +40,6 @@ DEFAULT_LOADING = 1e-6
 
 class NumericsError(RuntimeError):
     """Raised when a numerical precondition fails (degenerate covariance etc.)."""
-
-
-def _data(x):
-    """Accept a Spectrogram or a bare ndarray."""
-    return x.data if isinstance(x, Spectrogram) else np.asarray(x)
-
-
-def _like(template, data):
-    if isinstance(template, Spectrogram):
-        return Spectrogram(data, template.spec)
-    return data
 
 
 @dataclass
@@ -132,28 +119,17 @@ def apply_demixer(x, u, state):
     """Run the demixing cascade on microphone and loudspeaker spectra.
 
     e = x - h u (echo-cancelled error), s_hat = w^H e (source estimate),
-    z_hat = B(a) e (background estimate). Spectrogram inputs yield
-    Spectrogram outputs.
+    z_hat = B(a) e (background estimate).
     """
-    xd = _data(x)
-    ud = _data(u)
-    if ud.ndim == 3:
-        if ud.shape[2] != 1:
-            raise ValueError("loudspeaker signal must be single-channel")
-        ud = ud[:, :, 0]
-    if xd.shape[2] != state.n_channels:
+    if x.shape[2] != state.n_channels:
         raise ValueError(
-            f"microphone channel count {xd.shape[2]} does not match state ({state.n_channels})"
+            f"microphone channel count {x.shape[2]} does not match state ({state.n_channels})"
         )
-    e = xd - state.h[:, None, :] * ud[:, :, None]
+    e = x - state.h[:, None, :] * u[:, :, None]
     s_hat = np.einsum("fm,ftm->ft", state.w.conj(), e)
     b = blocking_matrix(state.a)
     z_hat = np.einsum("fkm,ftm->ftk", b, e)
-    return (
-        _like(x, e),
-        _like(x, s_hat[:, :, None]) if isinstance(x, Spectrogram) else s_hat,
-        _like(x, z_hat) if isinstance(x, Spectrogram) else z_hat,
-    )
+    return e, s_hat, z_hat
 
 
 def orthogonal_constraint_atf(C_ee, w):
@@ -202,14 +178,11 @@ def score_gauss(s_hat):
 
 def score_stats(s_hat, score=score_spherical):
     """Time-averaged score statistics nu, rho, xi per frequency bin."""
-    s = _data(s_hat)
-    if s.ndim == 3:
-        s = s[:, :, 0]
-    if s.shape[1] < 2:
+    if s_hat.shape[1] < 2:
         raise ValueError("score statistics need at least 2 frames")
-    phi, dconj, dplain = score(s)
+    phi, dconj, dplain = score(s_hat)
     return ScoreStats(
-        nu=np.mean(s * phi, axis=1),
+        nu=np.mean(s_hat * phi, axis=1),
         rho=np.mean(dconj, axis=1),
         xi=np.mean(dplain, axis=1),
     )
@@ -278,10 +251,7 @@ def interference_whitener(b, C_zz, loading=DEFAULT_LOADING):
 
 def neg_log_density_spherical(s_hat):
     """Per-frame -log p for the spherical model, 2*r, constants dropped."""
-    s = _data(s_hat)
-    if s.ndim == 3:
-        s = s[:, :, 0]
-    return 2.0 * np.sqrt(np.sum(np.abs(s) ** 2, axis=0))
+    return 2.0 * np.sqrt(np.sum(np.abs(s_hat) ** 2, axis=0))
 
 
 def cost(state, e, s_hat):
@@ -290,14 +260,10 @@ def cost(state, e, s_hat):
     Never used by the updates; serves convergence monitoring and
     finite-difference validation of the gradients.
     """
-    ed = _data(e)
-    sd = _data(s_hat)
-    if sd.ndim == 3:
-        sd = sd[:, :, 0]
     m = state.n_channels
-    re = ed @ np.swapaxes(state.R, 1, 2)
-    quad = np.sum((ed.conj() * re).real, axis=(0, 2))
-    j = float(np.mean(neg_log_density_spherical(sd) + quad))
+    re = e @ np.swapaxes(state.R, 1, 2)
+    quad = np.sum((e.conj() * re).real, axis=(0, 2))
+    j = float(np.mean(neg_log_density_spherical(s_hat) + quad))
     if m != 2:
         gamma = state.a[:, 0]
         mag2 = np.abs(gamma) ** 2

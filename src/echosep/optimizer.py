@@ -12,7 +12,7 @@ batch least-squares echo cancellation alone, and extraction alone.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .model import (
     DemixState,
@@ -28,10 +28,8 @@ from .model import (
     transmission_matrix,
     DEFAULT_LOADING,
 )
-from .stft import Spectrogram
 
 __all__ = [
-    "ALGORITHMS",
     "RunConfig",
     "IterationRecord",
     "RunDiagnostics",
@@ -51,8 +49,6 @@ __all__ = [
     "run_ive_only",
 ]
 
-ALGORITHMS = ("joint", "bnlms_ive", "ls_aec", "ive_only", "none")
-
 # Bins whose score normalizer or Newton curvature falls below this are frozen
 # for the iteration.
 DEAD_BIN_FLOOR = 1e-12
@@ -69,15 +65,12 @@ class RunConfig:
     iterations: int = 50
     loading: float = DEFAULT_LOADING
     reference_channel: int = 1  # 1-based microphone index for backprojection
-    baseline: str = "joint"
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.reference_channel < 1:
             raise ValueError("reference_channel is 1-based and must be >= 1")
-        if self.baseline not in ALGORITHMS:
-            raise ValueError(f"unknown baseline {self.baseline!r}; expected one of {ALGORITHMS}")
 
 
 @dataclass
@@ -98,45 +91,18 @@ class RunDiagnostics:
     bp_scale: np.ndarray = None
 
     def as_dict(self):
-        return {
-            "iterations": [
-                {
-                    "iteration": r.iteration,
-                    "cost": r.cost,
-                    "delta_h": r.delta_h,
-                    "delta_w": r.delta_w,
-                    "nu_median": r.nu_median,
-                    "rho_median": r.rho_median,
-                    "frozen_bins": r.frozen_bins,
-                    "off_block_db": r.off_block_db,
-                }
-                for r in self.records
-            ]
-        }
+        return {"iterations": [asdict(r) for r in self.records]}
 
 
 @dataclass
 class RunResult:
-    s_hat: np.ndarray  # (F, T) backprojected source estimate
+    """What every algorithm returns; diagnostics.bp_scale is None without a beamformer."""
+
+    s_hat: np.ndarray  # (F, T) output: backprojected source estimate, or the
+                       # reference channel of e when there is no beamformer
     e: np.ndarray      # (F, T, M) echo-cancelled error signal
     state: DemixState
     diagnostics: RunDiagnostics
-
-
-def _data2(x):
-    d = x.data if isinstance(x, Spectrogram) else np.asarray(x, dtype=np.complex128)
-    if d.ndim == 3:
-        if d.shape[2] != 1:
-            raise ValueError("expected a single-channel signal")
-        d = d[:, :, 0]
-    return d
-
-
-def _data3(x):
-    d = x.data if isinstance(x, Spectrogram) else np.asarray(x, dtype=np.complex128)
-    if d.ndim != 3:
-        raise ValueError("expected shape (n_freqs, n_frames, n_channels)")
-    return d
 
 
 def grad_h(e, u, s_hat, state, score=score_spherical, normalize=True):
@@ -145,26 +111,24 @@ def grad_h(e, u, s_hat, state, score=score_spherical, normalize=True):
     With normalize=False the score is used raw (no nu division), matching the
     plain cost gradient that finite differences reproduce.
     """
-    ed, ud, sd = _data3(e), _data2(u), _data2(s_hat)
-    phi, _, _ = score(sd)
+    phi, _, _ = score(s_hat)
     weight = phi.conj()
     if normalize:
-        nu = np.mean(sd * phi, axis=1)
+        nu = np.mean(s_hat * phi, axis=1)
         safe = np.where(np.abs(nu) > DEAD_BIN_FLOOR, nu, 1.0)
         weight = np.where(
             np.abs(nu)[:, None] > DEAD_BIN_FLOOR, weight / safe.conj()[:, None], 0.0
         )
-    term = weight[:, :, None] * state.w[:, None, :] + np.einsum("fmn,ftn->ftm", state.R, ed)
-    return -np.mean(term * ud.conj()[:, :, None], axis=1)
+    term = weight[:, :, None] * state.w[:, None, :] + np.einsum("fmn,ftn->ftm", state.R, e)
+    return -np.mean(term * u.conj()[:, :, None], axis=1)
 
 
 def grad_w(e, s_hat, state, score=score_spherical, normalize=True):
     """Gradient of the cost w.r.t. conj(w): E[e phi/nu] - a per bin."""
-    ed, sd = _data3(e), _data2(s_hat)
-    phi, _, _ = score(sd)
-    term = np.mean(ed * phi[:, :, None], axis=1)
+    phi, _, _ = score(s_hat)
+    term = np.mean(e * phi[:, :, None], axis=1)
     if normalize:
-        nu = np.mean(sd * phi, axis=1)
+        nu = np.mean(s_hat * phi, axis=1)
         safe = np.where(np.abs(nu) > DEAD_BIN_FLOOR, nu, 1.0)
         term = np.where(np.abs(nu)[:, None] > DEAD_BIN_FLOOR, term / safe[:, None], 0.0)
     return term - state.a
@@ -177,8 +141,7 @@ def hessian_h(u, state, stats, normalize=True):
     weight is replaced by plain rho* (the unnormalized second derivative).
     For M = 1 with a Gaussian score this reduces to E[|u|^2].
     """
-    ud = _data2(u)
-    upow = np.mean(np.abs(ud) ** 2, axis=1)
+    upow = np.mean(np.abs(u) ** 2, axis=1)
     if normalize:
         safe = np.where(np.abs(stats.nu) > DEAD_BIN_FLOOR, stats.nu, 1.0)
         weight = np.where(np.abs(stats.nu) > DEAD_BIN_FLOOR, stats.rho.conj() / safe.conj(), 0.0)
@@ -190,11 +153,10 @@ def hessian_h(u, state, stats, normalize=True):
 
 def circularity_check(u):
     """Per-bin |E[u^2]| / E[|u|^2]; near zero for circular signals."""
-    ud = _data2(u)
-    if ud.shape[1] < 2:
+    if u.shape[1] < 2:
         raise ValueError("circularity check needs at least 2 frames")
-    pseudo = np.abs(np.mean(ud**2, axis=1))
-    power = np.mean(np.abs(ud) ** 2, axis=1)
+    pseudo = np.abs(np.mean(u**2, axis=1))
+    power = np.mean(np.abs(u) ** 2, axis=1)
     return np.divide(pseudo, power, out=np.zeros_like(power), where=power > 0)
 
 
@@ -238,21 +200,20 @@ def update_aec(state, x, u, score=score_spherical, loading=DEFAULT_LOADING,
     excitation, with a dead score normalizer, or with a singular curvature
     matrix are left unchanged.
     """
-    xd, ud = _data3(x), _data2(u)
     if e is None:
-        e = xd - state.h[:, None, :] * ud[:, :, None]
+        e = x - state.h[:, None, :] * u[:, :, None]
     if s_hat is None:
         s_hat = (e @ state.w.conj()[:, :, None])[:, :, 0]
     phi, dconj, _ = score(s_hat)
     nu = np.mean(s_hat * phi, axis=1)
     rho = np.mean(dconj, axis=1)
-    upow = np.mean(np.abs(ud) ** 2, axis=1)
+    upow = np.mean(np.abs(u) ** 2, axis=1)
 
     ok = state.active & (np.abs(nu) > DEAD_BIN_FLOOR) & (upow > np.finfo(float).tiny)
     safe_nu = np.where(ok, nu, 1.0)
     weight = phi.conj() / safe_nu.conj()[:, None]
     term = weight[:, :, None] * state.w[:, None, :] + e @ np.swapaxes(state.R, 1, 2)
-    rhs = np.mean(term * ud.conj()[:, :, None], axis=1)
+    rhs = np.mean(term * u.conj()[:, :, None], axis=1)
     outer = state.w[:, :, None] * state.w.conj()[:, None, :]
     hess = (state.R + (rho.conj() / safe_nu.conj())[:, None, None] * outer) * upow[:, None, None]
     ok &= np.all(np.isfinite(hess), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1)
@@ -271,15 +232,14 @@ def update_bse(state, e, s_hat, score=score_spherical, loading=DEFAULT_LOADING):
     vanishes are skipped. Returns (w_new, active_mask); the caller is
     expected to renormalize.
     """
-    ed, sd = _data3(e), _data2(s_hat)
-    phi, dconj, _ = score(sd)
-    nu = np.mean(sd * phi, axis=1)
+    phi, dconj, _ = score(s_hat)
+    nu = np.mean(s_hat * phi, axis=1)
     rho = np.mean(dconj, axis=1)
     curv = nu.conj() - rho.conj()
     ok = state.active & (np.abs(nu) > DEAD_BIN_FLOOR) & (np.abs(curv) > DEAD_BIN_FLOOR)
 
     safe_nu = np.where(ok, nu, 1.0)
-    corr = (np.swapaxes(ed, 1, 2) @ phi[:, :, None])[:, :, 0] / ed.shape[1]
+    corr = (np.swapaxes(e, 1, 2) @ phi[:, :, None])[:, :, 0] / e.shape[1]
     direction = corr / safe_nu[:, None] - state.a
     ok &= np.all(np.isfinite(direction), axis=1)
     step, ok = _solve_with_retry(load_diagonal(state.C_ee, loading), direction, ok, loading)
@@ -307,19 +267,17 @@ def backprojection_scale(s_hat, e, reference_channel=1):
     Bins whose source estimate is identically zero get scale 0 (nothing to
     project); an all-zero estimate is an error.
     """
-    sd, ed = _data2(s_hat), _data3(e)
-    ref = ed[:, :, reference_channel - 1]
-    power = np.mean(np.abs(sd) ** 2, axis=1)
+    ref = e[:, :, reference_channel - 1]
+    power = np.mean(np.abs(s_hat) ** 2, axis=1)
     if not np.any(power > 0.0):
         raise NumericsError("cannot backproject: source estimate has zero power")
-    corr = np.mean(sd.conj() * ref, axis=1)
+    corr = np.mean(s_hat.conj() * ref, axis=1)
     return np.divide(corr, power, out=np.zeros_like(corr), where=power > 0)
 
 
 def backproject(s_hat, e, reference_channel=1):
     """Resolve the extraction scale by projecting onto a reference error channel."""
-    sd = _data2(s_hat)
-    return backprojection_scale(s_hat, e, reference_channel)[:, None] * sd
+    return backprojection_scale(s_hat, e, reference_channel)[:, None] * s_hat
 
 
 def _refresh_background(state, e, loading):
@@ -368,35 +326,29 @@ def _bnlms_step(state, x, u, e=None):
     return state.h + step, ok
 
 
-def _run(x, u, cfg, aec_mode, use_bse=True, truth=None):
+def _run(x, u, cfg, aec_mode, truth=None):
     """Shared iteration driver for the joint algorithm and its variants."""
-    xd = _data3(x)
-    if u is None:
-        ud = np.zeros(xd.shape[:2], dtype=np.complex128)
-    else:
-        ud = _data2(u)
-    if xd.shape[:2] != ud.shape:
-        raise ValueError("microphone and loudspeaker spectrograms disagree in shape")
-    n_freqs, _, m = xd.shape
+    x, u = _inputs(x, u)
+    n_freqs, _, m = x.shape
     if cfg.reference_channel > m:
         raise ValueError(f"reference channel {cfg.reference_channel} exceeds {m} microphones")
     state = DemixState.initial(n_freqs, m)
     diag = RunDiagnostics()
 
-    e, s = _refresh(state, xd, ud, cfg.loading)
+    e, s = _refresh(state, x, u, cfg.loading)
     for it in range(cfg.iterations):
         frozen = int(np.sum(~state.active))
         h_old = state.h.copy()
         if aec_mode == "joint":
-            state.h, ok = update_aec(state, xd, ud, loading=cfg.loading, e=e, s_hat=s)
+            state.h, ok = update_aec(state, x, u, loading=cfg.loading, e=e, s_hat=s)
             frozen = max(frozen, int(np.sum(~ok)))
         elif aec_mode == "bnlms":
-            state.h, _ = _bnlms_step(state, xd, ud, e=e)
+            state.h, _ = _bnlms_step(state, x, u, e=e)
 
         if aec_mode in ("joint", "bnlms"):
-            e, s = _refresh(state, xd, ud, cfg.loading)
+            e, s = _refresh(state, x, u, cfg.loading)
         w_old = state.w.copy()
-        if use_bse and m >= 2:
+        if m >= 2:
             state.w, ok = update_bse(state, e, s, loading=cfg.loading)
             frozen = max(frozen, int(np.sum(~ok)))
         normalize_w(state)
@@ -421,7 +373,7 @@ def _run(x, u, cfg, aec_mode, use_bse=True, truth=None):
             record.off_block_db = off_block_energy_db(v)
         diag.records.append(record)
 
-    e, s = _refresh(state, xd, ud, cfg.loading)
+    e, s = _refresh(state, x, u, cfg.loading)
     diag.bp_scale = backprojection_scale(s, e, cfg.reference_channel)
     s_hat = diag.bp_scale[:, None] * s
     return RunResult(s_hat=s_hat, e=e, state=state, diagnostics=diag)
@@ -445,20 +397,33 @@ def run_ive_only(x, cfg=None, truth=None):
     return _run(x, None, cfg, aec_mode="frozen", truth=truth)
 
 
+def _inputs(x, u):
+    """Validate microphone (F, T, M) and loudspeaker (F, T) spectra; u None is silence."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 3:
+        raise ValueError("expected shape (n_freqs, n_frames, n_channels)")
+    if u is None:
+        u = np.zeros(x.shape[:2], dtype=np.complex128)
+    u = np.asarray(u, dtype=np.complex128)
+    if x.shape[:2] != u.shape:
+        raise ValueError("microphone and loudspeaker spectrograms disagree in shape")
+    return x, u
+
+
 def run_ls_aec(x, u):
     """Batch least-squares echo canceller, no beamformer.
 
     Returns (e, h) with h = E[x u*] / E[|u|^2] per bin and channel.
     """
-    xd, ud = _data3(x), _data2(u)
-    upow = np.mean(np.abs(ud) ** 2, axis=1)
+    x, u = _inputs(x, u)
+    upow = np.mean(np.abs(u) ** 2, axis=1)
     if not np.any(upow > 0):
         raise NumericsError("least-squares echo canceller needs a nonzero loudspeaker signal")
     ok = upow > np.finfo(float).tiny
     h = np.where(
         ok[:, None],
-        np.mean(xd * ud.conj()[:, :, None], axis=1) / np.where(ok, upow, 1.0)[:, None],
+        np.mean(x * u.conj()[:, :, None], axis=1) / np.where(ok, upow, 1.0)[:, None],
         0.0,
     )
-    e = xd - h[:, None, :] * ud[:, :, None]
+    e = x - h[:, None, :] * u[:, :, None]
     return e, h

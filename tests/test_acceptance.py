@@ -131,7 +131,7 @@ def test_criterion_2_gradient_oracle():
         worst_w = max(worst_w, np.linalg.norm(fd_w - term) / np.linalg.norm(term))
 
         # score derivative integrands at a few random points
-        phi, dconj, dplain = score_spherical(s)
+        _, dconj, dplain = score_spherical(s)
         for _ in range(4):
             f = int(rng.integers(s.shape[0]))
             t = int(rng.integers(s.shape[1]))
@@ -140,8 +140,6 @@ def test_criterion_2_gradient_oracle():
                 return score_spherical(v)[0][f, t]
 
             eps = 1e-5
-            for delta, target in ((eps, None),):
-                pass
             s_re = s.copy(); s_re[f, t] += eps
             s_rm = s.copy(); s_rm[f, t] -= eps
             s_ip = s.copy(); s_ip[f, t] += 1j * eps

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from echosep import cli, stft
+from echosep import cli, metrics, stft
 from echosep.cli import ExperimentSpec, main
 
 
@@ -77,6 +77,33 @@ def test_run_joint_writes_outputs_and_is_deterministic(tmp_path):
     assert "metrics" in diag
     with np.load(outs[0] / "filters.npz") as npz:
         assert npz["h"].shape[1] == 3
+
+
+def test_run_every_algorithm_writes_one_diagnostics_schema(tmp_path):
+    scene_dir = tmp_path / "scene"
+    run_cli(simulate_args(scene_dir))
+    for algo in cli.CLI_ALGORITHMS:
+        out = tmp_path / algo
+        assert run_cli(["run", "--scene", str(scene_dir), "--algo", algo, "--out", str(out),
+                        "--frame", "512", "--hop", "256", "--iterations", "3"]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["algorithm"] == algo
+        assert isinstance(diag["iterations"], list)
+        assert len(diag["iterations"]) in (0, 3)
+        assert set(diag["metrics"]) == set(metrics.CSV_COLUMNS)
+        with np.load(out / "filters.npz") as npz:  # allow_pickle=False
+            assert all(np.all(np.isfinite(npz[k])) for k in npz.files)
+
+
+def test_run_reference_channel_beyond_scene_exits_one(tmp_path):
+    scene_dir = tmp_path / "scene"
+    run_cli(simulate_args(scene_dir))  # 3 microphones
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"reference_channel": 4}))
+    for algo in cli.CLI_ALGORITHMS:
+        assert run_cli(["run", "--scene", str(scene_dir), "--algo", algo,
+                        "--config", str(cfg_path), "--out", str(tmp_path / algo),
+                        "--frame", "512", "--hop", "256", "--iterations", "1"]) == 1
 
 
 def test_bench_unprocessed_has_zero_erle(tmp_path):

@@ -385,24 +385,6 @@ def test_transmission_unprocessed_leaks_first_echo_row():
     np.testing.assert_allclose(v[:, 0, m], echo_atf[:, 0], atol=1e-14)
 
 
-def test_demixer_accepts_and_returns_spectrograms():
-    from echosep import stft
-
-    rng = np.random.default_rng(20)
-    spec = stft.FrameSpec.default(512, 256, 16000)
-    x = stft.analyze(rng.standard_normal((4000, 3)), spec)
-    u = stft.analyze(rng.standard_normal(4000), spec)
-    state = DemixState.initial(spec.n_freqs, 3)
-    state.h = crandn(rng, (spec.n_freqs, 3))
-    e, s_hat, z_hat = apply_demixer(x, u, state)
-    assert isinstance(e, type(x)) and isinstance(s_hat, type(x)) and isinstance(z_hat, type(x))
-    assert e.data.shape == x.data.shape
-    assert s_hat.data.shape == (spec.n_freqs, x.n_frames, 1)
-    assert z_hat.data.shape == (spec.n_freqs, x.n_frames, 2)
-    expected = x.data - state.h[:, None, :] * u.data[:, :, 0][:, :, None]
-    np.testing.assert_allclose(e.data, expected, atol=1e-15)
-
-
 def test_score_stats_requires_two_frames():
     with pytest.raises(ValueError):
         score_stats(np.ones((4, 1), dtype=complex))

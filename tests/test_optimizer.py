@@ -8,6 +8,7 @@ from echosep.model import (
     DemixState,
     NumericsError,
     covariance,
+    load_diagonal,
     score_gauss,
     score_spherical,
 )
@@ -231,6 +232,40 @@ def test_update_bse_two_source_extraction():
     resp_bg = np.einsum("fm,fm->f", res.state.w.conj(), bg[:, :, 0])
     eps = np.abs(resp_bg / resp_soi)
     assert np.median(eps) <= 0.05
+
+
+def test_shipped_updates_equal_the_checked_formulas():
+    """update_aec and update_bse take the steps built from grad_h, hessian_h, grad_w.
+
+    Criterion 2 checks grad_h and grad_w against finite differences, while the
+    two updates compute the same quantities inline; this ties them together
+    on a random M=3 instance. The inline formulas stay: routing update_aec
+    through grad_h, hessian_h and score_stats raised the median scene time
+    of the benchmark's joint_c5 workload (F=256, T=300, 50 iterations) from
+    about 2.0 s to 2.7 s on a 2-core host, beyond the benchmark's 25% bound,
+    because each helper evaluates the score again. One shared
+    implementation waits for the iteration core on sufficient statistics
+    (ROADMAP item 2).
+    """
+    rng = np.random.default_rng(24)
+    x, u, state = _instance(rng)
+    e = x - state.h[:, None, :] * u[:, :, None]
+    s = np.einsum("fm,ftm->ft", state.w.conj(), e)
+    stats = score_stats(s)
+
+    h_new, ok = update_aec(state, x, u)
+    assert ok.all()
+    step_h = np.linalg.solve(hessian_h(u, state, stats),
+                             -grad_h(e, u, s, state)[:, :, None])[:, :, 0]
+    np.testing.assert_allclose(h_new - state.h, step_h, rtol=1e-10)
+
+    w_new, ok = update_bse(state, e, s)
+    assert ok.all()
+    nu_c, rho_c = stats.nu.conj(), stats.rho.conj()
+    step_w = np.linalg.solve(load_diagonal(state.C_ee),
+                             grad_w(e, s, state)[:, :, None])[:, :, 0]
+    np.testing.assert_allclose(w_new - state.w, (nu_c / (nu_c - rho_c))[:, None] * step_w,
+                               rtol=1e-10)
 
 
 # ------------------------------------------------------------- normalize
@@ -484,8 +519,6 @@ def test_run_config_validation():
         RunConfig(iterations=0)
     with pytest.raises(ValueError):
         RunConfig(reference_channel=0)
-    with pytest.raises(ValueError):
-        RunConfig(baseline="magic")
 
 
 def test_grad_w_single_channel_gaussian_is_identically_zero():
@@ -504,18 +537,6 @@ def test_grad_w_single_channel_gaussian_is_identically_zero():
 def test_circularity_needs_two_frames():
     with pytest.raises(ValueError):
         circularity_check(np.ones((4, 1), dtype=complex))
-
-
-def test_run_joint_accepts_spectrogram_inputs():
-    from echosep import stft
-
-    rng = np.random.default_rng(23)
-    spec = stft.FrameSpec.default(512, 256, 16000)
-    x = stft.analyze(rng.standard_normal((6000, 2)), spec)
-    u = stft.analyze(rng.standard_normal(6000), spec)
-    res = run_joint(x, u, RunConfig(iterations=3))
-    assert res.s_hat.shape == (spec.n_freqs, x.n_frames)
-    assert res.e.shape == x.data.shape
 
 
 def test_run_joint_shape_and_reference_validation():
