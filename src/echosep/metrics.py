@@ -51,17 +51,15 @@ def component_pass(state, images, u, bp_scale=None):
     the echo-cancellation stage: echo - h u. The extraction stage applies
     w^H and the backprojection scale uniformly.
 
-    Returns (aec_stage, bse_stage): dicts of (F, T, M) and (F, T) arrays.
+    Returns (aec_stage, bse_stage): dicts of (F, T, M) and (F, T) arrays;
+    bse_stage is None without a backprojection scale (no beamformer).
     """
-    aec_stage = {}
-    bse_stage = {}
-    for name, img in images.items():
-        contrib = img - state.h[:, None, :] * u[:, :, None] if name == "echo" else img
-        aec_stage[name] = contrib
-        out = np.einsum("fm,ftm->ft", state.w.conj(), contrib)
-        if bp_scale is not None:
-            out = bp_scale[:, None] * out
-        bse_stage[name] = out
+    aec_stage = {name: img - state.h[:, None, :] * u[:, :, None] if name == "echo" else img
+                 for name, img in images.items()}
+    if bp_scale is None:
+        return aec_stage, None
+    bse_stage = {name: bp_scale[:, None] * np.einsum("fm,ftm->ft", state.w.conj(), contrib)
+                 for name, contrib in aec_stage.items()}
     return aec_stage, bse_stage
 
 

@@ -254,16 +254,16 @@ def neg_log_density_spherical(s_hat):
     return 2.0 * np.sqrt(np.sum(np.abs(s_hat) ** 2, axis=0))
 
 
-def cost(state, e, s_hat):
-    """Diagnostic cost: E[-log p(s_hat) + sum_f e^H R e] - (M-2) sum_f log|gamma|^2.
+def cost(state, C_ee, s_hat):
+    """Diagnostic cost: E[-log p(s_hat)] + sum_f tr(R C_ee) - (M-2) sum_f log|gamma|^2.
 
-    Never used by the updates; serves convergence monitoring and
-    finite-difference validation of the gradients.
+    C_ee is the error covariance E[e e^H] at the h that gave s_hat; the
+    middle term is E[sum_f e^H R e]. Never used by the updates; serves
+    convergence monitoring and finite-difference validation of the gradients.
     """
     m = state.n_channels
-    re = e @ np.swapaxes(state.R, 1, 2)
-    quad = np.sum((e.conj() * re).real, axis=(0, 2))
-    j = float(np.mean(neg_log_density_spherical(s_hat) + quad))
+    quad = float(np.einsum("fmn,fnm->", state.R, C_ee).real)
+    j = float(np.mean(neg_log_density_spherical(s_hat))) + quad
     if m != 2:
         gamma = state.a[:, 0]
         mag2 = np.abs(gamma) ** 2

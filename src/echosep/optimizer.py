@@ -3,9 +3,13 @@
 Each iteration updates the echo-path filter h (an interference- and
 source-aware multichannel block-NLMS step), then the extraction beamformer w
 (a fast fixed-point step on the echo-cancelled signal), then rescales w so the
-source estimate has unit power. Statistics are recomputed from the current
-signals after every filter update. The scale ambiguity of the extracted
-source is resolved afterwards by projecting onto a reference error channel.
+source estimate has unit power. The iteration runs on sufficient statistics:
+the data enter through C_xx = E[x x^H], E[x u*] and E[|u|^2], computed once
+per run, and through one pass of score-weighted moments per half-step at the
+current filters. The error and background covariances and the moments of the
+error signal e = x - h u follow in closed form, so e is formed only once, at
+the end, where the scale ambiguity of the extracted source is resolved by
+projecting onto a reference error channel.
 
 Baselines: per-channel BNLMS interleaved with the same extraction update,
 batch least-squares echo cancellation alone, and extraction alone.
@@ -24,7 +28,6 @@ from .model import (
     interference_whitener,
     off_block_energy_db,
     score_spherical,
-    score_stats,
     transmission_matrix,
     DEFAULT_LOADING,
 )
@@ -34,6 +37,9 @@ __all__ = [
     "IterationRecord",
     "RunDiagnostics",
     "RunResult",
+    "DataStats",
+    "Moments",
+    "moments",
     "grad_h",
     "grad_w",
     "hessian_h",
@@ -49,8 +55,8 @@ __all__ = [
     "run_ive_only",
 ]
 
-# Bins whose score normalizer or Newton curvature falls below this are frozen
-# for the iteration.
+# Bins whose score normalizer or Newton curvature falls below this, or whose
+# error power falls below this share of the microphone power, are frozen.
 DEAD_BIN_FLOOR = 1e-12
 # Absolute floor on the background covariance, relative to the error-signal
 # power scale; keeps the interference whitener bounded when the background
@@ -105,50 +111,97 @@ class RunResult:
     diagnostics: RunDiagnostics
 
 
-def grad_h(e, u, s_hat, state, score=score_spherical, normalize=True):
-    """Gradient of the cost w.r.t. conj(h): -E[(phi*/nu* w + R e) u*] per bin.
+@dataclass
+class DataStats:
+    """Second-order statistics of the data, computed once per run."""
+
+    C_xx: np.ndarray  # (F, M, M) E[x x^H]
+    r_xu: np.ndarray  # (F, M) E[x u*]
+    P_u: np.ndarray   # (F,) E[|u|^2]
+
+    @classmethod
+    def of(cls, x, u):
+        return cls(covariance(x), *_echo_moments(x, u))
+
+    def error_cross(self, h):
+        """E[e u*] = r_xu - h P_u for the error signal e = x - h u."""
+        return self.r_xu - h * self.P_u[:, None]
+
+    def error_covariance(self, h):
+        """C_ee = C_xx - r_xu h^H - h r_xu^H + P_u h h^H for e = x - h u.
+
+        A bin whose trace falls below DEAD_BIN_FLOOR times that of C_xx holds
+        a fully cancelled echo, and what is left of it is rounding; it gets
+        C_ee = 0, as a pass over the exact e gives, which freezes it.
+        """
+        c = (self.C_xx - self.r_xu[:, :, None] * h.conj()[:, None, :]
+             - h[:, :, None] * self.error_cross(h).conj()[:, None, :])
+        c = 0.5 * (c + np.conj(np.swapaxes(c, 1, 2)))
+        tr = np.einsum("fmm->f", c).real
+        c[~(tr > DEAD_BIN_FLOOR * np.einsum("fmm->f", self.C_xx).real)] = 0.0
+        return c
+
+
+@dataclass
+class Moments:
+    """Score-weighted moments at the current filters, from one pass over the frames."""
+
+    s: np.ndarray      # (F, T) source estimate w^H e
+    nu: np.ndarray     # (F,) E[s phi], the score normalizer
+    rho: np.ndarray    # (F,) E[d phi / d s*]
+    e_phi: np.ndarray  # (F, M) E[e phi]
+    u_phi: np.ndarray  # (F,) E[u phi]
+
+
+def moments(x, u, state, score=score_spherical):
+    """One pass at the state's h and w: s = w^H x - (w^H h) u, its score, the moments.
+
+    E[e phi] = E[x phi] - h E[u phi], so the error signal is never formed.
+    """
+    s = (x @ state.w.conj()[:, :, None])[:, :, 0]
+    s -= np.sum(state.w.conj() * state.h, axis=1)[:, None] * u
+    phi, dconj, _ = score(s)
+    x_phi = (np.swapaxes(x, 1, 2) @ phi[:, :, None])[:, :, 0] / s.shape[1]
+    u_phi = np.mean(u * phi, axis=1)
+    return Moments(s=s, nu=np.mean(s * phi, axis=1), rho=np.mean(dconj, axis=1),
+                   e_phi=x_phi - state.h * u_phi[:, None], u_phi=u_phi)
+
+
+def _score_weight(nu, normalize):
+    """1/nu per bin (0 where the normalizer is dead), or 1 without normalization."""
+    if not normalize:
+        return np.ones_like(nu)
+    live = np.abs(nu) > DEAD_BIN_FLOOR
+    return np.where(live, 1.0 / np.where(live, nu, 1.0), 0.0)
+
+
+def grad_h(state, data, mom, normalize=True):
+    """Gradient of the cost w.r.t. conj(h): -(E[phi* u*]/nu* w + R E[e u*]) per bin.
 
     With normalize=False the score is used raw (no nu division), matching the
     plain cost gradient that finite differences reproduce.
     """
-    phi, _, _ = score(s_hat)
-    weight = phi.conj()
-    if normalize:
-        nu = np.mean(s_hat * phi, axis=1)
-        safe = np.where(np.abs(nu) > DEAD_BIN_FLOOR, nu, 1.0)
-        weight = np.where(
-            np.abs(nu)[:, None] > DEAD_BIN_FLOOR, weight / safe.conj()[:, None], 0.0
-        )
-    term = weight[:, :, None] * state.w[:, None, :] + np.einsum("fmn,ftn->ftm", state.R, e)
-    return -np.mean(term * u.conj()[:, :, None], axis=1)
+    weight = np.conj(mom.u_phi * _score_weight(mom.nu, normalize))
+    r_eu = (state.R @ data.error_cross(state.h)[:, :, None])[:, :, 0]
+    return -(weight[:, None] * state.w + r_eu)
 
 
-def grad_w(e, s_hat, state, score=score_spherical, normalize=True):
-    """Gradient of the cost w.r.t. conj(w): E[e phi/nu] - a per bin."""
-    phi, _, _ = score(s_hat)
-    term = np.mean(e * phi[:, :, None], axis=1)
-    if normalize:
-        nu = np.mean(s_hat * phi, axis=1)
-        safe = np.where(np.abs(nu) > DEAD_BIN_FLOOR, nu, 1.0)
-        term = np.where(np.abs(nu)[:, None] > DEAD_BIN_FLOOR, term / safe[:, None], 0.0)
-    return term - state.a
+def grad_w(state, mom, normalize=True):
+    """Gradient of the cost w.r.t. conj(w): E[e phi]/nu - a per bin."""
+    return mom.e_phi * _score_weight(mom.nu, normalize)[:, None] - state.a
 
 
-def hessian_h(u, state, stats, normalize=True):
+def hessian_h(state, data, mom, normalize=True):
     """Curvature matrix inverted by the echo-path update, per bin.
 
     (R + (rho*/nu*) w w^H) * E[|u|^2]; with normalize=False the rho*/nu*
     weight is replaced by plain rho* (the unnormalized second derivative).
-    For M = 1 with a Gaussian score this reduces to E[|u|^2].
+    For M = 1 with a Gaussian score this reduces to E[|u|^2]. Only mom.nu
+    and mom.rho are read, so a ScoreStats serves as well as Moments.
     """
-    upow = np.mean(np.abs(u) ** 2, axis=1)
-    if normalize:
-        safe = np.where(np.abs(stats.nu) > DEAD_BIN_FLOOR, stats.nu, 1.0)
-        weight = np.where(np.abs(stats.nu) > DEAD_BIN_FLOOR, stats.rho.conj() / safe.conj(), 0.0)
-    else:
-        weight = stats.rho.conj()
+    weight = np.conj(mom.rho * _score_weight(mom.nu, normalize))
     outer = state.w[:, :, None] * state.w.conj()[:, None, :]
-    return (state.R + weight[:, None, None] * outer) * upow[:, None, None]
+    return (state.R + weight[:, None, None] * outer) * data.P_u[:, None, None]
 
 
 def circularity_check(u):
@@ -190,60 +243,39 @@ def _solve_with_retry(mats, rhs, ok, loading):
     return sol, ok
 
 
-def update_aec(state, x, u, score=score_spherical, loading=DEFAULT_LOADING,
-               e=None, s_hat=None):
+def update_aec(state, x, u, data, score=score_spherical, loading=DEFAULT_LOADING):
     """One Newton step on the echo-path filter h for every active bin.
 
-    Uses the state's current R and w; the error signal and source estimate
-    are recomputed from the state's h unless passed in (they must then be
-    consistent with the state). Returns (h_new, active_mask); bins without
-    excitation, with a dead score normalizer, or with a singular curvature
-    matrix are left unchanged.
+    Takes the moments at the state's h and w from one pass over the frames
+    and steps by solve(hessian_h, -grad_h). Returns (h_new, active_mask);
+    bins without excitation, with a dead score normalizer, or with a singular
+    curvature matrix are left unchanged.
     """
-    if e is None:
-        e = x - state.h[:, None, :] * u[:, :, None]
-    if s_hat is None:
-        s_hat = (e @ state.w.conj()[:, :, None])[:, :, 0]
-    phi, dconj, _ = score(s_hat)
-    nu = np.mean(s_hat * phi, axis=1)
-    rho = np.mean(dconj, axis=1)
-    upow = np.mean(np.abs(u) ** 2, axis=1)
-
-    ok = state.active & (np.abs(nu) > DEAD_BIN_FLOOR) & (upow > np.finfo(float).tiny)
-    safe_nu = np.where(ok, nu, 1.0)
-    weight = phi.conj() / safe_nu.conj()[:, None]
-    term = weight[:, :, None] * state.w[:, None, :] + e @ np.swapaxes(state.R, 1, 2)
-    rhs = np.mean(term * u.conj()[:, :, None], axis=1)
-    outer = state.w[:, :, None] * state.w.conj()[:, None, :]
-    hess = (state.R + (rho.conj() / safe_nu.conj())[:, None, None] * outer) * upow[:, None, None]
-    ok &= np.all(np.isfinite(hess), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1)
-
+    mom = moments(x, u, state, score)
+    hess = hessian_h(state, data, mom)
+    rhs = -grad_h(state, data, mom)
+    ok = (state.active & (np.abs(mom.nu) > DEAD_BIN_FLOOR) & (data.P_u > np.finfo(float).tiny)
+          & np.all(np.isfinite(hess), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1))
     step, ok = _solve_with_retry(hess, rhs, ok, loading)
     return state.h + step, ok
 
 
-def update_bse(state, e, s_hat, score=score_spherical, loading=DEFAULT_LOADING):
+def update_bse(state, mom, loading=DEFAULT_LOADING):
     """One fixed-point step on the beamformer w for every active bin.
 
-    w += nu*/(nu* - rho*) C_ee^{-1} (E[e phi/nu] - a), the approximate
-    Newton step of the extraction contrast; the sign of the curvature
-    denominator is the one that contracts toward the fixed point (the same
-    structure as one-unit FastICA). Bins where the curvature nu - rho
-    vanishes are skipped. Returns (w_new, active_mask); the caller is
-    expected to renormalize.
+    w += nu*/(nu* - rho*) C_ee^{-1} grad_w, the approximate Newton step of
+    the extraction contrast, with the moments taken at the state's h and w;
+    the sign of the curvature denominator is the one that contracts toward
+    the fixed point (the same structure as one-unit FastICA). Bins where the
+    curvature nu - rho vanishes are skipped. Returns (w_new, active_mask);
+    the caller is expected to renormalize.
     """
-    phi, dconj, _ = score(s_hat)
-    nu = np.mean(s_hat * phi, axis=1)
-    rho = np.mean(dconj, axis=1)
-    curv = nu.conj() - rho.conj()
-    ok = state.active & (np.abs(nu) > DEAD_BIN_FLOOR) & (np.abs(curv) > DEAD_BIN_FLOOR)
-
-    safe_nu = np.where(ok, nu, 1.0)
-    corr = (np.swapaxes(e, 1, 2) @ phi[:, :, None])[:, :, 0] / e.shape[1]
-    direction = corr / safe_nu[:, None] - state.a
-    ok &= np.all(np.isfinite(direction), axis=1)
+    curv = np.conj(mom.nu - mom.rho)
+    direction = grad_w(state, mom)
+    ok = (state.active & (np.abs(mom.nu) > DEAD_BIN_FLOOR) & (np.abs(curv) > DEAD_BIN_FLOOR)
+          & np.all(np.isfinite(direction), axis=1))
     step, ok = _solve_with_retry(load_diagonal(state.C_ee, loading), direction, ok, loading)
-    factor = np.where(ok, safe_nu.conj() / np.where(ok, curv, 1.0), 0.0)
+    factor = np.where(ok, np.conj(mom.nu) / np.where(ok, curv, 1.0), 0.0)
     return state.w + factor[:, None] * step, ok
 
 
@@ -280,8 +312,14 @@ def backproject(s_hat, e, reference_channel=1):
     return backprojection_scale(s_hat, e, reference_channel)[:, None] * s_hat
 
 
-def _refresh_background(state, e, loading):
-    """Recompute a, C_zz and R from the cached e/C_ee and the current w."""
+def _update_statistics(state, data, loading):
+    """Recompute C_ee, a, C_zz, R and the active-bin mask at the current h and w.
+
+    All follow from the data statistics in closed form, C_zz = B C_ee B^H
+    among them, so no pass over the frames is made. Bins with a degenerate
+    error covariance are frozen.
+    """
+    state.C_ee = data.error_covariance(state.h)
     cw = (state.C_ee @ state.w[:, :, None])[:, :, 0]
     denom = np.sum(state.w.conj() * cw, axis=1)
     ok = np.isfinite(denom) & (np.abs(denom) > np.finfo(float).tiny)
@@ -289,74 +327,51 @@ def _refresh_background(state, e, loading):
     m = state.n_channels
     if m >= 2:
         b = blocking_matrix(state.a)
-        z = e @ np.swapaxes(b, 1, 2)
-        state.C_zz = covariance(z)
+        c = b @ state.C_ee @ np.conj(np.swapaxes(b, 1, 2))
+        state.C_zz = 0.5 * (c + np.conj(np.swapaxes(c, 1, 2)))
         e_scale = np.einsum("fmm->f", state.C_ee).real / m
         b_scale = np.sum(np.abs(b) ** 2, axis=(1, 2)) / (m - 1)
-        idx = np.arange(m - 1)
-        state.C_zz[:, idx, idx] += (BACKGROUND_FLOOR * e_scale * b_scale)[:, None]
-        state.R, whiten_ok = interference_whitener(b, state.C_zz, loading)
+        floor = (BACKGROUND_FLOOR * e_scale * b_scale)[:, None, None] * np.eye(m - 1)
+        state.R, whiten_ok = interference_whitener(b, state.C_zz + floor, loading)
         ok &= whiten_ok
     else:
         state.R = np.zeros((state.n_freqs, 1, 1), dtype=np.complex128)
     state.active = ok
-    return (e @ state.w.conj()[:, :, None])[:, :, 0]
-
-
-def _refresh(state, x, u, loading):
-    """Recompute signals and statistics from the current filters.
-
-    Returns (e, s_hat); updates C_ee, a, C_zz, R and the active-bin mask in
-    place. Bins with a degenerate error covariance are frozen.
-    """
-    e = x - state.h[:, None, :] * u[:, :, None]
-    state.C_ee = covariance(e)
-    s = _refresh_background(state, e, loading)
-    return e, s
-
-
-def _bnlms_step(state, x, u, e=None):
-    """Independent per-channel batch-NLMS step on h (one step reaches LS)."""
-    if e is None:
-        e = x - state.h[:, None, :] * u[:, :, None]
-    upow = np.mean(np.abs(u) ** 2, axis=1)
-    ok = upow > np.finfo(float).tiny
-    corr = np.mean(e * u.conj()[:, :, None], axis=1)
-    step = np.where(ok[:, None], corr / np.where(ok, upow, 1.0)[:, None], 0.0)
-    return state.h + step, ok
 
 
 def _run(x, u, cfg, aec_mode, truth=None):
     """Shared iteration driver for the joint algorithm and its variants."""
     x, u = _inputs(x, u)
-    n_freqs, _, m = x.shape
+    n_freqs, n_frames, m = x.shape
+    if n_frames < 2:
+        raise ValueError("score statistics need at least 2 frames")
     if cfg.reference_channel > m:
         raise ValueError(f"reference channel {cfg.reference_channel} exceeds {m} microphones")
     state = DemixState.initial(n_freqs, m)
+    data = DataStats.of(x, u)
     diag = RunDiagnostics()
 
-    e, s = _refresh(state, x, u, cfg.loading)
+    _update_statistics(state, data, cfg.loading)
     for it in range(cfg.iterations):
         frozen = int(np.sum(~state.active))
-        h_old = state.h.copy()
+        h_old = state.h
         if aec_mode == "joint":
-            state.h, ok = update_aec(state, x, u, loading=cfg.loading, e=e, s_hat=s)
+            state.h, ok = update_aec(state, x, u, data, loading=cfg.loading)
             frozen = max(frozen, int(np.sum(~ok)))
         elif aec_mode == "bnlms":
-            state.h, _ = _bnlms_step(state, x, u, e=e)
-
-        if aec_mode in ("joint", "bnlms"):
-            e, s = _refresh(state, x, u, cfg.loading)
-        w_old = state.w.copy()
+            state.h = _least_squares(data.r_xu, data.P_u)
+        if aec_mode != "frozen":
+            _update_statistics(state, data, cfg.loading)
+        w_old = state.w
         if m >= 2:
-            state.w, ok = update_bse(state, e, s, loading=cfg.loading)
+            state.w, ok = update_bse(state, moments(x, u, state), loading=cfg.loading)
             frozen = max(frozen, int(np.sum(~ok)))
         normalize_w(state)
+        _update_statistics(state, data, cfg.loading)
 
-        s = _refresh_background(state, e, cfg.loading)
-        stats = score_stats(s)
+        mom = moments(x, u, state)
         try:
-            cost_value = cost(state, e, s)
+            cost_value = cost(state, state.C_ee, mom.s)
         except NumericsError:  # fully cancelled bins can degenerate the log term
             cost_value = float("nan")
         record = IterationRecord(
@@ -364,8 +379,8 @@ def _run(x, u, cfg, aec_mode, truth=None):
             cost=cost_value,
             delta_h=float(np.linalg.norm(state.h - h_old)),
             delta_w=float(np.linalg.norm(state.w - w_old)),
-            nu_median=float(np.median(stats.nu.real)),
-            rho_median=float(np.median(stats.rho.real)),
+            nu_median=float(np.median(mom.nu.real)),
+            rho_median=float(np.median(mom.rho.real)),
             frozen_bins=frozen,
         )
         if truth is not None:
@@ -373,10 +388,10 @@ def _run(x, u, cfg, aec_mode, truth=None):
             record.off_block_db = off_block_energy_db(v)
         diag.records.append(record)
 
-    e, s = _refresh(state, x, u, cfg.loading)
+    e = x - state.h[:, None, :] * u[:, :, None]
+    s = (e @ state.w.conj()[:, :, None])[:, :, 0]
     diag.bp_scale = backprojection_scale(s, e, cfg.reference_channel)
-    s_hat = diag.bp_scale[:, None] * s
-    return RunResult(s_hat=s_hat, e=e, state=state, diagnostics=diag)
+    return RunResult(s_hat=diag.bp_scale[:, None] * s, e=e, state=state, diagnostics=diag)
 
 
 def run_joint(x, u, cfg=None, truth=None):
@@ -407,7 +422,23 @@ def _inputs(x, u):
     u = np.asarray(u, dtype=np.complex128)
     if x.shape[:2] != u.shape:
         raise ValueError("microphone and loudspeaker spectrograms disagree in shape")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+        raise ValueError("microphone or loudspeaker spectrogram is not finite (NaN or inf)")
     return x, u
+
+
+def _echo_moments(x, u):
+    """E[x u*] (F, M) and E[|u|^2] (F,): the loudspeaker's statistics."""
+    return np.mean(x * u.conj()[:, :, None], axis=1), np.mean(np.abs(u) ** 2, axis=1)
+
+
+def _least_squares(r_xu, P_u):
+    """Per-channel least-squares echo path r_xu / P_u; bins without excitation get 0.
+
+    One batch-NLMS step from any h lands here.
+    """
+    ok = P_u > np.finfo(float).tiny
+    return np.where(ok[:, None], r_xu / np.where(ok, P_u, 1.0)[:, None], 0.0)
 
 
 def run_ls_aec(x, u):
@@ -416,14 +447,9 @@ def run_ls_aec(x, u):
     Returns (e, h) with h = E[x u*] / E[|u|^2] per bin and channel.
     """
     x, u = _inputs(x, u)
-    upow = np.mean(np.abs(u) ** 2, axis=1)
-    if not np.any(upow > 0):
+    r_xu, P_u = _echo_moments(x, u)
+    if not np.any(P_u > 0):
         raise NumericsError("least-squares echo canceller needs a nonzero loudspeaker signal")
-    ok = upow > np.finfo(float).tiny
-    h = np.where(
-        ok[:, None],
-        np.mean(x * u.conj()[:, :, None], axis=1) / np.where(ok, upow, 1.0)[:, None],
-        0.0,
-    )
+    h = _least_squares(r_xu, P_u)
     e = x - h[:, None, :] * u[:, :, None]
     return e, h

@@ -187,6 +187,17 @@ def test_run_numerical_failure_exits_two(tmp_path):
     assert code == 2
 
 
+def test_run_non_finite_mixture_exits_one(tmp_path):
+    scene_dir = tmp_path / "scene"
+    run_cli(simulate_args(scene_dir))
+    mixture, rate = stft.read_wav(scene_dir / "mixture.wav")
+    mixture[1000, 1] = np.nan
+    stft.write_wav(scene_dir / "mixture.wav", mixture, rate, dtype="float32")
+    code = run_cli(["run", "--scene", str(scene_dir), "--algo", "joint",
+                    "--out", str(tmp_path / "out"), "--frame", "512", "--hop", "256"])
+    assert code == 1
+
+
 def test_convolutive_workflow_end_to_end(tmp_path):
     from scipy.io import wavfile
 

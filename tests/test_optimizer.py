@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from echosep import scenegen
+from echosep import optimizer, scenegen
 from echosep.model import (
+    DEFAULT_LOADING,
     DemixState,
     NumericsError,
+    blocking_matrix,
     covariance,
     load_diagonal,
     score_gauss,
     score_spherical,
 )
 from echosep.optimizer import (
+    DataStats,
     RunConfig,
     backproject,
     backprojection_scale,
@@ -20,6 +23,7 @@ from echosep.optimizer import (
     grad_h,
     grad_w,
     hessian_h,
+    moments,
     normalize_w,
     run_bnlms_ive,
     run_ive_only,
@@ -27,7 +31,8 @@ from echosep.optimizer import (
     run_ls_aec,
     update_aec,
     update_bse,
-    _bnlms_step,
+    _least_squares,
+    _update_statistics,
 )
 from echosep.model import score_stats
 
@@ -54,8 +59,8 @@ def test_grad_h_zero_without_excitation():
     state = DemixState.initial(4, 3)
     state.R = np.zeros((4, 3, 3), dtype=complex)
     e = crandn(rng, (4, 10, 3))
-    s = np.einsum("fm,ftm->ft", state.w.conj(), e)
-    g = grad_h(e, np.zeros((4, 10), dtype=complex), s, state)
+    u = np.zeros((4, 10), dtype=complex)
+    g = grad_h(state, DataStats.of(e, u), moments(e, u, state))  # h = 0: x = e
     assert np.all(g == 0)
 
 
@@ -65,7 +70,7 @@ def test_grad_h_zero_at_exact_cancellation():
     state.R = np.zeros((4, 3, 3), dtype=complex)
     u = crandn(rng, (4, 10))
     e = np.zeros((4, 10, 3), dtype=complex)
-    g = grad_h(e, u, np.zeros((4, 10), dtype=complex), state)
+    g = grad_h(state, DataStats.of(e, u), moments(e, u, state))  # h = 0: x = e, s = 0
     assert np.all(g == 0)
 
 
@@ -78,7 +83,7 @@ def test_hessian_single_channel_gaussian_reduces_to_u_power():
     state.R = np.zeros((6, 1, 1), dtype=complex)
     s = crandn(rng, (6, 50))
     stats = score_stats(s, score=score_gauss)
-    hess = hessian_h(u, state, stats, normalize=False)
+    hess = hessian_h(state, DataStats.of(s[:, :, None], u), stats, normalize=False)
     np.testing.assert_allclose(hess[:, 0, 0], np.mean(np.abs(u) ** 2, axis=1), rtol=1e-12)
 
 
@@ -87,7 +92,8 @@ def test_hessian_zero_without_excitation():
     state.R = np.zeros((3, 2, 2), dtype=complex)
     s = np.ones((3, 10), dtype=complex)
     stats = score_stats(s)
-    hess = hessian_h(np.zeros((3, 10), dtype=complex), state, stats)
+    u = np.zeros((3, 10), dtype=complex)
+    hess = hessian_h(state, DataStats.of(np.zeros((3, 10, 2), dtype=complex), u), stats)
     assert np.all(hess == 0)
 
 
@@ -111,10 +117,10 @@ def _instance(rng, n_freqs=4, n_frames=16, m=3):
 
 def test_hessian_hermitian_for_real_curvature_weight():
     rng = np.random.default_rng(3)
-    _, u, state = _instance(rng)
+    x, u, state = _instance(rng)
     s = crandn(rng, (4, 16))
     stats = score_stats(s)  # spherical score: nu, rho real up to rounding
-    hess = hessian_h(u, state, stats)
+    hess = hessian_h(state, DataStats.of(x, u), stats)
     assert np.max(np.abs(hess - np.conj(np.swapaxes(hess, 1, 2)))) <= 1e-12
 
 
@@ -155,7 +161,7 @@ def test_update_aec_single_channel_one_step_least_squares():
     state = DemixState.initial(n_freqs, 1)
     state.h = 3.0 * crandn(rng, (n_freqs, 1))  # arbitrary start
     state.R = np.zeros((n_freqs, 1, 1), dtype=complex)
-    h_new, ok = update_aec(state, x, u, score=score_gauss)
+    h_new, ok = update_aec(state, x, u, DataStats.of(x, u), score=score_gauss)
     assert ok.all()
     assert np.linalg.norm(h_new - h_ls) <= 1e-10 * np.linalg.norm(h_ls)
 
@@ -168,7 +174,7 @@ def test_update_aec_stationary_at_exact_cancellation():
     state = DemixState.initial(5, 3)
     state.h = echo_atf.copy()
     state.R = np.zeros((5, 3, 3), dtype=complex)
-    h_new, _ = update_aec(state, x, u)
+    h_new, _ = update_aec(state, x, u, DataStats.of(x, u))
     np.testing.assert_array_equal(h_new, echo_atf)
 
 
@@ -196,7 +202,7 @@ def test_update_bse_fixed_point_when_gradient_vanishes():
     phi, _, _ = score_spherical(s)
     nu = np.mean(s * phi, axis=1)
     state.a = np.mean(e * phi[:, :, None], axis=1) / nu[:, None]  # forces zero direction
-    w_new, ok = update_bse(state, e, s)
+    w_new, ok = update_bse(state, moments(e, np.zeros((4, 16), dtype=complex), state))
     assert ok.all()
     np.testing.assert_allclose(w_new, state.w, atol=1e-12)
 
@@ -207,8 +213,7 @@ def test_update_bse_single_channel_is_passthrough():
     state = DemixState.initial(4, 1)
     state.C_ee = covariance(e)
     state.a = np.conj(1.0 / state.w)
-    s = np.einsum("fm,ftm->ft", state.w.conj(), e)
-    w_new, _ = update_bse(state, e, s)
+    w_new, _ = update_bse(state, moments(e, np.zeros((4, 60), dtype=complex), state))
     np.testing.assert_allclose(w_new, state.w, atol=1e-10)
     state.w = w_new
     normalize_w(state)
@@ -237,35 +242,46 @@ def test_update_bse_two_source_extraction():
 def test_shipped_updates_equal_the_checked_formulas():
     """update_aec and update_bse take the steps built from grad_h, hessian_h, grad_w.
 
-    Criterion 2 checks grad_h and grad_w against finite differences, while the
-    two updates compute the same quantities inline; this ties them together
-    on a random M=3 instance. The inline formulas stay: routing update_aec
-    through grad_h, hessian_h and score_stats raised the median scene time
-    of the benchmark's joint_c5 workload (F=256, T=300, 50 iterations) from
-    about 2.0 s to 2.7 s on a 2-core host, beyond the benchmark's 25% bound,
-    because each helper evaluates the score again. One shared
-    implementation waits for the iteration core on sufficient statistics
-    (ROADMAP item 2).
+    Criterion 2 checks grad_h and grad_w against finite differences; the two
+    updates are batched solves applied to those same functions, and this
+    ties their steps to them on a random M=3 instance.
     """
     rng = np.random.default_rng(24)
     x, u, state = _instance(rng)
-    e = x - state.h[:, None, :] * u[:, :, None]
-    s = np.einsum("fm,ftm->ft", state.w.conj(), e)
-    stats = score_stats(s)
+    data = DataStats.of(x, u)
+    mom = moments(x, u, state)
 
-    h_new, ok = update_aec(state, x, u)
+    h_new, ok = update_aec(state, x, u, data)
     assert ok.all()
-    step_h = np.linalg.solve(hessian_h(u, state, stats),
-                             -grad_h(e, u, s, state)[:, :, None])[:, :, 0]
+    step_h = np.linalg.solve(hessian_h(state, data, mom),
+                             -grad_h(state, data, mom)[:, :, None])[:, :, 0]
     np.testing.assert_allclose(h_new - state.h, step_h, rtol=1e-10)
 
-    w_new, ok = update_bse(state, e, s)
+    w_new, ok = update_bse(state, mom)
     assert ok.all()
-    nu_c, rho_c = stats.nu.conj(), stats.rho.conj()
+    nu_c, rho_c = mom.nu.conj(), mom.rho.conj()
     step_w = np.linalg.solve(load_diagonal(state.C_ee),
-                             grad_w(e, s, state)[:, :, None])[:, :, 0]
+                             grad_w(state, mom)[:, :, None])[:, :, 0]
     np.testing.assert_allclose(w_new - state.w, (nu_c / (nu_c - rho_c))[:, None] * step_w,
                                rtol=1e-10)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_closed_form_statistics_equal_dense_passes(m):
+    """C_ee, C_zz, E[e phi] and E[e u*] from the data statistics equal passes over e and z."""
+    rng = np.random.default_rng(25 + m)
+    x, u, state = _instance(rng, m=m)
+    data = DataStats.of(x, u)
+    _update_statistics(state, data, DEFAULT_LOADING)
+    e = x - state.h[:, None, :] * u[:, :, None]
+    z = np.einsum("fkm,ftm->ftk", blocking_matrix(state.a), e)
+    phi, _, _ = score_spherical(np.einsum("fm,ftm->ft", state.w.conj(), e))
+    np.testing.assert_allclose(state.C_ee, covariance(e), rtol=1e-10)
+    np.testing.assert_allclose(state.C_zz, covariance(z), rtol=1e-10)
+    np.testing.assert_allclose(moments(x, u, state).e_phi,
+                               np.mean(e * phi[:, :, None], axis=1), rtol=1e-10)
+    np.testing.assert_allclose(data.error_cross(state.h),
+                               np.mean(e * u.conj()[:, :, None], axis=1), rtol=1e-10)
 
 
 # ------------------------------------------------------------- normalize
@@ -403,8 +419,9 @@ def test_bnlms_step_equals_gaussian_joint_step_single_channel():
     x = crandn(rng, (8, 100, 1))
     state = DemixState.initial(8, 1)
     state.R = np.zeros((8, 1, 1), dtype=complex)
-    h_bnlms, _ = _bnlms_step(state, x, u)
-    h_joint, _ = update_aec(state, x, u, score=score_gauss)
+    data = DataStats.of(x, u)
+    h_bnlms = _least_squares(data.r_xu, data.P_u)
+    h_joint, _ = update_aec(state, x, u, data, score=score_gauss)
     np.testing.assert_allclose(h_bnlms, h_joint, rtol=1e-12)
 
 
@@ -529,14 +546,49 @@ def test_grad_w_single_channel_gaussian_is_identically_zero():
     from echosep.model import orthogonal_constraint_atf
 
     state.a = orthogonal_constraint_atf(state.C_ee, state.w)
-    s = np.einsum("fm,ftm->ft", state.w.conj(), e)
-    g = grad_w(e, s, state, score=score_gauss)
+    g = grad_w(state, moments(e, np.zeros((6, 90), dtype=complex), state, score=score_gauss))
     assert np.max(np.abs(g)) <= 1e-12
 
 
 def test_circularity_needs_two_frames():
     with pytest.raises(ValueError):
         circularity_check(np.ones((4, 1), dtype=complex))
+
+
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
+def test_runs_make_one_dense_covariance_pass(run, monkeypatch):
+    calls = []
+
+    def counting_covariance(*args, **kwargs):
+        calls.append(1)
+        return covariance(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "covariance", counting_covariance)
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
+                                       n_freqs=16, n_frames=40)
+    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
+    for iterations in (1, 7):
+        calls.clear()
+        run(*inputs, RunConfig(iterations=iterations))
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_runs_reject_non_finite_input(bad):
+    rng = np.random.default_rng(23)
+    x = crandn(rng, (4, 10, 2))
+    u = crandn(rng, (4, 10))
+    x_bad, u_bad = x.copy(), u.copy()
+    x_bad[1, 3, 0] = bad
+    u_bad[2, 5] = bad
+    cfg = RunConfig(iterations=2)
+    for mic, ls in ((x_bad, u), (x, u_bad)):
+        for call in (lambda: run_joint(mic, ls, cfg), lambda: run_bnlms_ive(mic, ls, cfg),
+                     lambda: run_ls_aec(mic, ls)):
+            with pytest.raises(ValueError):
+                call()
+    with pytest.raises(ValueError):
+        run_ive_only(x_bad, cfg)
 
 
 def test_run_joint_shape_and_reference_validation():
