@@ -43,7 +43,8 @@ def _reference_output(e, h, run_cfg):
 
 
 def _unprocessed(scene, run_cfg):
-    return _reference_output(scene.mixture, np.zeros_like(scene.mixture[:, 0, :]), run_cfg)
+    x, _ = _optimizer._inputs(scene.mixture, None)
+    return _reference_output(x, np.zeros_like(x[:, 0, :]), run_cfg)
 
 
 def _ls_aec(scene, run_cfg):

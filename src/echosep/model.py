@@ -157,16 +157,25 @@ def score_spherical(s_hat):
 
     phi_f = conj(s_f) / r with r the frame radius sqrt(sum_f |s_f|^2).
     Returns (phi, dphi_dconj, dphi_dplain), each shaped like s_hat, where
-    dphi_dconj = d phi_f / d s_f* and dphi_dplain = d phi_f / d s_f
-    (same-bin Wirtinger derivatives).
+    dphi_dconj = d phi_f / d s_f* = 1/r - |s_f|^2 / (2 r^3) and
+    dphi_dplain = d phi_f / d s_f = -phi_f^2 / (2 r) (same-bin Wirtinger
+    derivatives). |s|^2 is formed once from the real and imaginary parts,
+    and every division is a multiplication by 1/r.
     """
     s = np.asarray(s_hat, dtype=np.complex128)
-    r = np.sqrt(np.sum(np.abs(s) ** 2, axis=0, keepdims=True))
-    r = np.maximum(r, SCORE_RADIUS_FLOOR)
-    phi = s.conj() / r
-    mag2 = np.abs(s) ** 2
-    dphi_dconj = 1.0 / r - mag2 / (2.0 * r**3)
-    dphi_dplain = -(s.conj() ** 2) / (2.0 * r**3)
+    # Updates in place: at F=256, T=300 each further full-size temporary
+    # costs about as much as the arithmetic done on it.
+    mag2 = s.real ** 2
+    mag2 += s.imag ** 2
+    inv_r = 1.0 / np.maximum(np.sqrt(np.sum(mag2, axis=0)), SCORE_RADIUS_FLOOR)
+    half = 0.5 * inv_r  # 1 / (2r)
+    phi = np.conj(s)
+    phi *= inv_r
+    dphi_dconj = mag2  # reuses the |s|^2 buffer
+    dphi_dconj *= -half * inv_r ** 2
+    dphi_dconj += inv_r
+    dphi_dplain = np.square(phi)
+    dphi_dplain *= -half
     return phi, dphi_dconj, dphi_dplain
 
 

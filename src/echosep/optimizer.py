@@ -157,13 +157,20 @@ def moments(x, u, state, score=score_spherical):
     """One pass at the state's h and w: s = w^H x - (w^H h) u, its score, the moments.
 
     E[e phi] = E[x phi] - h E[u phi], so the error signal is never formed.
+    The frame averages E[x phi], E[u phi] and nu = E[s phi] are batched dot
+    products over the frame axis. The result holds while h and w do: the
+    driver passes the moments behind one iteration's diagnostics on to the
+    next iteration's first step instead of making the pass again.
     """
     s = (x @ state.w.conj()[:, :, None])[:, :, 0]
     s -= np.sum(state.w.conj() * state.h, axis=1)[:, None] * u
     phi, dconj, _ = score(s)
-    x_phi = (np.swapaxes(x, 1, 2) @ phi[:, :, None])[:, :, 0] / s.shape[1]
-    u_phi = np.mean(u * phi, axis=1)
-    return Moments(s=s, nu=np.mean(s * phi, axis=1), rho=np.mean(dconj, axis=1),
+    phi_col = phi[:, :, None]
+    n_frames = s.shape[1]
+    x_phi = (np.swapaxes(x, 1, 2) @ phi_col)[:, :, 0] / n_frames
+    u_phi = (u[:, None, :] @ phi_col)[:, 0, 0] / n_frames
+    nu = (s[:, None, :] @ phi_col)[:, 0, 0] / n_frames
+    return Moments(s=s, nu=nu, rho=np.mean(dconj, axis=1),
                    e_phi=x_phi - state.h * u_phi[:, None], u_phi=u_phi)
 
 
@@ -243,15 +250,17 @@ def _solve_with_retry(mats, rhs, ok, loading):
     return sol, ok
 
 
-def update_aec(state, x, u, data, score=score_spherical, loading=DEFAULT_LOADING):
+def update_aec(state, x, u, data, score=score_spherical, loading=DEFAULT_LOADING, mom=None):
     """One Newton step on the echo-path filter h for every active bin.
 
-    Takes the moments at the state's h and w from one pass over the frames
-    and steps by solve(hessian_h, -grad_h). Returns (h_new, active_mask);
-    bins without excitation, with a dead score normalizer, or with a singular
-    curvature matrix are left unchanged.
+    Steps by solve(hessian_h, -grad_h) with mom, the moments at the state's
+    h and w; when mom is not given, they come from one pass over x and u
+    with the given score. Returns (h_new, active_mask); bins without
+    excitation, with a dead score normalizer, or with a singular curvature
+    matrix are left unchanged.
     """
-    mom = moments(x, u, state, score)
+    if mom is None:
+        mom = moments(x, u, state, score)
     hess = hessian_h(state, data, mom)
     rhs = -grad_h(state, data, mom)
     ok = (state.active & (np.abs(mom.nu) > DEAD_BIN_FLOOR) & (data.P_u > np.finfo(float).tiny)
@@ -352,24 +361,30 @@ def _run(x, u, cfg, aec_mode, truth=None):
     diag = RunDiagnostics()
 
     _update_statistics(state, data, cfg.loading)
+    mom = None  # the moments at the state's h and w, once a pass has made them
     for it in range(cfg.iterations):
         frozen = int(np.sum(~state.active))
         h_old = state.h
         if aec_mode == "joint":
-            state.h, ok = update_aec(state, x, u, data, loading=cfg.loading)
+            state.h, ok = update_aec(state, x, u, data, loading=cfg.loading, mom=mom)
             frozen = max(frozen, int(np.sum(~ok)))
         elif aec_mode == "bnlms":
             state.h = _least_squares(data.r_xu, data.P_u)
-        if aec_mode != "frozen":
+        # h stays put when frozen, and under BNLMS after its first step; the
+        # statistics and moments of the last iteration's end then still hold
+        if not np.array_equal(state.h, h_old):
             _update_statistics(state, data, cfg.loading)
+            mom = None
         w_old = state.w
         if m >= 2:
-            state.w, ok = update_bse(state, moments(x, u, state), loading=cfg.loading)
+            if mom is None:
+                mom = moments(x, u, state)
+            state.w, ok = update_bse(state, mom, loading=cfg.loading)
             frozen = max(frozen, int(np.sum(~ok)))
         normalize_w(state)
         _update_statistics(state, data, cfg.loading)
 
-        mom = moments(x, u, state)
+        mom = moments(x, u, state)  # diagnostics, and the next echo or BSE step
         try:
             cost_value = cost(state, state.C_ee, mom.s)
         except NumericsError:  # fully cancelled bins can degenerate the log term

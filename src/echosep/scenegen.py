@@ -13,7 +13,6 @@ import json
 import numpy as np
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
-from scipy.signal import fftconvolve
 
 from . import stft as _stft
 
@@ -231,6 +230,8 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec=None):
     sensor noise is white Gaussian. True mixing parameters are not available
     in this mode.
     """
+    from scipy.signal import fftconvolve  # deferred: the import costs about 1 s
+
     frame_spec = frame_spec or _stft.FrameSpec.default()
     if len(source_wavs) != 3 or len(rir_wavs) != 3:
         raise ValueError("expected three sources and three RIRs: target, loudspeaker, interferer")

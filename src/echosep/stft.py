@@ -174,11 +174,15 @@ def synthesize(spg, length=None):
     n_freqs, n_frames, n_chan = data.shape
     frames = np.fft.irfft(data.transpose(1, 0, 2), n=spec.frame_len, axis=1)  # (T, L, M)
     frames *= spec.window[None, :, None]
-    total = (n_frames - 1) * spec.hop + spec.frame_len
-    out = np.zeros((total, n_chan))
-    for t in range(n_frames):
-        lo = t * spec.hop
-        out[lo:lo + spec.frame_len] += frames[t]
+    # Frame t's block b lands on output block t + b. Adding the blocks from
+    # the last to the first sums each sample's frames in time order, as a
+    # loop over the frames would.
+    shifts = spec.frame_len // spec.hop
+    blocks = frames.reshape(n_frames, shifts, spec.hop, n_chan)
+    out = np.zeros((n_frames + shifts - 1, spec.hop, n_chan))
+    for b in reversed(range(shifts)):
+        out[b:b + n_frames] += blocks[:, b]
+    out = out.reshape(-1, n_chan)
     # overlap-added window products sum to a constant (COLA); undo that gain
     out /= spec.overlap_added_window_product().mean()
     if length is not None:

@@ -187,13 +187,14 @@ def test_run_numerical_failure_exits_two(tmp_path):
     assert code == 2
 
 
-def test_run_non_finite_mixture_exits_one(tmp_path):
+@pytest.mark.parametrize("algo", list(cli.CLI_ALGORITHMS))
+def test_run_non_finite_mixture_exits_one(tmp_path, algo):
     scene_dir = tmp_path / "scene"
     run_cli(simulate_args(scene_dir))
     mixture, rate = stft.read_wav(scene_dir / "mixture.wav")
     mixture[1000, 1] = np.nan
     stft.write_wav(scene_dir / "mixture.wav", mixture, rate, dtype="float32")
-    code = run_cli(["run", "--scene", str(scene_dir), "--algo", "joint",
+    code = run_cli(["run", "--scene", str(scene_dir), "--algo", algo,
                     "--out", str(tmp_path / "out"), "--frame", "512", "--hop", "256"])
     assert code == 1
 

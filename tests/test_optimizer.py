@@ -266,6 +266,18 @@ def test_shipped_updates_equal_the_checked_formulas():
                                rtol=1e-10)
 
 
+def test_update_aec_with_given_moments_equals_its_own_pass():
+    """The driver hands update_aec the moments of the previous diagnostics pass."""
+    rng = np.random.default_rng(26)
+    x, u, state = _instance(rng)
+    data = DataStats.of(x, u)
+    _update_statistics(state, data, DEFAULT_LOADING)
+    h_own, ok_own = update_aec(state, x, u, data)
+    h_given, ok_given = update_aec(state, x, u, data, mom=moments(x, u, state))
+    np.testing.assert_array_equal(h_given, h_own)
+    np.testing.assert_array_equal(ok_given, ok_own)
+
+
 @pytest.mark.parametrize("m", [2, 4])
 def test_closed_form_statistics_equal_dense_passes(m):
     """C_ee, C_zz, E[e phi] and E[e u*] from the data statistics equal passes over e and z."""
@@ -275,11 +287,15 @@ def test_closed_form_statistics_equal_dense_passes(m):
     _update_statistics(state, data, DEFAULT_LOADING)
     e = x - state.h[:, None, :] * u[:, :, None]
     z = np.einsum("fkm,ftm->ftk", blocking_matrix(state.a), e)
-    phi, _, _ = score_spherical(np.einsum("fm,ftm->ft", state.w.conj(), e))
+    s = np.einsum("fm,ftm->ft", state.w.conj(), e)
+    phi, _, _ = score_spherical(s)
+    mom = moments(x, u, state)
     np.testing.assert_allclose(state.C_ee, covariance(e), rtol=1e-10)
     np.testing.assert_allclose(state.C_zz, covariance(z), rtol=1e-10)
-    np.testing.assert_allclose(moments(x, u, state).e_phi,
-                               np.mean(e * phi[:, :, None], axis=1), rtol=1e-10)
+    np.testing.assert_allclose(mom.e_phi, np.mean(e * phi[:, :, None], axis=1), rtol=1e-10)
+    np.testing.assert_allclose(mom.u_phi, np.mean(u * phi, axis=1), rtol=1e-10)
+    np.testing.assert_allclose(mom.nu, score_stats(s).nu, rtol=1e-10)
+    np.testing.assert_allclose(mom.rho, score_stats(s).rho, rtol=1e-10)
     np.testing.assert_allclose(data.error_cross(state.h),
                                np.mean(e * u.conj()[:, :, None], axis=1), rtol=1e-10)
 
@@ -571,6 +587,33 @@ def test_runs_make_one_dense_covariance_pass(run, monkeypatch):
         calls.clear()
         run(*inputs, RunConfig(iterations=iterations))
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("run, per_iteration", [(run_joint, 2), (run_bnlms_ive, 1),
+                                                  (run_ive_only, 1)])
+def test_runs_make_one_score_pass_per_half_step(run, per_iteration, monkeypatch):
+    """n iterations make 2n + 1 moment passes (joint) or n + 1 (BNLMS, ive).
+
+    Every iteration makes one pass for its diagnostics record, and joint one
+    more for its BSE step, after the echo step moved h. The record's pass
+    serves the next iteration's echo step (joint) or, when h does not move
+    (ive; BNLMS after its first step), its BSE step. The first iteration
+    makes the one pass that nothing before it could supply.
+    """
+    calls = []
+
+    def counting_moments(*args, **kwargs):
+        calls.append(1)
+        return moments(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "moments", counting_moments)
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
+                                       n_freqs=16, n_frames=40)
+    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
+    for iterations in (1, 7):
+        calls.clear()
+        run(*inputs, RunConfig(iterations=iterations))
+        assert len(calls) == per_iteration * iterations + 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

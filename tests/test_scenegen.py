@@ -1,5 +1,8 @@
 """Scene generation: sampling ranges, source statistics, rendering, file I/O."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -212,3 +215,11 @@ def test_scene_save_load_round_trip(tmp_path):
     mix_t = loaded.time_signals["mixture"]
     total_t = sum(loaded.time_signals[k] for k in ("soi", "echo", "interference", "noise"))
     assert np.max(np.abs(mix_t - total_t)) < 1e-5
+
+
+def test_package_import_leaves_scipy_signal_out():
+    """Only render_convolutive needs scipy.signal, most of a cold import's time."""
+    code = "import sys, echosep, echosep.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
