@@ -1,15 +1,17 @@
 """Newton-type parameter updates, the iteration driver, and baseline algorithms.
 
 Each iteration updates the echo-path filter h (an interference- and
-source-aware multichannel block-NLMS step), then the extraction beamformer w
-(a fast fixed-point step on the echo-cancelled signal), then rescales w so the
-source estimate has unit power. The iteration runs on sufficient statistics:
-the data enter through C_xx = E[x x^H], E[x u*] and E[|u|^2], computed once
-per run, and through one pass of score-weighted moments per half-step at the
-current filters. The error and background covariances and the moments of the
-error signal e = x - h u follow in closed form, so e is formed only once, at
-the end, where the scale ambiguity of the extracted source is resolved by
-projecting onto a reference error channel.
+source-aware multichannel block-NLMS step, a Newton step in closed form),
+then the extraction beamformer w (a fast fixed-point step on the
+echo-cancelled signal), then rescales w so the source estimate has unit
+power; the interference whitener is formed only for the cost record. The
+iteration runs on sufficient statistics: the data enter through
+C_xx = E[x x^H], E[x u*] and E[|u|^2], computed once per run, and through one
+pass of score-weighted moments per half-step at the current filters. The
+error and background covariances and the moments of the error signal
+e = x - h u follow in closed form, so e is formed only once, at the end, where
+the scale ambiguity of the extracted source is resolved by projecting onto a
+reference error channel.
 
 Baselines: per-channel BNLMS interleaved with the same extraction update,
 batch least-squares echo cancellation alone, and extraction alone.
@@ -22,6 +24,7 @@ from .model import (
     DemixState,
     load_diagonal,
     NumericsError,
+    background_covariance,
     blocking_matrix,
     cost,
     covariance,
@@ -147,30 +150,34 @@ class Moments:
     """Score-weighted moments at the current filters, from one pass over the frames."""
 
     s: np.ndarray      # (F, T) source estimate w^H e
+    y: np.ndarray      # (F, T) beamformed microphones w^H x, valid while w holds
     nu: np.ndarray     # (F,) E[s phi], the score normalizer
     rho: np.ndarray    # (F,) E[d phi / d s*]
     e_phi: np.ndarray  # (F, M) E[e phi]
     u_phi: np.ndarray  # (F,) E[u phi]
 
 
-def moments(x, u, state, score=score_spherical):
+def moments(x, u, state, score=score_spherical, y=None):
     """One pass at the state's h and w: s = w^H x - (w^H h) u, its score, the moments.
 
     E[e phi] = E[x phi] - h E[u phi], so the error signal is never formed.
     The frame averages E[x phi], E[u phi] and nu = E[s phi] are batched dot
     products over the frame axis. The result holds while h and w do: the
     driver passes the moments behind one iteration's diagnostics on to the
-    next iteration's first step instead of making the pass again.
+    next iteration's first step instead of making the pass again. y = w^H x
+    holds while w does; when given, as after an echo step that moved only h,
+    it is not formed again.
     """
-    s = (x @ state.w.conj()[:, :, None])[:, :, 0]
-    s -= np.sum(state.w.conj() * state.h, axis=1)[:, None] * u
+    if y is None:
+        y = (x @ state.w.conj()[:, :, None])[:, :, 0]
+    s = y - np.sum(state.w.conj() * state.h, axis=1)[:, None] * u
     phi, dconj, _ = score(s)
     phi_col = phi[:, :, None]
     n_frames = s.shape[1]
     x_phi = (np.swapaxes(x, 1, 2) @ phi_col)[:, :, 0] / n_frames
     u_phi = (u[:, None, :] @ phi_col)[:, 0, 0] / n_frames
     nu = (s[:, None, :] @ phi_col)[:, 0, 0] / n_frames
-    return Moments(s=s, nu=nu, rho=np.mean(dconj, axis=1),
+    return Moments(s=s, y=y, nu=nu, rho=np.mean(dconj, axis=1),
                    e_phi=x_phi - state.h * u_phi[:, None], u_phi=u_phi)
 
 
@@ -199,10 +206,11 @@ def grad_w(state, mom, normalize=True):
 
 
 def hessian_h(state, data, mom, normalize=True):
-    """Curvature matrix inverted by the echo-path update, per bin.
+    """Curvature matrix of the echo-path Newton step, per bin.
 
     (R + (rho*/nu*) w w^H) * E[|u|^2]; with normalize=False the rho*/nu*
     weight is replaced by plain rho* (the unnormalized second derivative).
+    update_aec solves with it in closed form and never forms it.
     For M = 1 with a Gaussian score this reduces to E[|u|^2]. Only mom.nu
     and mom.rho are read, so a ScoreStats serves as well as Moments.
     """
@@ -250,23 +258,31 @@ def _solve_with_retry(mats, rhs, ok, loading):
     return sol, ok
 
 
-def update_aec(state, x, u, data, score=score_spherical, loading=DEFAULT_LOADING, mom=None):
+def update_aec(state, x, u, data, score=score_spherical, mom=None):
     """One Newton step on the echo-path filter h for every active bin.
 
-    Steps by solve(hessian_h, -grad_h) with mom, the moments at the state's
-    h and w; when mom is not given, they come from one pass over x and u
-    with the given score. Returns (h_new, active_mask); bins without
-    excitation, with a dead score normalizer, or with a singular curvature
-    matrix are left unchanged.
+    solve(hessian_h, -grad_h) in closed form: any whitener R = B^H X B has
+    R a = 0, and w^H a = 1, so with r = E[e u*], kappa = conj(E[u phi]/nu) and
+    alpha = conj(rho/nu) the step is (r + a (kappa - alpha w^H r) / alpha) / P_u,
+    the least-squares step plus a correction along a. mom holds the moments
+    at the state's h and w; when not given, they come from one pass over x
+    and u with the given score. Returns (h_new, active_mask); bins with
+    P_u <= tiny, |nu| or |alpha| <= DEAD_BIN_FLOOR, or a non-finite step are
+    left unchanged.
     """
     if mom is None:
         mom = moments(x, u, state, score)
-    hess = hessian_h(state, data, mom)
-    rhs = -grad_h(state, data, mom)
-    ok = (state.active & (np.abs(mom.nu) > DEAD_BIN_FLOOR) & (data.P_u > np.finfo(float).tiny)
-          & np.all(np.isfinite(hess), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1))
-    step, ok = _solve_with_retry(hess, rhs, ok, loading)
-    return state.h + step, ok
+    live = np.abs(mom.nu) > DEAD_BIN_FLOOR
+    nu = np.where(live, mom.nu, 1.0)
+    alpha = np.conj(mom.rho / nu)
+    ok = (state.active & live & (np.abs(alpha) > DEAD_BIN_FLOOR)
+          & (data.P_u > np.finfo(float).tiny))
+    r = data.error_cross(state.h)
+    coef = ((np.conj(mom.u_phi / nu) - alpha * np.sum(state.w.conj() * r, axis=1))
+            / np.where(ok, alpha, 1.0))
+    step = (r + coef[:, None] * state.a) / np.where(ok, data.P_u, 1.0)[:, None]
+    ok &= np.all(np.isfinite(step), axis=1)
+    return state.h + np.where(ok[:, None], step, 0.0), ok
 
 
 def update_bse(state, mom, loading=DEFAULT_LOADING):
@@ -322,11 +338,13 @@ def backproject(s_hat, e, reference_channel=1):
 
 
 def _update_statistics(state, data, loading):
-    """Recompute C_ee, a, C_zz, R and the active-bin mask at the current h and w.
+    """Recompute C_ee, a, C_zz and the active-bin mask at the current h and w.
 
     All follow from the data statistics in closed form, C_zz = B C_ee B^H
-    among them, so no pass over the frames is made. Bins with a degenerate
-    error covariance are frozen.
+    among them, with no pass over the frames and no linear solve. Bins with a
+    degenerate w^H C_ee w are frozen, and so are bins that interference_whitener
+    would reject for the trace of their loaded background covariance; that
+    test is what freezes noise-free echo-only bins.
     """
     state.C_ee = data.error_covariance(state.h)
     cw = (state.C_ee @ state.w[:, :, None])[:, :, 0]
@@ -335,17 +353,29 @@ def _update_statistics(state, data, loading):
     state.a = np.where(ok[:, None], cw / np.where(ok, denom, 1.0)[:, None], state.a)
     m = state.n_channels
     if m >= 2:
-        b = blocking_matrix(state.a)
-        c = b @ state.C_ee @ np.conj(np.swapaxes(b, 1, 2))
-        state.C_zz = 0.5 * (c + np.conj(np.swapaxes(c, 1, 2)))
-        e_scale = np.einsum("fmm->f", state.C_ee).real / m
-        b_scale = np.sum(np.abs(b) ** 2, axis=(1, 2)) / (m - 1)
-        floor = (BACKGROUND_FLOOR * e_scale * b_scale)[:, None, None] * np.eye(m - 1)
-        state.R, whiten_ok = interference_whitener(b, state.C_zz + floor, loading)
-        ok &= whiten_ok
-    else:
-        state.R = np.zeros((state.n_freqs, 1, 1), dtype=np.complex128)
+        state.C_zz = background_covariance(state.a, state.C_ee)
+        tr = np.einsum("fkk->f", state.C_zz).real + (m - 1) * _background_floor(state)
+        tr *= 1.0 + loading  # the trace of load_diagonal(C_zz + floor, loading)
+        ok &= np.isfinite(tr) & (tr > np.finfo(float).tiny)
     state.active = ok
+
+
+def _background_floor(state):
+    """Per-bin floor on C_zz's diagonal: BACKGROUND_FLOOR times the power scales of e and B."""
+    m = state.n_channels
+    e_scale = np.einsum("fmm->f", state.C_ee).real / m
+    # |B|_F^2 / (M - 1) for B = (g, -gamma I)
+    b_scale = np.abs(state.a[:, 0]) ** 2 + np.sum(np.abs(state.a[:, 1:]) ** 2, axis=1) / (m - 1)
+    return BACKGROUND_FLOOR * e_scale * b_scale
+
+
+def _whitener(state, loading):
+    """The interference whitener R at the state's a and C_zz; zero for M = 1."""
+    m = state.n_channels
+    if m < 2:
+        return np.zeros((state.n_freqs, 1, 1), dtype=np.complex128)
+    floor = _background_floor(state)[:, None, None] * np.eye(m - 1)
+    return interference_whitener(blocking_matrix(state.a), state.C_zz + floor, loading)[0]
 
 
 def _run(x, u, cfg, aec_mode, truth=None):
@@ -366,25 +396,27 @@ def _run(x, u, cfg, aec_mode, truth=None):
         frozen = int(np.sum(~state.active))
         h_old = state.h
         if aec_mode == "joint":
-            state.h, ok = update_aec(state, x, u, data, loading=cfg.loading, mom=mom)
+            state.h, ok = update_aec(state, x, u, data, mom=mom)
             frozen = max(frozen, int(np.sum(~ok)))
         elif aec_mode == "bnlms":
             state.h = _least_squares(data.r_xu, data.P_u)
         # h stays put when frozen, and under BNLMS after its first step; the
         # statistics and moments of the last iteration's end then still hold
+        y = None if mom is None else mom.y  # w^H x: w has not moved since
         if not np.array_equal(state.h, h_old):
             _update_statistics(state, data, cfg.loading)
             mom = None
         w_old = state.w
         if m >= 2:
             if mom is None:
-                mom = moments(x, u, state)
+                mom = moments(x, u, state, y=y)
             state.w, ok = update_bse(state, mom, loading=cfg.loading)
             frozen = max(frozen, int(np.sum(~ok)))
         normalize_w(state)
         _update_statistics(state, data, cfg.loading)
 
         mom = moments(x, u, state)  # diagnostics, and the next echo or BSE step
+        state.R = _whitener(state, cfg.loading)  # read by the cost alone
         try:
             cost_value = cost(state, state.C_ee, mom.s)
         except NumericsError:  # fully cancelled bins can degenerate the log term

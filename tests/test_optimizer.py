@@ -10,6 +10,7 @@ from echosep.model import (
     NumericsError,
     blocking_matrix,
     covariance,
+    interference_whitener,
     load_diagonal,
     score_gauss,
     score_spherical,
@@ -278,7 +279,54 @@ def test_update_aec_with_given_moments_equals_its_own_pass():
     np.testing.assert_array_equal(ok_given, ok_own)
 
 
-@pytest.mark.parametrize("m", [2, 4])
+def test_update_aec_freezes_bin_with_vanishing_curvature():
+    """A bin whose rho is 0 has no echo-path curvature along w: it stays at h, frozen."""
+    rng = np.random.default_rng(24)
+    x, u, state = _instance(rng)
+    data = DataStats.of(x, u)
+
+    def score_flat_bin0(s):
+        phi, dconj, dplain = score_spherical(s)
+        dconj[0] = 0.0
+        return phi, dconj, dplain
+
+    h_usual, ok_usual = update_aec(state, x, u, data)
+    h_new, ok = update_aec(state, x, u, data, score=score_flat_bin0)
+    assert ok_usual.all()
+    assert not ok[0] and ok[1:].all()
+    np.testing.assert_array_equal(h_new[0], state.h[0])
+    np.testing.assert_array_equal(h_new[1:], h_usual[1:])
+
+
+def test_moments_reuse_the_beamformed_microphones_after_an_echo_step():
+    """After a step that moves only h, the pass given the old y = w^H x equals a fresh one."""
+    rng = np.random.default_rng(27)
+    x, u, state = _instance(rng)
+    data = DataStats.of(x, u)
+    _update_statistics(state, data, DEFAULT_LOADING)
+    y = moments(x, u, state).y
+    state.h, _ = update_aec(state, x, u, data)
+    fresh, reused = moments(x, u, state), moments(x, u, state, y=y)
+    for name in ("s", "y", "nu", "rho", "e_phi", "u_phi"):
+        np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
+
+
+def test_refresh_freezes_bins_the_whitener_would_reject():
+    """The solve-free refresh keeps interference_whitener's trace test in its mask.
+
+    Cancellation can leave the closed-form C_ee indefinite on echo-only bins;
+    a background covariance with a negative trace is frozen, as before.
+    """
+    c_xx = np.array([np.eye(3), np.diag([1.0, -1e-3, -1e-3])], dtype=complex)
+    data = DataStats(C_xx=c_xx, r_xu=np.zeros((2, 3), dtype=complex), P_u=np.zeros(2))
+    state = DemixState.initial(2, 3)
+    _update_statistics(state, data, DEFAULT_LOADING)
+    _, whitener_ok = interference_whitener(blocking_matrix(state.a), state.C_zz)
+    np.testing.assert_array_equal(state.active, [True, False])
+    np.testing.assert_array_equal(whitener_ok, state.active)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_closed_form_statistics_equal_dense_passes(m):
     """C_ee, C_zz, E[e phi] and E[e u*] from the data statistics equal passes over e and z."""
     rng = np.random.default_rng(25 + m)
@@ -614,6 +662,25 @@ def test_runs_make_one_score_pass_per_half_step(run, per_iteration, monkeypatch)
         calls.clear()
         run(*inputs, RunConfig(iterations=iterations))
         assert len(calls) == per_iteration * iterations + 1
+
+
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
+def test_runs_form_the_whitener_once_per_iteration(run, monkeypatch):
+    """No update reads R; the driver forms it for each iteration's cost record alone."""
+    calls = []
+
+    def counting_whitener(*args, **kwargs):
+        calls.append(1)
+        return interference_whitener(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "interference_whitener", counting_whitener)
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
+                                       n_freqs=16, n_frames=40)
+    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
+    for iterations in (1, 7):
+        calls.clear()
+        run(*inputs, RunConfig(iterations=iterations))
+        assert len(calls) == iterations
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
