@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import metrics as _metrics
@@ -184,12 +184,13 @@ def run_algorithm(name, scene, run_cfg):
 
 def run_bench(spec):
     """Benchmark all requested algorithms over seeded scenes; returns reports."""
+    run_cfg = replace(spec.run_config(), records=False)  # no report reads a record
     reports = []
     for i in range(spec.runs):
         seed = spec.seed + i
         scene = _make_scene(spec, seed)
         for name in spec.algorithms:
-            res = run_algorithm(name, scene, spec.run_config())
+            res = run_algorithm(name, scene, run_cfg)
             rep = _metrics.evaluate_run(
                 scene,
                 res.state,

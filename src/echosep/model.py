@@ -53,8 +53,9 @@ class DemixState:
     C_ee : (F, M, M) sample covariance of the error signal e
     C_zz : (F, M-1, M-1) sample covariance B C_ee B^H of the background
         estimate z, in closed form (background_covariance); for M >= 2
-    R : (F, M, M) interference whitener B^H C_zz^{-1} B; the driver forms it
-        once per iteration, for the cost record, since no update reads it
+    R : (F, M, M) interference whitener B^H C_zz^{-1} B; no update reads it,
+        so the driver forms it once per iteration for the cost record, and
+        only when RunConfig.records is set (None otherwise)
     active : (F,) bool, bins currently updated (False = frozen/degenerate)
     """
 

@@ -4,14 +4,19 @@ Each iteration updates the echo-path filter h (an interference- and
 source-aware multichannel block-NLMS step, a Newton step in closed form),
 then the extraction beamformer w (a fast fixed-point step on the
 echo-cancelled signal), then rescales w so the source estimate has unit
-power; the interference whitener is formed only for the cost record. The
-iteration runs on sufficient statistics: the data enter through
+power. The iteration runs on sufficient statistics: the data enter through
 C_xx = E[x x^H], E[x u*] and E[|u|^2], computed once per run, and through one
 pass of score-weighted moments per half-step at the current filters. The
 error and background covariances and the moments of the error signal
 e = x - h u follow in closed form, so e is formed only once, at the end, where
 the scale ambiguity of the extracted source is resolved by projecting onto a
 reference error channel.
+
+With RunConfig.records set (the default) each iteration also writes an
+IterationRecord: the cost (the interference whitener's only reader), filter
+deltas, score medians and, given the truth, the off-block energy. Without it
+none of these is formed, nor the last iteration's moment pass, which only its
+record reads: n iterations make 2n passes (joint) or n, not 2n + 1 or n + 1.
 
 Baselines: per-channel BNLMS interleaved with the same extraction update,
 batch least-squares echo cancellation alone, and extraction alone.
@@ -74,6 +79,7 @@ class RunConfig:
     iterations: int = 50
     loading: float = DEFAULT_LOADING
     reference_channel: int = 1  # 1-based microphone index for backprojection
+    records: bool = True  # form an IterationRecord (cost, whitener, truth) each iteration
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -415,7 +421,10 @@ def _run(x, u, cfg, aec_mode, truth=None):
         normalize_w(state)
         _update_statistics(state, data, cfg.loading)
 
-        mom = moments(x, u, state)  # diagnostics, and the next echo or BSE step
+        if cfg.records or it + 1 < cfg.iterations:
+            mom = moments(x, u, state)  # the next echo or BSE step, and the record
+        if not cfg.records:
+            continue
         state.R = _whitener(state, cfg.loading)  # read by the cost alone
         try:
             cost_value = cost(state, state.C_ee, mom.s)

@@ -129,6 +129,29 @@ def test_bench_single_run_mean_equals_row(tmp_path):
     assert run_row[2:] == mean_row[2:]
 
 
+def test_bench_forms_no_whitener_or_cost(monkeypatch):
+    """bench reads no iteration record, so its runs form neither; run still does."""
+    calls = {"interference_whitener": 0, "cost": 0}
+
+    def counting(name):
+        original = getattr(cli._optimizer, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cli._optimizer, name, counting(name))
+    spec = ExperimentSpec(runs=1, seed=9, duration_s=0.6, frame_len=512, hop=256, mics=3,
+                          iterations=3)
+    reports = cli.run_bench(spec)
+    assert [r.algorithm for r in reports] == list(cli.CLI_ALGORITHMS)
+    assert calls == {"interference_whitener": 0, "cost": 0}
+    cli.run_algorithm("joint", cli._make_scene(spec, spec.seed), spec.run_config())
+    assert calls == {"interference_whitener": 3, "cost": 3}
+
+
 def test_bench_rejects_unknown_algorithm_before_work(tmp_path):
     out = tmp_path / "never"
     code = run_cli(["bench", "--out", str(out), "--runs", "1", "--algo", "sorcery"])

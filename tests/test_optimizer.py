@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from echosep import optimizer, scenegen
 from echosep.model import (
@@ -681,6 +682,79 @@ def test_runs_form_the_whitener_once_per_iteration(run, monkeypatch):
         calls.clear()
         run(*inputs, RunConfig(iterations=iterations))
         assert len(calls) == iterations
+
+
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
+def test_runs_without_records_match_runs_with_records(run):
+    """No update reads R or a record, so records=False changes no filter or output."""
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
+                                       n_freqs=16, n_frames=40)
+    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
+    full = run(*inputs, RunConfig(iterations=7), truth=scene.truth)
+    bare = run(*inputs, RunConfig(iterations=7, records=False), truth=scene.truth)
+    assert len(full.diagnostics.records) == 7 and bare.diagnostics.records == []
+    assert bare.state.R is None
+    for name in ("h", "w", "a"):
+        assert np.array_equal(getattr(full.state, name), getattr(bare.state, name))
+    assert np.array_equal(full.e, bare.e)
+    assert np.array_equal(full.s_hat, bare.s_hat)
+    assert np.array_equal(full.diagnostics.bp_scale, bare.diagnostics.bp_scale)
+
+
+@pytest.mark.parametrize("run, per_iteration", [(run_joint, 2), (run_bnlms_ive, 1),
+                                                  (run_ive_only, 1)])
+def test_runs_without_records_skip_the_diagnostics(run, per_iteration, monkeypatch):
+    """Without records, n iterations make 2n moment passes (joint) or n (BNLMS, ive).
+
+    The last iteration's pass, which only its record reads, is skipped, and
+    no whitener, cost or transmission matrix is formed.
+    """
+    calls = {"moments": 0, "interference_whitener": 0, "cost": 0, "transmission_matrix": 0}
+
+    def counting(name):
+        original = getattr(optimizer, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(optimizer, name, counting(name))
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
+                                       n_freqs=16, n_frames=40)
+    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
+    for iterations in (1, 7):
+        calls.update(dict.fromkeys(calls, 0))
+        run(*inputs, RunConfig(iterations=iterations, records=False), truth=scene.truth)
+        assert calls == {"moments": per_iteration * iterations, "interference_whitener": 0,
+                         "cost": 0, "transmission_matrix": 0}
+
+
+@settings(max_examples=5)
+@given(perm=st.permutations([1, 2, 3]).filter(lambda p: p != [1, 2, 3]),
+       seed=st.integers(0, 2**16))
+def test_runs_are_equivariant_to_permuting_the_other_microphones(perm, seed):
+    """Permuting microphones 2..M permutes h, w and a to match and leaves s_hat.
+
+    The reference microphone 1 stays in place, and with it the initial w and
+    the backprojection channel; the rest changes only the order of sums.
+    """
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=4, seed=seed),
+                                       n_freqs=32, n_frames=80)
+    order = [0] + list(perm)
+    cfg = RunConfig(iterations=20, records=False)
+
+    def close(actual, expected):  # relative in norm; h stays zero for ive
+        return np.linalg.norm(actual - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    for run in (run_joint, run_bnlms_ive, run_ive_only):
+        inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
+        base = run(*inputs, cfg)
+        permuted = run(inputs[0][:, :, order], *inputs[1:], cfg)
+        assert close(permuted.s_hat, base.s_hat)
+        for name in ("h", "w", "a"):
+            assert close(getattr(permuted.state, name), getattr(base.state, name)[:, order])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
