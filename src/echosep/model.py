@@ -21,6 +21,7 @@ __all__ = [
     "ScoreStats",
     "blocking_matrix",
     "background_covariance",
+    "background_power",
     "apply_demixer",
     "orthogonal_constraint_atf",
     "score_spherical",
@@ -50,12 +51,12 @@ class DemixState:
     h : (F, M) echo-path filter estimates
     w : (F, M) extraction beamformer
     a : (F, M) steering-vector estimate tied to w by the orthogonal constraint
-    C_ee : (F, M, M) sample covariance of the error signal e
-    C_zz : (F, M-1, M-1) sample covariance B C_ee B^H of the background
-        estimate z, in closed form (background_covariance); for M >= 2
-    R : (F, M, M) interference whitener B^H C_zz^{-1} B; no update reads it,
-        so the driver forms it once per iteration for the cost record, and
-        only when RunConfig.records is set (None otherwise)
+    C_ee : (F, M, M) sample covariance of the error signal e; depends on h
+        alone, so the driver forms it at the start and whenever h moves
+    R : (F, M, M) interference whitener B^H C_zz^{-1} B with C_zz = B C_ee B^H
+        the background covariance; no update reads it, so the driver forms
+        both once per iteration for the cost record, and only when
+        RunConfig.records is set (None otherwise)
     active : (F,) bool, bins currently updated (False = frozen/degenerate)
     """
 
@@ -63,7 +64,6 @@ class DemixState:
     w: np.ndarray
     a: np.ndarray
     C_ee: np.ndarray = None
-    C_zz: np.ndarray = None
     R: np.ndarray = None
     active: np.ndarray = None
 
@@ -135,6 +135,21 @@ def background_covariance(a, C_ee):
     c += (C_ee[:, :1, :1] * g - gamma_c1) * np.conj(np.swapaxes(g, 1, 2))
     c -= g * np.conj(np.swapaxes(gamma_c1, 1, 2))
     return c
+
+
+def background_power(a, C_ee):
+    """tr(B C_ee B^H) for B = blocking_matrix(a), per bin, without forming C_zz.
+
+    The trace of background_covariance: |gamma|^2 tr C11 + c00 |g|^2
+    - 2 Re(gamma g^H c1) in the same notation, for a Hermitian C_ee.
+    """
+    gamma = a[:, 0]
+    g = a[:, 1:]
+    tr11 = np.einsum("fkk->f", C_ee[:, 1:, 1:]).real
+    g_c1 = np.sum(g.conj() * C_ee[:, 1:, 0], axis=1)
+    return ((gamma.real ** 2 + gamma.imag ** 2) * tr11
+            + C_ee[:, 0, 0].real * np.sum(g.real ** 2 + g.imag ** 2, axis=1)
+            - 2.0 * (gamma * g_c1).real)
 
 
 def apply_demixer(x, u, state):

@@ -7,10 +7,18 @@ echo-cancelled signal), then rescales w so the source estimate has unit
 power. The iteration runs on sufficient statistics: the data enter through
 C_xx = E[x x^H], E[x u*] and E[|u|^2], computed once per run, and through one
 pass of score-weighted moments per half-step at the current filters. The
-error and background covariances and the moments of the error signal
-e = x - h u follow in closed form, so e is formed only once, at the end, where
-the scale ambiguity of the extracted source is resolved by projecting onto a
-reference error channel.
+error covariance C_ee and the moments of the error signal e = x - h u follow
+in closed form, so e is formed only once, at the end, where the scale
+ambiguity of the extracted source is resolved by projecting onto a reference
+error channel.
+
+Each quantity is formed when its inputs move. C_ee and the loaded inverse
+that the BSE step applies depend on h alone, so they are formed at the start
+and after each echo step that moved h: a run makes one inversion per echo
+path (n for joint, one for BNLMS and ive), not one solve per BSE step. a and
+the active mask follow w, and are refreshed from the held C_ee after every
+BSE step. The background covariance C_zz = B C_ee B^H is formed only for the
+cost record; the mask needs its trace alone.
 
 With RunConfig.records set (the default) each iteration also writes an
 IterationRecord: the cost (the interference whitener's only reader), filter
@@ -30,6 +38,7 @@ from .model import (
     load_diagonal,
     NumericsError,
     background_covariance,
+    background_power,
     blocking_matrix,
     cost,
     covariance,
@@ -235,13 +244,14 @@ def circularity_check(u):
 
 
 def _solve_with_retry(mats, rhs, ok, loading):
-    """Batched linear solve; singular bins get one loaded retry, then drop out."""
-    n_freqs, m = rhs.shape
+    """Batched linear solve for (F, M, K) right-hand sides; singular bins get
+    one loaded retry, then drop out."""
+    m = mats.shape[-1]
     safe = np.where(ok[:, None, None], mats, np.eye(m)[None])
-    b = np.where(ok[:, None], rhs, 0.0)
+    b = np.where(ok[:, None, None], rhs, 0.0)
     try:
-        sol = np.linalg.solve(safe, b[:, :, None])[:, :, 0]
-        bad = ~np.all(np.isfinite(sol), axis=1)
+        sol = np.linalg.solve(safe, b)
+        bad = ~np.all(np.isfinite(sol), axis=(1, 2))
     except np.linalg.LinAlgError:
         sol = np.zeros_like(b)
         bad = ok.copy()
@@ -262,6 +272,20 @@ def _solve_with_retry(mats, rhs, ok, loading):
             ok[f] = False
     sol[~ok] = 0.0
     return sol, ok
+
+
+def _loaded_inverse(C_ee, loading):
+    """(inverse, ok) of load_diagonal(C_ee, loading) per bin; it holds while h does.
+
+    Non-finite or zero-trace bins take the identity in the batched call and
+    drop out, as in interference_whitener, so one dead bin does not send the
+    whole batch down the per-bin path.
+    """
+    loaded = load_diagonal(C_ee, loading)
+    ok = (np.all(np.isfinite(loaded), axis=(1, 2))
+          & (np.einsum("fmm->f", loaded).real > np.finfo(float).tiny))
+    return _solve_with_retry(loaded, np.broadcast_to(np.eye(loaded.shape[-1]), loaded.shape),
+                             ok, loading)
 
 
 def update_aec(state, x, u, data, score=score_spherical, mom=None):
@@ -291,23 +315,26 @@ def update_aec(state, x, u, data, score=score_spherical, mom=None):
     return state.h + np.where(ok[:, None], step, 0.0), ok
 
 
-def update_bse(state, mom, loading=DEFAULT_LOADING):
+def update_bse(state, mom, loading=DEFAULT_LOADING, inv=None):
     """One fixed-point step on the beamformer w for every active bin.
 
     w += nu*/(nu* - rho*) C_ee^{-1} grad_w, the approximate Newton step of
     the extraction contrast, with the moments taken at the state's h and w;
     the sign of the curvature denominator is the one that contracts toward
-    the fixed point (the same structure as one-unit FastICA). Bins where the
-    curvature nu - rho vanishes are skipped. Returns (w_new, active_mask);
-    the caller is expected to renormalize.
+    the fixed point (the same structure as one-unit FastICA). inv is
+    _loaded_inverse(C_ee, loading) at the state's h, which the driver forms
+    once per echo path and hands on; when not given, it is formed here. Bins
+    where the curvature nu - rho vanishes, the loaded C_ee has no inverse or
+    the step is not finite are skipped. Returns (w_new, active_mask); the
+    caller is expected to renormalize.
     """
+    inverse, solvable = _loaded_inverse(state.C_ee, loading) if inv is None else inv
     curv = np.conj(mom.nu - mom.rho)
-    direction = grad_w(state, mom)
-    ok = (state.active & (np.abs(mom.nu) > DEAD_BIN_FLOOR) & (np.abs(curv) > DEAD_BIN_FLOOR)
-          & np.all(np.isfinite(direction), axis=1))
-    step, ok = _solve_with_retry(load_diagonal(state.C_ee, loading), direction, ok, loading)
-    factor = np.where(ok, np.conj(mom.nu) / np.where(ok, curv, 1.0), 0.0)
-    return state.w + factor[:, None] * step, ok
+    step = (inverse @ grad_w(state, mom)[:, :, None])[:, :, 0]
+    ok = (state.active & solvable & (np.abs(mom.nu) > DEAD_BIN_FLOOR)
+          & (np.abs(curv) > DEAD_BIN_FLOOR) & np.all(np.isfinite(step), axis=1))
+    factor = np.conj(mom.nu) / np.where(ok, curv, 1.0)
+    return state.w + np.where(ok[:, None], factor[:, None] * step, 0.0), ok
 
 
 def normalize_w(state):
@@ -344,23 +371,30 @@ def backproject(s_hat, e, reference_channel=1):
 
 
 def _update_statistics(state, data, loading):
-    """Recompute C_ee, a, C_zz and the active-bin mask at the current h and w.
+    """Form C_ee at the current h in closed form, then a and the active-bin mask.
 
-    All follow from the data statistics in closed form, C_zz = B C_ee B^H
-    among them, with no pass over the frames and no linear solve. Bins with a
-    degenerate w^H C_ee w are frozen, and so are bins that interference_whitener
-    would reject for the trace of their loaded background covariance; that
-    test is what freezes noise-free echo-only bins.
+    C_ee depends on h alone: the driver calls this at the start and whenever
+    h moves, and _refresh_beamformer alone after a step that moved only w.
     """
     state.C_ee = data.error_covariance(state.h)
+    _refresh_beamformer(state, loading)
+
+
+def _refresh_beamformer(state, loading):
+    """Form a and the active-bin mask at the current w from the held C_ee.
+
+    No linear solve. Bins with a degenerate w^H C_ee w are frozen, and so are
+    bins that interference_whitener would reject for the trace of their
+    loaded background covariance, taken in closed form (background_power);
+    that test is what freezes noise-free echo-only bins.
+    """
     cw = (state.C_ee @ state.w[:, :, None])[:, :, 0]
     denom = np.sum(state.w.conj() * cw, axis=1)
     ok = np.isfinite(denom) & (np.abs(denom) > np.finfo(float).tiny)
     state.a = np.where(ok[:, None], cw / np.where(ok, denom, 1.0)[:, None], state.a)
     m = state.n_channels
     if m >= 2:
-        state.C_zz = background_covariance(state.a, state.C_ee)
-        tr = np.einsum("fkk->f", state.C_zz).real + (m - 1) * _background_floor(state)
+        tr = background_power(state.a, state.C_ee) + (m - 1) * _background_floor(state)
         tr *= 1.0 + loading  # the trace of load_diagonal(C_zz + floor, loading)
         ok &= np.isfinite(tr) & (tr > np.finfo(float).tiny)
     state.active = ok
@@ -376,12 +410,13 @@ def _background_floor(state):
 
 
 def _whitener(state, loading):
-    """The interference whitener R at the state's a and C_zz; zero for M = 1."""
+    """The interference whitener R at the state's a and C_ee, for the cost; zero for M = 1."""
     m = state.n_channels
     if m < 2:
         return np.zeros((state.n_freqs, 1, 1), dtype=np.complex128)
     floor = _background_floor(state)[:, None, None] * np.eye(m - 1)
-    return interference_whitener(blocking_matrix(state.a), state.C_zz + floor, loading)[0]
+    c_zz = background_covariance(state.a, state.C_ee) + floor
+    return interference_whitener(blocking_matrix(state.a), c_zz, loading)[0]
 
 
 def _run(x, u, cfg, aec_mode, truth=None):
@@ -398,6 +433,7 @@ def _run(x, u, cfg, aec_mode, truth=None):
 
     _update_statistics(state, data, cfg.loading)
     mom = None  # the moments at the state's h and w, once a pass has made them
+    inv = None  # the loaded inverse of C_ee at the state's h, once a BSE step needed it
     for it in range(cfg.iterations):
         frozen = int(np.sum(~state.active))
         h_old = state.h
@@ -406,20 +442,22 @@ def _run(x, u, cfg, aec_mode, truth=None):
             frozen = max(frozen, int(np.sum(~ok)))
         elif aec_mode == "bnlms":
             state.h = _least_squares(data.r_xu, data.P_u)
-        # h stays put when frozen, and under BNLMS after its first step; the
-        # statistics and moments of the last iteration's end then still hold
+        # h stays put when frozen, under BNLMS after its first step and under
+        # ive; C_ee, its inverse and the last iteration's moments then still hold
         y = None if mom is None else mom.y  # w^H x: w has not moved since
         if not np.array_equal(state.h, h_old):
             _update_statistics(state, data, cfg.loading)
-            mom = None
+            mom = inv = None
         w_old = state.w
         if m >= 2:
             if mom is None:
                 mom = moments(x, u, state, y=y)
-            state.w, ok = update_bse(state, mom, loading=cfg.loading)
+            if inv is None:
+                inv = _loaded_inverse(state.C_ee, cfg.loading)
+            state.w, ok = update_bse(state, mom, loading=cfg.loading, inv=inv)
             frozen = max(frozen, int(np.sum(~ok)))
         normalize_w(state)
-        _update_statistics(state, data, cfg.loading)
+        _refresh_beamformer(state, cfg.loading)  # w moved, h and C_ee did not
 
         if cfg.records or it + 1 < cfg.iterations:
             mom = moments(x, u, state)  # the next echo or BSE step, and the record

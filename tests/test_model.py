@@ -6,6 +6,7 @@ differences computed here, independently of the closed forms under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from echosep import model
 from echosep.model import (
@@ -48,8 +49,7 @@ def make_instance(rng, n_freqs=4, n_frames=16, m=3):
     c_zz = covariance(z, 1e-6)
     r, ok = interference_whitener(b, c_zz)
     assert ok.all()
-    state = DemixState(h=h, w=w, a=a, C_ee=c_ee, C_zz=c_zz, R=r,
-                       active=np.ones(n_freqs, dtype=bool))
+    state = DemixState(h=h, w=w, a=a, C_ee=c_ee, R=r, active=np.ones(n_freqs, dtype=bool))
     return x, u, state
 
 
@@ -78,6 +78,24 @@ def test_blocking_annihilates_random_atfs():
 def test_blocking_needs_two_channels():
     with pytest.raises(ValueError):
         blocking_matrix(np.array([1.0 + 0j]))
+
+
+@given(m=st.integers(2, 5), seed=st.integers(0, 2**16), definite=st.booleans())
+def test_background_power_is_the_trace_of_the_background_covariance(m, seed, definite):
+    """background_power(a, C_ee) = tr(B C_ee B^H) for Hermitian C_ee, indefinite ones too.
+
+    Rounding in either form scales with its terms, |a|^2 max|C_ee| per bin,
+    and an indefinite C_ee can cancel them to near zero; the tolerance is
+    relative to the larger of that scale and the trace.
+    """
+    rng = np.random.default_rng(seed)
+    a = crandn(rng, (8, m))
+    c = crandn(rng, (8, m, m))
+    c = c @ np.conj(np.swapaxes(c, 1, 2)) if definite else c + np.conj(np.swapaxes(c, 1, 2))
+    trace = np.einsum("fkk->f", model.background_covariance(a, c)).real
+    scale = np.sum(np.abs(a) ** 2, axis=1) * np.max(np.abs(c), axis=(1, 2))
+    error = np.abs(model.background_power(a, c) - trace)
+    assert np.all(error <= 1e-12 * np.maximum(np.abs(trace), scale))
 
 
 # ------------------------------------------------------------ apply_demixer

@@ -9,6 +9,7 @@ from echosep.model import (
     DEFAULT_LOADING,
     DemixState,
     NumericsError,
+    background_covariance,
     blocking_matrix,
     covariance,
     interference_whitener,
@@ -34,6 +35,7 @@ from echosep.optimizer import (
     update_aec,
     update_bse,
     _least_squares,
+    _loaded_inverse,
     _update_statistics,
 )
 from echosep.model import score_stats
@@ -112,8 +114,7 @@ def _instance(rng, n_freqs=4, n_frames=16, m=3):
     state.a = orthogonal_constraint_atf(state.C_ee, state.w)
     b = blocking_matrix(state.a)
     z = np.einsum("fkm,ftm->ftk", b, e)
-    state.C_zz = covariance(z, 1e-6)
-    state.R, _ = interference_whitener(b, state.C_zz)
+    state.R, _ = interference_whitener(b, covariance(z, 1e-6))
     return x, u, state
 
 
@@ -280,6 +281,43 @@ def test_update_aec_with_given_moments_equals_its_own_pass():
     np.testing.assert_array_equal(ok_given, ok_own)
 
 
+def test_update_bse_with_given_inverse_equals_its_own_inversion():
+    """The driver hands update_bse the loaded inverse of C_ee it formed for this echo path."""
+    rng = np.random.default_rng(28)
+    x, u, state = _instance(rng)
+    data = DataStats.of(x, u)
+    _update_statistics(state, data, DEFAULT_LOADING)
+    mom = moments(x, u, state)
+    w_own, ok_own = update_bse(state, mom)
+    w_given, ok_given = update_bse(state, mom, inv=_loaded_inverse(state.C_ee, DEFAULT_LOADING))
+    np.testing.assert_array_equal(w_given, w_own)
+    np.testing.assert_array_equal(ok_given, ok_own)
+
+
+@pytest.mark.parametrize("dead", [0.0, np.nan])
+def test_update_bse_drops_a_bin_without_a_loaded_inverse(dead, monkeypatch):
+    """A bin whose C_ee is zero or not finite keeps its w, with ok False; the others step.
+
+    The dead bin takes the identity in the one batched inversion, so it sends
+    no bin down the per-bin retry path.
+    """
+    rng = np.random.default_rng(24)
+    x, u, state = _instance(rng)
+    mom = moments(x, u, state)
+    w_usual, ok_usual = update_bse(state, mom)
+    state.C_ee = state.C_ee.copy()
+    state.C_ee[1] = dead
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    w_new, ok = update_bse(state, mom)
+    assert ok_usual.all()
+    assert len(solves) == 1
+    np.testing.assert_array_equal(ok, [True, False, True, True])
+    np.testing.assert_array_equal(w_new[1], state.w[1])
+    np.testing.assert_array_equal(w_new[[0, 2, 3]], w_usual[[0, 2, 3]])
+
+
 def test_update_aec_freezes_bin_with_vanishing_curvature():
     """A bin whose rho is 0 has no echo-path curvature along w: it stays at h, frozen."""
     rng = np.random.default_rng(24)
@@ -322,7 +360,8 @@ def test_refresh_freezes_bins_the_whitener_would_reject():
     data = DataStats(C_xx=c_xx, r_xu=np.zeros((2, 3), dtype=complex), P_u=np.zeros(2))
     state = DemixState.initial(2, 3)
     _update_statistics(state, data, DEFAULT_LOADING)
-    _, whitener_ok = interference_whitener(blocking_matrix(state.a), state.C_zz)
+    _, whitener_ok = interference_whitener(blocking_matrix(state.a),
+                                           background_covariance(state.a, state.C_ee))
     np.testing.assert_array_equal(state.active, [True, False])
     np.testing.assert_array_equal(whitener_ok, state.active)
 
@@ -340,7 +379,8 @@ def test_closed_form_statistics_equal_dense_passes(m):
     phi, _, _ = score_spherical(s)
     mom = moments(x, u, state)
     np.testing.assert_allclose(state.C_ee, covariance(e), rtol=1e-10)
-    np.testing.assert_allclose(state.C_zz, covariance(z), rtol=1e-10)
+    np.testing.assert_allclose(background_covariance(state.a, state.C_ee), covariance(z),
+                               rtol=1e-10)
     np.testing.assert_allclose(mom.e_phi, np.mean(e * phi[:, :, None], axis=1), rtol=1e-10)
     np.testing.assert_allclose(mom.u_phi, np.mean(u * phi, axis=1), rtol=1e-10)
     np.testing.assert_allclose(mom.nu, score_stats(s).nu, rtol=1e-10)
@@ -663,6 +703,44 @@ def test_runs_make_one_score_pass_per_half_step(run, per_iteration, monkeypatch)
         calls.clear()
         run(*inputs, RunConfig(iterations=iterations))
         assert len(calls) == per_iteration * iterations + 1
+
+
+@pytest.mark.parametrize("run, covariances, inversions",
+                         [(run_joint, lambda n: n + 1, lambda n: n),
+                          (run_bnlms_ive, lambda n: 2, lambda n: 1),
+                          (run_ive_only, lambda n: 1, lambda n: 1)],
+                         ids=["run_joint", "run_bnlms_ive", "run_ive_only"])
+def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inversions,
+                                                           monkeypatch):
+    """C_ee and its loaded inverse are formed anew only when h moves; C_zz only for a record.
+
+    C_ee is formed at the start and after every echo step that moved h: each
+    iteration under joint, the first under BNLMS, never under ive. The first
+    BSE step on each echo path inverts the loaded C_ee, and the later ones
+    reuse it. background_covariance serves the record's whitener alone.
+    """
+    calls = {"error_covariance": 0, "_solve_with_retry": 0, "background_covariance": 0}
+
+    def counting(original, name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(DataStats, "error_covariance",
+                        counting(DataStats.error_covariance, "error_covariance"))
+    for name in ("_solve_with_retry", "background_covariance"):
+        monkeypatch.setattr(optimizer, name, counting(getattr(optimizer, name), name))
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
+                                       n_freqs=16, n_frames=40)
+    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
+    for records in (False, True):
+        for iterations in (1, 7):
+            calls.update(dict.fromkeys(calls, 0))
+            run(*inputs, RunConfig(iterations=iterations, records=records))
+            assert calls == {"error_covariance": covariances(iterations),
+                             "_solve_with_retry": inversions(iterations),
+                             "background_covariance": iterations if records else 0}
 
 
 @pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
