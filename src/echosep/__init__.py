@@ -1,18 +1,15 @@
 """Joint acoustic echo cancellation and blind source extraction in the STFT domain."""
 
-from .stft import FrameSpec, Spectrogram, analyze, synthesize, read_wav, write_wav
+from .stft import FrameSpec, analyze, synthesize, read_wav, write_wav
 from .model import (
     DemixState,
     NumericsError,
-    ScoreStats,
-    apply_demixer,
     blocking_matrix,
     orthogonal_constraint_atf,
     covariance,
     cost,
     score_spherical,
     score_gauss,
-    score_stats,
     transmission_matrix,
     off_block_energy_db,
 )
@@ -23,8 +20,6 @@ from .optimizer import (
     run_bnlms_ive,
     run_ive_only,
     run_ls_aec,
-    backproject,
-    circularity_check,
 )
 from .scenegen import (
     Scene,

@@ -28,6 +28,7 @@ __all__ = [
     "score_gauss",
     "score_stats",
     "covariance",
+    "loaded_inverse",
     "interference_whitener",
     "cost",
     "transmission_matrix",
@@ -54,9 +55,9 @@ class DemixState:
     C_ee : (F, M, M) sample covariance of the error signal e; depends on h
         alone, so the driver forms it at the start and whenever h moves
     R : (F, M, M) interference whitener B^H C_zz^{-1} B with C_zz = B C_ee B^H
-        the background covariance; no update reads it, so the driver forms
-        both once per iteration for the cost record, and only when
-        RunConfig.records is set (None otherwise)
+        the background covariance and C_zz^{-1} its loaded_inverse; no update
+        reads it, so the driver forms both once per iteration for the cost
+        record, and only when RunConfig.records is set (None otherwise)
     active : (F,) bool, bins currently updated (False = frozen/degenerate)
     """
 
@@ -170,23 +171,17 @@ def apply_demixer(x, u, state):
 
 
 def orthogonal_constraint_atf(C_ee, w):
-    """Steering-vector estimate a = C_ee w / (w^H C_ee w).
+    """Steering-vector estimate a = C_ee w / (w^H C_ee w) per bin, with its mask.
 
     Enforces the decorrelation of background and source estimates; by
-    construction w^H a = 1. Works on single matrices or (F, ...) stacks.
+    construction w^H a = 1. Takes (F, M, M) and (F, M) stacks and returns
+    (a, ok); bins whose w^H C_ee w is not finite or not above tiny in
+    magnitude get a = 0 and ok False.
     """
-    C_ee = np.asarray(C_ee, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
-    single = w.ndim == 1
-    if single:
-        C_ee = C_ee[None]
-        w = w[None]
-    cw = np.einsum("fmn,fn->fm", C_ee, w)
-    denom = np.einsum("fm,fm->f", w.conj(), cw)
-    if np.any(np.abs(denom) < np.finfo(float).tiny) or not np.all(np.isfinite(denom)):
-        raise NumericsError("degenerate error covariance: w^H C_ee w is zero")
-    a = cw / denom[:, None]
-    return a[0] if single else a
+    cw = (C_ee @ w[:, :, None])[:, :, 0]
+    denom = np.sum(w.conj() * cw, axis=1)
+    ok = np.isfinite(denom) & (np.abs(denom) > np.finfo(float).tiny)
+    return np.where(ok[:, None], cw / np.where(ok, denom, 1.0)[:, None], 0.0), ok
 
 
 def score_spherical(s_hat):
@@ -234,20 +229,16 @@ def score_stats(s_hat, score=score_spherical):
     )
 
 
-def covariance(frames, loading=0.0):
-    """Sample covariance (1/T) sum_t v v^H, optionally diagonally loaded.
+def covariance(frames):
+    """Sample covariance (1/T) sum_t v v^H, (..., T, M) -> (..., M, M).
 
-    frames : (..., T, M) -> (..., M, M); loading adds loading*tr(C)/M to the
-    diagonal, which guarantees invertibility for any nonzero input. State
-    covariances are kept unloaded; loading is applied where inverses are
+    Kept unloaded; loading (load_diagonal) is applied where inverses are
     taken.
     """
     v = np.asarray(frames, dtype=np.complex128)
     if v.shape[-2] < 1:
         raise ValueError("covariance needs at least one frame")
     c = np.swapaxes(v, -1, -2) @ v.conj() / v.shape[-2]
-    if loading:
-        c = load_diagonal(c, loading)
     # force exact Hermitian symmetry against accumulation error
     return 0.5 * (c + np.conj(np.swapaxes(c, -1, -2)))
 
@@ -262,37 +253,49 @@ def load_diagonal(c, loading=DEFAULT_LOADING):
     return c
 
 
+def loaded_inverse(c, loading=DEFAULT_LOADING):
+    """(inverse, ok) of load_diagonal(c, loading) for a (F, K, K) stack.
+
+    Non-finite or zero-trace bins take the identity in the one batched solve
+    and drop out, so one dead bin does not send the whole batch down the
+    per-bin path. A bin whose batched solve fails or is not finite gets a
+    plain solve and one loaded retry on its own, then drops out. Bins that
+    drop out get a zero inverse and ok False.
+    """
+    loaded = load_diagonal(c, loading)
+    eye = np.eye(loaded.shape[-1])
+    ok = (np.all(np.isfinite(loaded), axis=(1, 2))
+          & (np.einsum("fkk->f", loaded).real > np.finfo(float).tiny))
+    try:
+        inverse = np.linalg.solve(np.where(ok[:, None, None], loaded, eye),
+                                  np.broadcast_to(eye, loaded.shape))
+        bad = ok & ~np.all(np.isfinite(inverse), axis=(1, 2))
+    except np.linalg.LinAlgError:
+        inverse, bad = np.zeros_like(loaded), ok.copy()
+    for f in np.nonzero(bad)[0]:
+        ok[f] = False
+        for mat in (loaded[f], load_diagonal(loaded[f], loading)):  # plain, then loaded
+            try:
+                candidate = np.linalg.solve(mat, eye)
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(np.isfinite(candidate)):
+                inverse[f], ok[f] = candidate, True
+                break
+    inverse[~ok] = 0.0
+    return inverse, ok
+
+
 def interference_whitener(b, C_zz, loading=DEFAULT_LOADING):
     """R = B^H C_zz^{-1} B with a mask of invertible bins.
 
-    The background covariance is diagonally loaded before inversion. Bins
-    whose covariance is numerically dead (zero trace or non-finite) get
-    R = 0 and ok=False; callers freeze those bins.
+    C_zz^{-1} is loaded_inverse(C_zz, loading), so bins whose background
+    covariance is numerically dead (zero trace or non-finite) get R = 0 and
+    ok=False; callers freeze those bins.
     """
-    b = np.asarray(b, dtype=np.complex128)
-    C_zz = np.asarray(C_zz, dtype=np.complex128)
-    n_freqs, k, m = b.shape
-    if k == 0:
-        return np.zeros((n_freqs, m, m), dtype=np.complex128), np.ones(n_freqs, dtype=bool)
-    if loading:
-        C_zz = load_diagonal(C_zz, loading)
-    tr = np.einsum("fkk->f", C_zz).real
-    ok = np.isfinite(tr) & (tr > np.finfo(float).tiny)
-    safe = np.where(ok[:, None, None], C_zz, np.eye(k)[None])
-    try:
-        x = np.linalg.solve(safe, b)
-    except np.linalg.LinAlgError:
-        x = np.zeros_like(b)
-        for f in range(n_freqs):
-            if not ok[f]:
-                continue
-            try:
-                x[f] = np.linalg.solve(safe[f], b[f])
-            except np.linalg.LinAlgError:
-                ok[f] = False
-    r = np.swapaxes(b, 1, 2).conj() @ x
-    r[~ok] = 0.0
-    return 0.5 * (r + np.conj(np.swapaxes(r, -1, -2))), ok
+    inverse, ok = loaded_inverse(C_zz, loading)
+    r = np.conj(np.swapaxes(b, 1, 2)) @ inverse @ b
+    return 0.5 * (r + np.conj(np.swapaxes(r, 1, 2))), ok
 
 
 def neg_log_density_spherical(s_hat):

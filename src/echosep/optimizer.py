@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass, field
 
 from .model import (
     DemixState,
-    load_diagonal,
     NumericsError,
     background_covariance,
     background_power,
@@ -43,7 +42,9 @@ from .model import (
     cost,
     covariance,
     interference_whitener,
+    loaded_inverse,
     off_block_energy_db,
+    orthogonal_constraint_atf,
     score_spherical,
     transmission_matrix,
     DEFAULT_LOADING,
@@ -65,7 +66,6 @@ __all__ = [
     "update_bse",
     "normalize_w",
     "backprojection_scale",
-    "backproject",
     "run_joint",
     "run_bnlms_ive",
     "run_ls_aec",
@@ -243,51 +243,6 @@ def circularity_check(u):
     return np.divide(pseudo, power, out=np.zeros_like(power), where=power > 0)
 
 
-def _solve_with_retry(mats, rhs, ok, loading):
-    """Batched linear solve for (F, M, K) right-hand sides; singular bins get
-    one loaded retry, then drop out."""
-    m = mats.shape[-1]
-    safe = np.where(ok[:, None, None], mats, np.eye(m)[None])
-    b = np.where(ok[:, None, None], rhs, 0.0)
-    try:
-        sol = np.linalg.solve(safe, b)
-        bad = ~np.all(np.isfinite(sol), axis=(1, 2))
-    except np.linalg.LinAlgError:
-        sol = np.zeros_like(b)
-        bad = ok.copy()
-    for f in np.nonzero(bad & ok)[0]:
-        mat = mats[f]
-        for attempt in range(2):  # plain solve, then one loaded retry
-            if attempt:
-                mat = mats[f] + (loading * np.trace(mats[f]).real / m) * np.eye(m)
-            try:
-                candidate = np.linalg.solve(mat, rhs[f])
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(np.isfinite(candidate)):
-                sol[f] = candidate
-                break
-        else:
-            sol[f] = 0.0
-            ok[f] = False
-    sol[~ok] = 0.0
-    return sol, ok
-
-
-def _loaded_inverse(C_ee, loading):
-    """(inverse, ok) of load_diagonal(C_ee, loading) per bin; it holds while h does.
-
-    Non-finite or zero-trace bins take the identity in the batched call and
-    drop out, as in interference_whitener, so one dead bin does not send the
-    whole batch down the per-bin path.
-    """
-    loaded = load_diagonal(C_ee, loading)
-    ok = (np.all(np.isfinite(loaded), axis=(1, 2))
-          & (np.einsum("fmm->f", loaded).real > np.finfo(float).tiny))
-    return _solve_with_retry(loaded, np.broadcast_to(np.eye(loaded.shape[-1]), loaded.shape),
-                             ok, loading)
-
-
 def update_aec(state, x, u, data, score=score_spherical, mom=None):
     """One Newton step on the echo-path filter h for every active bin.
 
@@ -322,13 +277,13 @@ def update_bse(state, mom, loading=DEFAULT_LOADING, inv=None):
     the extraction contrast, with the moments taken at the state's h and w;
     the sign of the curvature denominator is the one that contracts toward
     the fixed point (the same structure as one-unit FastICA). inv is
-    _loaded_inverse(C_ee, loading) at the state's h, which the driver forms
+    loaded_inverse(C_ee, loading) at the state's h, which the driver forms
     once per echo path and hands on; when not given, it is formed here. Bins
     where the curvature nu - rho vanishes, the loaded C_ee has no inverse or
     the step is not finite are skipped. Returns (w_new, active_mask); the
     caller is expected to renormalize.
     """
-    inverse, solvable = _loaded_inverse(state.C_ee, loading) if inv is None else inv
+    inverse, solvable = loaded_inverse(state.C_ee, loading) if inv is None else inv
     curv = np.conj(mom.nu - mom.rho)
     step = (inverse @ grad_w(state, mom)[:, :, None])[:, :, 0]
     ok = (state.active & solvable & (np.abs(mom.nu) > DEAD_BIN_FLOOR)
@@ -365,11 +320,6 @@ def backprojection_scale(s_hat, e, reference_channel=1):
     return np.divide(corr, power, out=np.zeros_like(corr), where=power > 0)
 
 
-def backproject(s_hat, e, reference_channel=1):
-    """Resolve the extraction scale by projecting onto a reference error channel."""
-    return backprojection_scale(s_hat, e, reference_channel)[:, None] * s_hat
-
-
 def _update_statistics(state, data, loading):
     """Form C_ee at the current h in closed form, then a and the active-bin mask.
 
@@ -383,15 +333,13 @@ def _update_statistics(state, data, loading):
 def _refresh_beamformer(state, loading):
     """Form a and the active-bin mask at the current w from the held C_ee.
 
-    No linear solve. Bins with a degenerate w^H C_ee w are frozen, and so are
-    bins that interference_whitener would reject for the trace of their
-    loaded background covariance, taken in closed form (background_power);
-    that test is what freezes noise-free echo-only bins.
+    No linear solve. Bins with a degenerate w^H C_ee w keep their a and are
+    frozen, and so are bins that interference_whitener would reject for the
+    trace of their loaded background covariance, taken in closed form
+    (background_power); that test is what freezes noise-free echo-only bins.
     """
-    cw = (state.C_ee @ state.w[:, :, None])[:, :, 0]
-    denom = np.sum(state.w.conj() * cw, axis=1)
-    ok = np.isfinite(denom) & (np.abs(denom) > np.finfo(float).tiny)
-    state.a = np.where(ok[:, None], cw / np.where(ok, denom, 1.0)[:, None], state.a)
+    a, ok = orthogonal_constraint_atf(state.C_ee, state.w)
+    state.a = np.where(ok[:, None], a, state.a)
     m = state.n_channels
     if m >= 2:
         tr = background_power(state.a, state.C_ee) + (m - 1) * _background_floor(state)
@@ -453,7 +401,7 @@ def _run(x, u, cfg, aec_mode, truth=None):
             if mom is None:
                 mom = moments(x, u, state, y=y)
             if inv is None:
-                inv = _loaded_inverse(state.C_ee, cfg.loading)
+                inv = loaded_inverse(state.C_ee, cfg.loading)
             state.w, ok = update_bse(state, mom, loading=cfg.loading, inv=inv)
             frozen = max(frozen, int(np.sum(~ok)))
         normalize_w(state)

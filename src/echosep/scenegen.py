@@ -282,10 +282,10 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec=None):
         time_signals["soi"] + time_signals["echo"]
         + time_signals["interference"] + time_signals["noise"]
     )
-    images = {k: _stft.analyze(time_signals[k], frame_spec).data for k in COMPONENTS}
+    images = {k: _stft.analyze(time_signals[k], frame_spec) for k in COMPONENTS}
     return Scene(
-        mixture=_stft.analyze(time_signals["mixture"], frame_spec).data,
-        loudspeaker=_stft.analyze(time_signals["loudspeaker"], frame_spec).data[:, :, 0],
+        mixture=_stft.analyze(time_signals["mixture"], frame_spec),
+        loudspeaker=_stft.analyze(time_signals["loudspeaker"], frame_spec)[:, :, 0],
         images=images,
         config=cfg,
         truth=None,
@@ -307,12 +307,10 @@ def scene_time_signals(scene):
     if scene.frame_spec is None:
         raise ValueError("scene has no frame spec; cannot synthesize time signals")
     spec = scene.frame_spec
-    out = {"mixture": _stft.synthesize(_stft.Spectrogram(scene.mixture, spec))}
-    out["loudspeaker"] = _stft.synthesize(
-        _stft.Spectrogram(scene.loudspeaker[:, :, None], spec)
-    )
+    out = {"mixture": _stft.synthesize(scene.mixture, spec),
+           "loudspeaker": _stft.synthesize(scene.loudspeaker[:, :, None], spec)}
     for name, img in scene.images.items():
-        out[name] = _stft.synthesize(_stft.Spectrogram(img, spec))
+        out[name] = _stft.synthesize(img, spec)
     return out
 
 
@@ -372,7 +370,7 @@ def load_scene(manifest_path):
         if rate != sr:
             raise ValueError(f"{fname}: sample rate {rate} != manifest {sr}")
         time_signals[name] = data
-    images = {k: _stft.analyze(time_signals[k], spec).data for k in COMPONENTS}
+    images = {k: _stft.analyze(time_signals[k], spec) for k in COMPONENTS}
     truth = None
     if manifest.get("truth_file"):
         with np.load(base / manifest["truth_file"]) as npz:
@@ -380,8 +378,8 @@ def load_scene(manifest_path):
                 a_soi=npz["a_soi"], echo_atf=npz["echo_atf"], bg_mix=npz["bg_mix"]
             )
     return Scene(
-        mixture=_stft.analyze(time_signals["mixture"], spec).data,
-        loudspeaker=_stft.analyze(time_signals["loudspeaker"], spec).data[:, :, 0],
+        mixture=_stft.analyze(time_signals["mixture"], spec),
+        loudspeaker=_stft.analyze(time_signals["loudspeaker"], spec)[:, :, 0],
         images=images,
         config=cfg,
         truth=truth,

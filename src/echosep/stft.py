@@ -1,7 +1,8 @@
 """Windowed STFT analysis/synthesis with perfect reconstruction, plus WAV I/O.
 
-All downstream processing operates on one-sided complex spectrogram tensors of
-shape (n_freqs, n_frames, n_channels). Analysis and synthesis use the same
+All downstream processing operates on one-sided complex spectrograms, plain
+ndarrays of shape (n_freqs, n_frames, n_channels); synthesis takes the
+FrameSpec they were analysed with. Analysis and synthesis use the same
 window (square-root Hann by default), which satisfies the constant-overlap-add
 condition at 50% overlap and gives perfect reconstruction on interior samples.
 """
@@ -12,7 +13,6 @@ from scipy.io import wavfile
 
 __all__ = [
     "FrameSpec",
-    "Spectrogram",
     "sqrt_hann_window",
     "analyze",
     "synthesize",
@@ -88,36 +88,6 @@ class FrameSpec:
         return int(np.ceil((n_samples - self.frame_len) / self.hop)) + 1
 
 
-@dataclass
-class Spectrogram:
-    """One-sided complex STFT tensor, shape (n_freqs, n_frames, n_channels)."""
-
-    data: np.ndarray
-    spec: FrameSpec
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.ndim != 3:
-            raise ValueError("Spectrogram data must have shape (n_freqs, n_frames, n_channels)")
-        if self.data.shape[0] != self.spec.n_freqs:
-            raise ValueError(
-                f"frequency axis {self.data.shape[0]} does not match FrameSpec "
-                f"({self.spec.n_freqs} bins)"
-            )
-
-    @property
-    def n_freqs(self):
-        return self.data.shape[0]
-
-    @property
-    def n_frames(self):
-        return self.data.shape[1]
-
-    @property
-    def n_channels(self):
-        return self.data.shape[2]
-
-
 def _as_channels(signal):
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim == 1:
@@ -137,8 +107,8 @@ def analyze(signal, spec):
 
     Returns
     -------
-    Spectrogram with data of shape (n_freqs, n_frames, n_channels). The tail
-    is zero-padded so every input sample is covered by at least one frame.
+    ndarray (n_freqs, n_frames, n_channels), complex. The tail is zero-padded
+    so every input sample is covered by at least one frame.
     """
     x = _as_channels(signal)
     n_samples, n_chan = x.shape
@@ -150,15 +120,16 @@ def analyze(signal, spec):
     idx = starts[:, None] + np.arange(spec.frame_len)[None, :]
     frames = x[idx, :] * spec.window[None, :, None]  # (T, frame_len, M)
     data = np.fft.rfft(frames, axis=1)               # (T, F, M)
-    return Spectrogram(np.ascontiguousarray(data.transpose(1, 0, 2)), spec)
+    return np.ascontiguousarray(data.transpose(1, 0, 2))
 
 
-def synthesize(spg, length=None):
+def synthesize(data, spec, length=None):
     """Overlap-add synthesis, inverse of analyze.
 
     Parameters
     ----------
-    spg : Spectrogram
+    data : ndarray (n_freqs, n_frames, n_channels), complex
+    spec : FrameSpec
     length : int, optional
         Trim the output to this many samples (e.g. the original signal
         length before tail padding).
@@ -167,11 +138,11 @@ def synthesize(spg, length=None):
     -------
     ndarray (n_samples, n_channels)
     """
-    spec = spg.spec
-    data = spg.data
-    if data.shape[0] != spec.n_freqs:
-        raise ValueError("spectrogram shape inconsistent with FrameSpec")
-    n_freqs, n_frames, n_chan = data.shape
+    data = np.asarray(data, dtype=np.complex128)
+    if data.ndim != 3 or data.shape[0] != spec.n_freqs:
+        raise ValueError(f"spectrogram of shape {data.shape} is not "
+                         f"({spec.n_freqs}, n_frames, n_channels)")
+    _, n_frames, n_chan = data.shape
     frames = np.fft.irfft(data.transpose(1, 0, 2), n=spec.frame_len, axis=1)  # (T, L, M)
     frames *= spec.window[None, :, None]
     # Frame t's block b lands on output block t + b. Adding the blocks from

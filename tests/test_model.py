@@ -11,12 +11,12 @@ from hypothesis import given, strategies as st
 from echosep import model
 from echosep.model import (
     DemixState,
-    NumericsError,
     apply_demixer,
     blocking_matrix,
     cost,
     covariance,
     interference_whitener,
+    load_diagonal,
     off_block_energy_db,
     orthogonal_constraint_atf,
     score_gauss,
@@ -42,11 +42,11 @@ def make_instance(rng, n_freqs=4, n_frames=16, m=3):
     h = crandn(rng, (n_freqs, m))
     w = crandn(rng, (n_freqs, m))
     e = x - h[:, None, :] * u[:, :, None]
-    c_ee = covariance(e, 1e-6)
-    a = orthogonal_constraint_atf(c_ee, w)
+    c_ee = load_diagonal(covariance(e), 1e-6)
+    a, _ = orthogonal_constraint_atf(c_ee, w)
     b = blocking_matrix(a)
     z = np.einsum("fkm,ftm->ftk", b, e)
-    c_zz = covariance(z, 1e-6)
+    c_zz = load_diagonal(covariance(z), 1e-6)
     r, ok = interference_whitener(b, c_zz)
     assert ok.all()
     state = DemixState(h=h, w=w, a=a, C_ee=c_ee, R=r, active=np.ones(n_freqs, dtype=bool))
@@ -155,14 +155,17 @@ def test_demixer_channel_mismatch_rejected():
 # -------------------------------------------------- orthogonal constraint
 
 def test_oc_identity_covariance():
-    a = orthogonal_constraint_atf(np.eye(2, dtype=complex), np.array([1.0, 0.0], dtype=complex))
-    np.testing.assert_allclose(a, [1.0, 0.0])
+    a, ok = orthogonal_constraint_atf(np.eye(2, dtype=complex)[None],
+                                      np.array([[1.0, 0.0]], dtype=complex))
+    np.testing.assert_allclose(a, [[1.0, 0.0]])
+    assert ok.all()
 
 
 def test_oc_diagonal_covariance():
-    a = orthogonal_constraint_atf(np.diag([4.0, 1.0]).astype(complex),
-                                  np.array([1.0, 0.0], dtype=complex))
-    np.testing.assert_allclose(a, [1.0, 0.0])
+    a, ok = orthogonal_constraint_atf(np.diag([4.0, 1.0]).astype(complex)[None],
+                                      np.array([[1.0, 0.0]], dtype=complex))
+    np.testing.assert_allclose(a, [[1.0, 0.0]])
+    assert ok.all()
 
 
 def test_oc_unit_response_for_random_inputs():
@@ -170,15 +173,18 @@ def test_oc_unit_response_for_random_inputs():
     for m in (2, 4, 8):
         c = np.stack([random_psd(rng, m) for _ in range(16)])
         w = crandn(rng, (16, m))
-        a = orthogonal_constraint_atf(c, w)
+        a, ok = orthogonal_constraint_atf(c, w)
+        assert ok.all()
         resp = np.einsum("fm,fm->f", w.conj(), a)
         assert np.max(np.abs(resp - 1.0)) <= 1e-12
 
 
 def test_oc_degenerate_covariance_rejected():
-    with pytest.raises(NumericsError):
-        orthogonal_constraint_atf(np.zeros((2, 2), dtype=complex),
-                                  np.array([1.0, 0.0], dtype=complex))
+    """A bin with w^H C_ee w = 0 or not finite is masked with a = 0; the others are kept."""
+    c = np.stack([np.zeros((2, 2)), np.eye(2), np.full((2, 2), np.nan)]).astype(complex)
+    a, ok = orthogonal_constraint_atf(c, np.array([[1.0, 0.0]] * 3, dtype=complex))
+    np.testing.assert_array_equal(ok, [False, True, False])
+    np.testing.assert_array_equal(a, [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
 
 
 # ------------------------------------------------------------------- score
@@ -270,21 +276,39 @@ def test_gauss_score_stats():
 
 def test_covariance_rank_one():
     v = np.array([[1.0 + 1.0j, 2.0]], dtype=complex)  # one frame
-    c = covariance(np.broadcast_to(v, (7, 2)).reshape(1, 7, 2), loading=0.0)
+    c = covariance(np.broadcast_to(v, (7, 2)).reshape(1, 7, 2))
     np.testing.assert_allclose(c[0], np.outer(v[0], v[0].conj()), atol=1e-14)
 
 
 def test_covariance_zero_frames():
-    c = covariance(np.zeros((3, 5, 2), dtype=complex), loading=1e-6)
+    c = load_diagonal(covariance(np.zeros((3, 5, 2), dtype=complex)), 1e-6)
     assert np.all(c == 0)
 
 
 def test_covariance_hermitian_psd():
     rng = np.random.default_rng(15)
-    c = covariance(crandn(rng, (6, 20, 4)), loading=1e-6)
+    c = load_diagonal(covariance(crandn(rng, (6, 20, 4))), 1e-6)
     assert np.max(np.abs(c - np.conj(np.swapaxes(c, 1, 2)))) <= 1e-15
     eigs = np.linalg.eigvalsh(c)
     assert eigs.min() >= 0
+
+
+def test_interference_whitener_equals_the_loaded_solve_and_drops_dead_bins():
+    """R = B^H solve(load_diagonal(C_zz), B); a zero-trace or NaN bin gets R = 0, ok False."""
+    rng = np.random.default_rng(16)
+    b = blocking_matrix(crandn(rng, (6, 4)))
+    g = crandn(rng, (6, 3, 3))
+    c_zz = g @ np.conj(np.swapaxes(g, 1, 2)) + 0.1 * np.eye(3)
+    r, ok = interference_whitener(b, c_zz)
+    reference = np.conj(np.swapaxes(b, 1, 2)) @ np.linalg.solve(load_diagonal(c_zz), b)
+    assert ok.all()
+    np.testing.assert_allclose(r, reference, rtol=1e-12)
+    c_zz[1] = 0.0
+    c_zz[4, 0, 1] = np.nan  # the trace stays finite; the entry alone marks the bin dead
+    r_dead, ok_dead = interference_whitener(b, c_zz)
+    np.testing.assert_array_equal(ok_dead, [True, False, True, True, False, True])
+    assert np.all(r_dead[[1, 4]] == 0)
+    np.testing.assert_array_equal(r_dead[[0, 2, 3, 5]], r[[0, 2, 3, 5]])
 
 
 def test_covariance_needs_frames():

@@ -14,13 +14,13 @@ from echosep.model import (
     covariance,
     interference_whitener,
     load_diagonal,
+    loaded_inverse,
     score_gauss,
     score_spherical,
 )
 from echosep.optimizer import (
     DataStats,
     RunConfig,
-    backproject,
     backprojection_scale,
     circularity_check,
     grad_h,
@@ -35,7 +35,6 @@ from echosep.optimizer import (
     update_aec,
     update_bse,
     _least_squares,
-    _loaded_inverse,
     _update_statistics,
 )
 from echosep.model import score_stats
@@ -110,11 +109,11 @@ def _instance(rng, n_freqs=4, n_frames=16, m=3):
     state.h = crandn(rng, (n_freqs, m))
     state.w = crandn(rng, (n_freqs, m))
     e = x - state.h[:, None, :] * u[:, :, None]
-    state.C_ee = covariance(e, 1e-6)
-    state.a = orthogonal_constraint_atf(state.C_ee, state.w)
+    state.C_ee = load_diagonal(covariance(e), 1e-6)
+    state.a, _ = orthogonal_constraint_atf(state.C_ee, state.w)
     b = blocking_matrix(state.a)
     z = np.einsum("fkm,ftm->ftk", b, e)
-    state.R, _ = interference_whitener(b, covariance(z, 1e-6))
+    state.R, _ = interference_whitener(b, load_diagonal(covariance(z), 1e-6))
     return x, u, state
 
 
@@ -289,7 +288,7 @@ def test_update_bse_with_given_inverse_equals_its_own_inversion():
     _update_statistics(state, data, DEFAULT_LOADING)
     mom = moments(x, u, state)
     w_own, ok_own = update_bse(state, mom)
-    w_given, ok_given = update_bse(state, mom, inv=_loaded_inverse(state.C_ee, DEFAULT_LOADING))
+    w_given, ok_given = update_bse(state, mom, inv=loaded_inverse(state.C_ee, DEFAULT_LOADING))
     np.testing.assert_array_equal(w_given, w_own)
     np.testing.assert_array_equal(ok_given, ok_own)
 
@@ -428,7 +427,7 @@ def test_backproject_removes_scale_ambiguity():
     rng = np.random.default_rng(13)
     e = crandn(rng, (4, 50, 2))
     s = 2.0 * e[:, :, 0]
-    out = backproject(s, e, reference_channel=1)
+    out = backprojection_scale(s, e, reference_channel=1)[:, None] * s
     np.testing.assert_allclose(out, e[:, :, 0], rtol=1e-12)
 
 
@@ -650,7 +649,7 @@ def test_grad_w_single_channel_gaussian_is_identically_zero():
     state.C_ee = covariance(e)
     from echosep.model import orthogonal_constraint_atf
 
-    state.a = orthogonal_constraint_atf(state.C_ee, state.w)
+    state.a, _ = orthogonal_constraint_atf(state.C_ee, state.w)
     g = grad_w(state, moments(e, np.zeros((6, 90), dtype=complex), state, score=score_gauss))
     assert np.max(np.abs(g)) <= 1e-12
 
@@ -717,9 +716,11 @@ def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inv
     C_ee is formed at the start and after every echo step that moved h: each
     iteration under joint, the first under BNLMS, never under ive. The first
     BSE step on each echo path inverts the loaded C_ee, and the later ones
-    reuse it. background_covariance serves the record's whitener alone.
+    reuse it; the count is of optimizer.loaded_inverse, so the record's
+    whitener, which inverts C_zz through model.loaded_inverse, is not in it.
+    background_covariance serves the record's whitener alone.
     """
-    calls = {"error_covariance": 0, "_solve_with_retry": 0, "background_covariance": 0}
+    calls = {"error_covariance": 0, "loaded_inverse": 0, "background_covariance": 0}
 
     def counting(original, name):
         def counted(*args, **kwargs):
@@ -729,7 +730,7 @@ def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inv
 
     monkeypatch.setattr(DataStats, "error_covariance",
                         counting(DataStats.error_covariance, "error_covariance"))
-    for name in ("_solve_with_retry", "background_covariance"):
+    for name in ("loaded_inverse", "background_covariance"):
         monkeypatch.setattr(optimizer, name, counting(getattr(optimizer, name), name))
     scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
                                        n_freqs=16, n_frames=40)
@@ -739,7 +740,7 @@ def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inv
             calls.update(dict.fromkeys(calls, 0))
             run(*inputs, RunConfig(iterations=iterations, records=records))
             assert calls == {"error_covariance": covariances(iterations),
-                             "_solve_with_retry": inversions(iterations),
+                             "loaded_inverse": inversions(iterations),
                              "background_covariance": iterations if records else 0}
 
 
@@ -833,6 +834,23 @@ def test_runs_are_equivariant_to_permuting_the_other_microphones(perm, seed):
         assert close(permuted.s_hat, base.s_hat)
         for name in ("h", "w", "a"):
             assert close(getattr(permuted.state, name), getattr(base.state, name)[:, order])
+
+
+@settings(max_examples=10)
+@given(iterations=st.integers(1, 8), mics=st.integers(2, 4), seed=st.integers(0, 2**16))
+def test_runs_keep_the_constraints_on_every_active_bin(iterations, mics, seed):
+    """After any number of iterations, w^H a = 1 and B(a) a = 0 on every active bin."""
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=mics, seed=seed),
+                                       n_freqs=16, n_frames=40)
+    cfg = RunConfig(iterations=iterations, records=False)
+    for run in (run_joint, run_bnlms_ive, run_ive_only):
+        inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
+        state = run(*inputs, cfg).state
+        w, a = state.w[state.active], state.a[state.active]
+        assert len(a) > 0
+        assert np.all(np.abs(np.sum(w.conj() * a, axis=1) - 1.0) <= 1e-10)
+        blocked = np.einsum("fkm,fm->fk", blocking_matrix(a), a)
+        assert np.all(np.linalg.norm(blocked, axis=1) <= 1e-12 * np.linalg.norm(a, axis=1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
