@@ -227,8 +227,7 @@ def cmd_run(spec, scene_path, algo):
     if algo == "unprocessed":  # exact, without an STFT round trip
         out_time = mixture[:, ref:ref + 1]
     else:
-        out_time = _stft.synthesize(res.s_hat[:, :, None], scene.frame_spec,
-                                    length=mixture.shape[0])
+        out_time = _stft.synthesize(res.s_hat, scene.frame_spec, length=mixture.shape[0])
     _stft.write_wav(out / "enhanced.wav", out_time, sr, dtype="float32")
     bp_scale = res.diagnostics.bp_scale
     filters = {"h": res.state.h, "w": res.state.w, "a": res.state.a, "bp_scale": bp_scale}

@@ -92,8 +92,7 @@ def ratios(soi_out, echo_out, intf_out, noise_out):
 
 
 def _to_time(tf_signal, frame_spec):
-    out = _stft.synthesize(tf_signal[:, :, None] if tf_signal.ndim == 2 else tf_signal,
-                           frame_spec)
+    out = _stft.synthesize(tf_signal, frame_spec)
     trim = min(frame_spec.frame_len, out.shape[0] // 4)
     return out[trim:out.shape[0] - trim]
 

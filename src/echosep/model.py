@@ -256,19 +256,18 @@ def load_diagonal(c, loading=DEFAULT_LOADING):
 def loaded_inverse(c, loading=DEFAULT_LOADING):
     """(inverse, ok) of load_diagonal(c, loading) for a (F, K, K) stack.
 
-    Non-finite or zero-trace bins take the identity in the one batched solve
-    and drop out, so one dead bin does not send the whole batch down the
-    per-bin path. A bin whose batched solve fails or is not finite gets a
-    plain solve and one loaded retry on its own, then drops out. Bins that
-    drop out get a zero inverse and ok False.
+    Non-finite or zero-trace bins take the identity in the one batched
+    inversion and drop out, so one dead bin does not send the whole batch
+    down the per-bin path. A bin whose batched inversion fails or is not
+    finite gets a plain inversion and one loaded retry on its own, then drops
+    out. Bins that drop out get a zero inverse and ok False.
     """
     loaded = load_diagonal(c, loading)
     eye = np.eye(loaded.shape[-1])
     ok = (np.all(np.isfinite(loaded), axis=(1, 2))
           & (np.einsum("fkk->f", loaded).real > np.finfo(float).tiny))
     try:
-        inverse = np.linalg.solve(np.where(ok[:, None, None], loaded, eye),
-                                  np.broadcast_to(eye, loaded.shape))
+        inverse = np.linalg.inv(np.where(ok[:, None, None], loaded, eye))
         bad = ok & ~np.all(np.isfinite(inverse), axis=(1, 2))
     except np.linalg.LinAlgError:
         inverse, bad = np.zeros_like(loaded), ok.copy()
@@ -276,7 +275,7 @@ def loaded_inverse(c, loading=DEFAULT_LOADING):
         ok[f] = False
         for mat in (loaded[f], load_diagonal(loaded[f], loading)):  # plain, then loaded
             try:
-                candidate = np.linalg.solve(mat, eye)
+                candidate = np.linalg.inv(mat)
             except np.linalg.LinAlgError:
                 continue
             if np.all(np.isfinite(candidate)):
@@ -286,16 +285,25 @@ def loaded_inverse(c, loading=DEFAULT_LOADING):
     return inverse, ok
 
 
-def interference_whitener(b, C_zz, loading=DEFAULT_LOADING):
-    """R = B^H C_zz^{-1} B with a mask of invertible bins.
+def interference_whitener(a, C_zz, loading=DEFAULT_LOADING):
+    """R = B^H C_zz^{-1} B for B = blocking_matrix(a), with a mask of invertible bins.
 
-    C_zz^{-1} is loaded_inverse(C_zz, loading), so bins whose background
-    covariance is numerically dead (zero trace or non-finite) get R = 0 and
-    ok=False; callers freeze those bins.
+    X = loaded_inverse(C_zz, loading), so bins whose C_zz is numerically dead
+    (zero trace or non-finite) get R = 0 and ok=False; callers freeze them.
+    Written out elementwise from B = (g, -gamma I) as in background_covariance,
+    with X symmetrised so R is exactly Hermitian: R00 = g^H X g, R[1:, 0] =
+    -conj(gamma) X g, R[0, 1:] its conjugate, and R[1:, 1:] = |gamma|^2 X.
     """
     inverse, ok = loaded_inverse(C_zz, loading)
-    r = np.conj(np.swapaxes(b, 1, 2)) @ inverse @ b
-    return 0.5 * (r + np.conj(np.swapaxes(r, 1, 2))), ok
+    x = 0.5 * (inverse + np.conj(np.swapaxes(inverse, 1, 2)))
+    gamma, g = a[:, :1], a[:, 1:]
+    xg = np.sum(x * g[:, None, :], axis=2)
+    r = np.empty(a.shape + a.shape[1:], dtype=np.complex128)
+    r[:, 0, 0] = np.sum(g.conj() * xg, axis=1).real
+    r[:, 1:, 0] = -np.conj(gamma) * xg
+    r[:, 0, 1:] = np.conj(r[:, 1:, 0])
+    r[:, 1:, 1:] = (gamma.real ** 2 + gamma.imag ** 2)[:, :, None] * x
+    return r, ok
 
 
 def neg_log_density_spherical(s_hat):
@@ -328,20 +336,17 @@ def transmission_matrix(state, a_soi, bg_mix, echo_atf):
     Rows map (true source, true background sources, loudspeaker) to
     (s_hat, z_hat, u) through the current demixer; built from the state's
     w, a and h together with the true mixing parameters. Block-diagonality
-    of the result measures separation quality.
+    of the result measures separation quality. Row 0 is w^H and the blocked
+    rows B = (g, -gamma I), written out elementwise, times the columns
+    [a_soi | bg_mix | echo_atf - h] that the microphones see.
     """
-    w, a, h = state.w, state.a, state.h
-    n_freqs, m = w.shape
-    b = blocking_matrix(a)
-    w_aec_conj = -np.einsum("fm,fm->f", w.conj(), h)
-    h_bg = -np.einsum("fkm,fm->fk", b, h)
+    n_freqs, m = state.w.shape
+    cols = np.concatenate([a_soi[:, :, None], bg_mix, (echo_atf - state.h)[:, :, None]],
+                          axis=2)  # (F, M, M+1)
     v = np.zeros((n_freqs, m + 1, m + 1), dtype=np.complex128)
-    v[:, 0, 0] = np.einsum("fm,fm->f", w.conj(), a_soi)
-    v[:, 0, 1:m] = np.einsum("fm,fmk->fk", w.conj(), bg_mix)
-    v[:, 0, m] = np.einsum("fm,fm->f", w.conj(), echo_atf) + w_aec_conj
-    v[:, 1:m, 0] = np.einsum("fkm,fm->fk", b, a_soi)
-    v[:, 1:m, 1:m] = np.einsum("fkm,fmj->fkj", b, bg_mix)
-    v[:, 1:m, m] = np.einsum("fkm,fm->fk", b, echo_atf) + h_bg
+    v[:, 0, :] = np.einsum("fm,fmk->fk", state.w.conj(), cols)
+    v[:, 1:m, :] = state.a[:, 1:, None] * cols[:, :1, :]
+    v[:, 1:m, :] -= state.a[:, :1, None] * cols[:, 1:, :]
     v[:, m, m] = 1.0
     return v
 

@@ -38,7 +38,6 @@ from .model import (
     NumericsError,
     background_covariance,
     background_power,
-    blocking_matrix,
     cost,
     covariance,
     interference_whitener,
@@ -270,20 +269,20 @@ def update_aec(state, x, u, data, score=score_spherical, mom=None):
     return state.h + np.where(ok[:, None], step, 0.0), ok
 
 
-def update_bse(state, mom, loading=DEFAULT_LOADING, inv=None):
+def update_bse(state, mom, inv):
     """One fixed-point step on the beamformer w for every active bin.
 
     w += nu*/(nu* - rho*) C_ee^{-1} grad_w, the approximate Newton step of
     the extraction contrast, with the moments taken at the state's h and w;
     the sign of the curvature denominator is the one that contracts toward
-    the fixed point (the same structure as one-unit FastICA). inv is
-    loaded_inverse(C_ee, loading) at the state's h, which the driver forms
-    once per echo path and hands on; when not given, it is formed here. Bins
-    where the curvature nu - rho vanishes, the loaded C_ee has no inverse or
-    the step is not finite are skipped. Returns (w_new, active_mask); the
-    caller is expected to renormalize.
+    the fixed point (the same structure as one-unit FastICA). inv is the
+    (inverse, ok) pair of loaded_inverse(C_ee, loading) at the state's h,
+    which the driver forms once per echo path and hands on. Bins where the
+    curvature nu - rho vanishes, the loaded C_ee has no inverse or the step
+    is not finite are skipped. Returns (w_new, active_mask); the caller is
+    expected to renormalize.
     """
-    inverse, solvable = loaded_inverse(state.C_ee, loading) if inv is None else inv
+    inverse, solvable = inv
     curv = np.conj(mom.nu - mom.rho)
     step = (inverse @ grad_w(state, mom)[:, :, None])[:, :, 0]
     ok = (state.active & solvable & (np.abs(mom.nu) > DEAD_BIN_FLOOR)
@@ -364,7 +363,7 @@ def _whitener(state, loading):
         return np.zeros((state.n_freqs, 1, 1), dtype=np.complex128)
     floor = _background_floor(state)[:, None, None] * np.eye(m - 1)
     c_zz = background_covariance(state.a, state.C_ee) + floor
-    return interference_whitener(blocking_matrix(state.a), c_zz, loading)[0]
+    return interference_whitener(state.a, c_zz, loading)[0]
 
 
 def _run(x, u, cfg, aec_mode, truth=None):
@@ -402,7 +401,7 @@ def _run(x, u, cfg, aec_mode, truth=None):
                 mom = moments(x, u, state, y=y)
             if inv is None:
                 inv = loaded_inverse(state.C_ee, cfg.loading)
-            state.w, ok = update_bse(state, mom, loading=cfg.loading, inv=inv)
+            state.w, ok = update_bse(state, mom, inv)
             frozen = max(frozen, int(np.sum(~ok)))
         normalize_w(state)
         _refresh_beamformer(state, cfg.loading)  # w moved, h and C_ee did not

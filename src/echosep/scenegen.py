@@ -307,11 +307,8 @@ def scene_time_signals(scene):
     if scene.frame_spec is None:
         raise ValueError("scene has no frame spec; cannot synthesize time signals")
     spec = scene.frame_spec
-    out = {"mixture": _stft.synthesize(scene.mixture, spec),
-           "loudspeaker": _stft.synthesize(scene.loudspeaker[:, :, None], spec)}
-    for name, img in scene.images.items():
-        out[name] = _stft.synthesize(img, spec)
-    return out
+    signals = {"mixture": scene.mixture, "loudspeaker": scene.loudspeaker, **scene.images}
+    return {name: _stft.synthesize(sig, spec) for name, sig in signals.items()}
 
 
 def save_scene(scene, out_dir):

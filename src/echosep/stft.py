@@ -9,6 +9,7 @@ condition at 50% overlap and gives perfect reconstruction on interior samples.
 
 import numpy as np
 from dataclasses import dataclass
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 
 __all__ = [
@@ -88,15 +89,6 @@ class FrameSpec:
         return int(np.ceil((n_samples - self.frame_len) / self.hop)) + 1
 
 
-def _as_channels(signal):
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim == 1:
-        return signal[:, None]
-    if signal.ndim == 2:
-        return signal
-    raise ValueError("signal must be 1-D (mono) or 2-D (samples, channels)")
-
-
 def analyze(signal, spec):
     """Compute the one-sided STFT of a time-domain signal.
 
@@ -107,20 +99,26 @@ def analyze(signal, spec):
 
     Returns
     -------
-    ndarray (n_freqs, n_frames, n_channels), complex. The tail is zero-padded
-    so every input sample is covered by at least one frame.
+    ndarray (n_freqs, n_frames, n_channels), complex, C-contiguous; the tail
+    is zero-padded so every input sample is covered by at least one frame.
+    Each channel's frames are a strided view of one padded buffer, so the
+    FFT runs along the contiguous axis.
     """
-    x = _as_channels(signal)
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError("signal must be 1-D (mono) or 2-D (samples, channels)")
+    x = x[:, None] if x.ndim == 1 else x
     n_samples, n_chan = x.shape
     n_frames = spec.n_frames(n_samples)
-    padded_len = (n_frames - 1) * spec.hop + spec.frame_len
-    if padded_len > n_samples:
-        x = np.concatenate([x, np.zeros((padded_len - n_samples, n_chan))], axis=0)
-    starts = np.arange(n_frames) * spec.hop
-    idx = starts[:, None] + np.arange(spec.frame_len)[None, :]
-    frames = x[idx, :] * spec.window[None, :, None]  # (T, frame_len, M)
-    data = np.fft.rfft(frames, axis=1)               # (T, F, M)
-    return np.ascontiguousarray(data.transpose(1, 0, 2))
+    padded = np.zeros((n_frames - 1) * spec.hop + spec.frame_len)
+    frames = sliding_window_view(padded, spec.frame_len)[::spec.hop]  # (T, L) view
+    windowed = np.empty(frames.shape)  # one buffer for all channels: fresh ones cost page faults
+    data = np.empty((spec.n_freqs, n_frames, n_chan), dtype=np.complex128)
+    for m in range(n_chan):
+        padded[:n_samples] = x[:, m]
+        np.multiply(frames, spec.window, out=windowed)
+        data[:, :, m] = np.fft.rfft(windowed, axis=-1).T
+    return data
 
 
 def synthesize(data, spec, length=None):
@@ -128,7 +126,7 @@ def synthesize(data, spec, length=None):
 
     Parameters
     ----------
-    data : ndarray (n_freqs, n_frames, n_channels), complex
+    data : ndarray (n_freqs, n_frames[, n_channels]), complex; 2-D is one channel
     spec : FrameSpec
     length : int, optional
         Trim the output to this many samples (e.g. the original signal
@@ -139,20 +137,23 @@ def synthesize(data, spec, length=None):
     ndarray (n_samples, n_channels)
     """
     data = np.asarray(data, dtype=np.complex128)
+    if data.ndim == 2:
+        data = data[:, :, None]
     if data.ndim != 3 or data.shape[0] != spec.n_freqs:
         raise ValueError(f"spectrogram of shape {data.shape} is not "
-                         f"({spec.n_freqs}, n_frames, n_channels)")
+                         f"({spec.n_freqs}, n_frames[, n_channels])")
     _, n_frames, n_chan = data.shape
-    frames = np.fft.irfft(data.transpose(1, 0, 2), n=spec.frame_len, axis=1)  # (T, L, M)
-    frames *= spec.window[None, :, None]
+    # one transposing copy puts the bins on the contiguous axis for the FFT
+    frames = np.fft.irfft(np.ascontiguousarray(data.transpose(1, 2, 0)), n=spec.frame_len)
+    frames *= spec.window  # (T, M, L)
     # Frame t's block b lands on output block t + b. Adding the blocks from
     # the last to the first sums each sample's frames in time order, as a
     # loop over the frames would.
     shifts = spec.frame_len // spec.hop
-    blocks = frames.reshape(n_frames, shifts, spec.hop, n_chan)
+    blocks = frames.reshape(n_frames, n_chan, shifts, spec.hop)
     out = np.zeros((n_frames + shifts - 1, spec.hop, n_chan))
     for b in reversed(range(shifts)):
-        out[b:b + n_frames] += blocks[:, b]
+        out[b:b + n_frames] += blocks[:, :, b].transpose(0, 2, 1)
     out = out.reshape(-1, n_chan)
     # overlap-added window products sum to a constant (COLA); undo that gain
     out /= spec.overlap_added_window_product().mean()

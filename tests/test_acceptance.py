@@ -84,7 +84,7 @@ def _gradient_instance(rng, n_freqs=4, n_frames=16, m=3):
     state.a, _ = orthogonal_constraint_atf(state.C_ee, state.w)
     b = blocking_matrix(state.a)
     z = np.einsum("fkm,ftm->ftk", b, e)
-    state.R, _ = interference_whitener(b, covariance(z))
+    state.R, _ = interference_whitener(state.a, covariance(z))
     return x, u, state
 
 

@@ -47,7 +47,7 @@ def make_instance(rng, n_freqs=4, n_frames=16, m=3):
     b = blocking_matrix(a)
     z = np.einsum("fkm,ftm->ftk", b, e)
     c_zz = load_diagonal(covariance(z), 1e-6)
-    r, ok = interference_whitener(b, c_zz)
+    r, ok = interference_whitener(a, c_zz)
     assert ok.all()
     state = DemixState(h=h, w=w, a=a, C_ee=c_ee, R=r, active=np.ones(n_freqs, dtype=bool))
     return x, u, state
@@ -294,18 +294,20 @@ def test_covariance_hermitian_psd():
 
 
 def test_interference_whitener_equals_the_loaded_solve_and_drops_dead_bins():
-    """R = B^H solve(load_diagonal(C_zz), B); a zero-trace or NaN bin gets R = 0, ok False."""
+    """R = B^H solve(load_diagonal(C_zz), B), exactly Hermitian; a zero-trace or NaN bin gets R = 0."""
     rng = np.random.default_rng(16)
-    b = blocking_matrix(crandn(rng, (6, 4)))
+    a = crandn(rng, (6, 4))
+    b = blocking_matrix(a)
     g = crandn(rng, (6, 3, 3))
     c_zz = g @ np.conj(np.swapaxes(g, 1, 2)) + 0.1 * np.eye(3)
-    r, ok = interference_whitener(b, c_zz)
+    r, ok = interference_whitener(a, c_zz)
     reference = np.conj(np.swapaxes(b, 1, 2)) @ np.linalg.solve(load_diagonal(c_zz), b)
     assert ok.all()
     np.testing.assert_allclose(r, reference, rtol=1e-12)
+    assert np.array_equal(r, np.conj(np.swapaxes(r, 1, 2)))
     c_zz[1] = 0.0
     c_zz[4, 0, 1] = np.nan  # the trace stays finite; the entry alone marks the bin dead
-    r_dead, ok_dead = interference_whitener(b, c_zz)
+    r_dead, ok_dead = interference_whitener(a, c_zz)
     np.testing.assert_array_equal(ok_dead, [True, False, True, True, False, True])
     assert np.all(r_dead[[1, 4]] == 0)
     np.testing.assert_array_equal(r_dead[[0, 2, 3, 5]], r[[0, 2, 3, 5]])
@@ -422,6 +424,29 @@ def test_transmission_unprocessed_leaks_first_echo_row():
     state.a = a_soi.copy()
     v = transmission_matrix(state, a_soi, bg_mix, echo_atf)
     np.testing.assert_allclose(v[:, 0, m], echo_atf[:, 0], atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_transmission_matrix_equals_the_blocking_matrix_formula(m):
+    """Row 0 is w^H and the blocked rows B(a) applied to (a_soi, bg_mix, echo_atf - h)."""
+    rng = np.random.default_rng(30 + m)
+    n_freqs = 7
+    a_soi, echo_atf = crandn(rng, (n_freqs, m)), crandn(rng, (n_freqs, m))
+    bg_mix = crandn(rng, (n_freqs, m, m - 1))
+    state = DemixState.initial(n_freqs, m)
+    state.h, state.w, state.a = (crandn(rng, (n_freqs, m)) for _ in range(3))
+    w, b = state.w, blocking_matrix(state.a)
+    reference = np.zeros((n_freqs, m + 1, m + 1), dtype=complex)
+    reference[:, 0, 0] = np.einsum("fm,fm->f", w.conj(), a_soi)
+    reference[:, 0, 1:m] = np.einsum("fm,fmk->fk", w.conj(), bg_mix)
+    reference[:, 0, m] = (np.einsum("fm,fm->f", w.conj(), echo_atf)
+                          - np.einsum("fm,fm->f", w.conj(), state.h))
+    reference[:, 1:m, 0] = np.einsum("fkm,fm->fk", b, a_soi)
+    reference[:, 1:m, 1:m] = np.einsum("fkm,fmj->fkj", b, bg_mix)
+    reference[:, 1:m, m] = np.einsum("fkm,fm->fk", b, echo_atf) - np.einsum("fkm,fm->fk", b, state.h)
+    reference[:, m, m] = 1.0
+    np.testing.assert_allclose(transmission_matrix(state, a_soi, bg_mix, echo_atf), reference,
+                               rtol=1e-12)
 
 
 def test_score_stats_requires_two_frames():

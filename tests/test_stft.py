@@ -44,6 +44,50 @@ def test_frame_count_matches_direct_enumeration():
     assert spg.shape == (1025, count, 4)
 
 
+def fancy_index_analysis(signal, spec):
+    """Reference framing: zero-pad the tail, gather the frames by fancy indexing, FFT each."""
+    x = signal[:, None] if signal.ndim == 1 else signal
+    n_frames = spec.n_frames(len(x))
+    x = np.concatenate([x, np.zeros(((n_frames - 1) * spec.hop + spec.frame_len - len(x),
+                                     x.shape[1]))], axis=0)
+    idx = (np.arange(n_frames) * spec.hop)[:, None] + np.arange(spec.frame_len)[None, :]
+    frames = x[idx, :] * spec.window[None, :, None]  # (T, L, M)
+    return np.fft.rfft(frames, axis=1).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("shape, hop", [((5632,), 256), ((6000, 3), 256), ((6001, 1), 128),
+                                        ((6000, 3), 128)],
+                         ids=["mono", "tail_padding", "quarter_hop_mono", "quarter_hop"])
+def test_analyze_equals_the_fancy_index_framing(shape, hop):
+    sig = np.random.default_rng(5).standard_normal(shape)
+    spec = stft.FrameSpec.default(512, hop, 16000)
+    spg = stft.analyze(sig, spec)
+    assert spg.flags.c_contiguous
+    assert np.array_equal(spg, fancy_index_analysis(sig, spec))
+
+
+@pytest.mark.parametrize("n_chan, hop", [(1, 256), (3, 256), (3, 128)])
+def test_synthesize_equals_the_frame_by_frame_overlap_add(n_chan, hop):
+    """Each frame's inverse FFT, windowed and added in time order, then the COLA gain undone."""
+    rng = np.random.default_rng(7)
+    spec = stft.FrameSpec.default(512, hop, 16000)
+    data = rng.standard_normal((257, 9, n_chan)) + 1j * rng.standard_normal((257, 9, n_chan))
+    reference = np.zeros((8 * hop + 512, n_chan))
+    for t in range(9):
+        for m in range(n_chan):
+            reference[t * hop:t * hop + 512, m] += np.fft.irfft(data[:, t, m], n=512) * spec.window
+    reference /= spec.overlap_added_window_product().mean()
+    assert np.array_equal(stft.synthesize(data, spec), reference)
+
+
+def test_synthesize_takes_a_two_dimensional_spectrogram_as_one_channel():
+    rng = np.random.default_rng(6)
+    data = rng.standard_normal((257, 9)) + 1j * rng.standard_normal((257, 9))
+    out = stft.synthesize(data, spec_512(), length=2000)
+    assert out.shape == (2000, 1)
+    assert np.array_equal(out, stft.synthesize(data[:, :, None], spec_512(), length=2000))
+
+
 def test_round_trip_white_noise_interior():
     assert round_trip_interior_error(256) <= 1e-10  # 2 overlapping frames per sample
 
