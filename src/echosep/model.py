@@ -35,7 +35,8 @@ __all__ = [
     "off_block_energy_db",
 ]
 
-# Floor on the broadband frame radius; silent frames carry no gradient.
+# Floor on the broadband frame radius; silent frames carry no gradient and no
+# curvature.
 SCORE_RADIUS_FLOOR = 1e-12
 # Relative diagonal loading applied to covariances before inversion.
 DEFAULT_LOADING = 1e-6
@@ -87,16 +88,14 @@ class DemixState:
 
 @dataclass
 class ScoreStats:
-    """Per-frequency time averages of the score function and its derivatives.
+    """Per-frequency time averages of the score function and its derivative.
 
     nu : (F,) E[s_hat * phi]        (score normalizer)
     rho : (F,) E[d phi / d s_hat*]
-    xi : (F,) E[d phi / d s_hat]
     """
 
     nu: np.ndarray
     rho: np.ndarray
-    xi: np.ndarray
 
 
 def blocking_matrix(a):
@@ -185,48 +184,44 @@ def orthogonal_constraint_atf(C_ee, w):
 
 
 def score_spherical(s_hat):
-    """Score of the broadband spherical (jointly active) source model.
+    """Score of the broadband spherical source model and its mean curvature per bin.
 
-    phi_f = conj(s_f) / r with r the frame radius sqrt(sum_f |s_f|^2).
-    Returns (phi, dphi_dconj, dphi_dplain), each shaped like s_hat, where
-    dphi_dconj = d phi_f / d s_f* = 1/r - |s_f|^2 / (2 r^3) and
-    dphi_dplain = d phi_f / d s_f = -phi_f^2 / (2 r) (same-bin Wirtinger
-    derivatives). |s|^2 is formed once from the real and imaginary parts,
-    and every division is a multiplication by 1/r.
+    Takes s_hat (F, T) and returns (phi, rho): phi_ft = conj(s_ft) / r_t, with
+    r_t = sqrt(sum_f |s_ft|^2) the frame radius, and rho (F,) the frame mean
+    of the same-bin Wirtinger derivative d phi_ft / d s_ft* = 1/r_t -
+    |s_ft|^2 / (2 r_t^3). |s|^2 is formed once; rho is mean_t(1/r_t) minus
+    one matrix-vector product of |s|^2 with 1/(2 r^3). Frames whose radius is
+    at most SCORE_RADIUS_FLOOR (silent in every bin) get 1/r = 0.
     """
     s = np.asarray(s_hat, dtype=np.complex128)
     # Updates in place: at F=256, T=300 each further full-size temporary
     # costs about as much as the arithmetic done on it.
     mag2 = s.real ** 2
     mag2 += s.imag ** 2
-    inv_r = 1.0 / np.maximum(np.sqrt(np.sum(mag2, axis=0)), SCORE_RADIUS_FLOOR)
-    half = 0.5 * inv_r  # 1 / (2r)
+    r = np.sqrt(np.sum(mag2, axis=0))
+    inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > SCORE_RADIUS_FLOOR)
     phi = np.conj(s)
     phi *= inv_r
-    dphi_dconj = mag2  # reuses the |s|^2 buffer
-    dphi_dconj *= -half * inv_r ** 2
-    dphi_dconj += inv_r
-    dphi_dplain = np.square(phi)
-    dphi_dplain *= -half
-    return phi, dphi_dconj, dphi_dplain
+    rho = np.mean(inv_r) - mag2 @ (0.5 * inv_r ** 3) / s.shape[1]
+    return phi, rho
 
 
 def score_gauss(s_hat):
-    """Score of a stationary unit-variance Gaussian source: phi = conj(s)."""
+    """Score of a stationary unit-variance Gaussian source: phi = conj(s), rho = 1 per bin."""
     s = np.asarray(s_hat, dtype=np.complex128)
-    return s.conj(), np.ones_like(s), np.zeros_like(s)
+    return s.conj(), np.ones(s.shape[0])
 
 
 def score_stats(s_hat, score=score_spherical):
-    """Time-averaged score statistics nu, rho, xi per frequency bin."""
+    """nu = E[s_hat phi] and rho = E[d phi / d s_hat*] per frequency bin.
+
+    nu is the frame mean of s_hat * phi, formed directly: a reference for the
+    closed form that optimizer.moments uses.
+    """
     if s_hat.shape[1] < 2:
         raise ValueError("score statistics need at least 2 frames")
-    phi, dconj, dplain = score(s_hat)
-    return ScoreStats(
-        nu=np.mean(s_hat * phi, axis=1),
-        rho=np.mean(dconj, axis=1),
-        xi=np.mean(dplain, axis=1),
-    )
+    phi, rho = score(s_hat)
+    return ScoreStats(nu=np.mean(s_hat * phi, axis=1), rho=rho)
 
 
 def covariance(frames):

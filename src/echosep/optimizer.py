@@ -174,24 +174,28 @@ class Moments:
 def moments(x, u, state, score=score_spherical, y=None):
     """One pass at the state's h and w: s = w^H x - (w^H h) u, its score, the moments.
 
-    E[e phi] = E[x phi] - h E[u phi], so the error signal is never formed.
-    The frame averages E[x phi], E[u phi] and nu = E[s phi] are batched dot
-    products over the frame axis. The result holds while h and w do: the
-    driver passes the moments behind one iteration's diagnostics on to the
-    next iteration's first step instead of making the pass again. y = w^H x
-    holds while w does; when given, as after an echo step that moved only h,
-    it is not formed again.
+    score(s) returns phi and rho = E[d phi / d s*]. s is formed in one buffer,
+    c u with c = w^H h, then subtracted from y = w^H x in place. E[x phi] and
+    E[u phi] are batched dot products over the frame axis, and the rest
+    follows in closed form: E[e phi] = E[x phi] - h E[u phi] and
+    nu = E[s phi] = w^H E[x phi] - c E[u phi], so neither e nor s phi is
+    formed. The result holds while h and w do: the driver passes the moments
+    behind one iteration's diagnostics on to the next iteration's first step
+    instead of making the pass again. y holds while w does; when given, as
+    after an echo step that moved only h, it is not formed again.
     """
     if y is None:
         y = (x @ state.w.conj()[:, :, None])[:, :, 0]
-    s = y - np.sum(state.w.conj() * state.h, axis=1)[:, None] * u
-    phi, dconj, _ = score(s)
+    c = np.sum(state.w.conj() * state.h, axis=1)
+    s = c[:, None] * u
+    np.subtract(y, s, out=s)
+    phi, rho = score(s)
     phi_col = phi[:, :, None]
     n_frames = s.shape[1]
     x_phi = (np.swapaxes(x, 1, 2) @ phi_col)[:, :, 0] / n_frames
     u_phi = (u[:, None, :] @ phi_col)[:, 0, 0] / n_frames
-    nu = (s[:, None, :] @ phi_col)[:, 0, 0] / n_frames
-    return Moments(s=s, y=y, nu=nu, rho=np.mean(dconj, axis=1),
+    nu = np.sum(state.w.conj() * x_phi, axis=1) - c * u_phi
+    return Moments(s=s, y=y, nu=nu, rho=rho,
                    e_phi=x_phi - state.h * u_phi[:, None], u_phi=u_phi)
 
 

@@ -190,15 +190,23 @@ def test_oc_degenerate_covariance_rejected():
 # ------------------------------------------------------------------- score
 
 def test_score_single_active_bin():
-    s = np.zeros(5, dtype=complex)
+    s = np.zeros((5, 1), dtype=complex)
     s[0] = 1.0
-    phi, _, _ = score_spherical(s)
-    np.testing.assert_allclose(phi, [1, 0, 0, 0, 0], atol=1e-15)
+    phi, _ = score_spherical(s)
+    np.testing.assert_allclose(phi[:, 0], [1, 0, 0, 0, 0], atol=1e-15)
 
 
 def test_score_two_bin_example():
-    phi, _, _ = score_spherical(np.array([3.0, 4.0j]))
-    np.testing.assert_allclose(phi, [0.6, -0.8j], atol=1e-15)
+    phi, _ = score_spherical(np.array([[3.0], [4.0j]]))
+    np.testing.assert_allclose(phi[:, 0], [0.6, -0.8j], atol=1e-15)
+
+
+@pytest.mark.parametrize("score", [score_spherical, score_gauss])
+def test_score_returns_the_score_and_one_curvature_per_bin(score):
+    s = crandn(np.random.default_rng(15), (6, 9))
+    phi, rho = score(s)
+    assert phi.shape == (6, 9)
+    assert rho.shape == (6,)
 
 
 def wirtinger_fd(fun, s, f, eps=1e-5):
@@ -217,19 +225,29 @@ def wirtinger_fd(fun, s, f, eps=1e-5):
 
 def test_score_derivatives_match_finite_differences():
     rng = np.random.default_rng(10)
-    s = crandn(rng, 6)
-    phi, dconj, dplain = score_spherical(s)
-    fun = lambda v: score_spherical(v)[0]
+    s = crandn(rng, 6)[:, None]  # one frame: rho is the derivative itself
+    _, rho = score_spherical(s)
+    fun = lambda v: score_spherical(v[:, None])[0][:, 0]
     for f in range(len(s)):
-        fd_plain, fd_conj = wirtinger_fd(fun, s, f)
-        assert abs(fd_conj - dconj[f]) <= 1e-6 * max(abs(dconj[f]), 1e-12)
-        assert abs(fd_plain - dplain[f]) <= 1e-6 * max(abs(dplain[f]), 1e-12)
+        _, fd_conj = wirtinger_fd(fun, s[:, 0], f)
+        assert abs(fd_conj - rho[f]) <= 1e-6 * max(abs(rho[f]), 1e-12)
 
 
 def test_score_radius_floor():
-    phi, dconj, dplain = score_spherical(np.zeros(4, dtype=complex))
+    phi, rho = score_spherical(np.zeros((4, 1), dtype=complex))
     assert np.all(phi == 0)
-    assert np.all(np.isfinite(dconj))
+    assert np.all(rho == 0)
+
+
+def test_silent_frames_carry_no_score_and_no_curvature():
+    """Frames silent in every bin add nothing: rho is the active frames' sum over all T."""
+    s = crandn(np.random.default_rng(16), (8, 20))
+    padded = np.concatenate([np.zeros((8, 3)), s, np.zeros((8, 2))], axis=1)
+    phi, rho = score_spherical(s)
+    phi_padded, rho_padded = score_spherical(padded)
+    np.testing.assert_array_equal(phi_padded[:, 3:-2], phi)
+    assert np.all(phi_padded[:, :3] == 0) and np.all(phi_padded[:, -2:] == 0)
+    np.testing.assert_allclose(rho_padded, rho * 20 / 25, rtol=1e-12)
 
 
 def test_score_stats_single_bin_constant_modulus():
@@ -253,14 +271,13 @@ def test_score_stats_gaussian_normalizer_positive():
 def test_score_homogeneity(alpha):
     rng = np.random.default_rng(13)
     s = crandn(rng, (8, 30))
-    phi, _, _ = score_spherical(s)
-    phi_scaled, _, _ = score_spherical(alpha * s)
+    phi, _ = score_spherical(s)
+    phi_scaled, _ = score_spherical(alpha * s)
     np.testing.assert_allclose(phi_scaled, phi, atol=1e-12)
     base = score_stats(s)
     scaled = score_stats(alpha * s)
     np.testing.assert_allclose(scaled.nu, alpha * base.nu, rtol=1e-12)
     np.testing.assert_allclose(scaled.rho, base.rho / alpha, rtol=1e-12)
-    np.testing.assert_allclose(scaled.xi, base.xi / alpha, rtol=1e-12)
 
 
 def test_gauss_score_stats():
@@ -269,7 +286,6 @@ def test_gauss_score_stats():
     stats = score_stats(s, score=score_gauss)
     np.testing.assert_allclose(stats.nu, np.mean(np.abs(s) ** 2, axis=1), rtol=1e-12)
     np.testing.assert_allclose(stats.rho, np.ones(4), atol=1e-15)
-    np.testing.assert_allclose(stats.xi, np.zeros(4), atol=1e-15)
 
 
 # -------------------------------------------------------------- covariance

@@ -201,7 +201,7 @@ def test_update_bse_fixed_point_when_gradient_vanishes():
     _, _, state = _instance(rng)
     e = crandn(rng, (4, 16, 3))
     s = np.einsum("fm,ftm->ft", state.w.conj(), e)
-    phi, _, _ = score_spherical(s)
+    phi, _ = score_spherical(s)
     nu = np.mean(s * phi, axis=1)
     state.a = np.mean(e * phi[:, :, None], axis=1) / nu[:, None]  # forces zero direction
     w_new, ok = update_bse(state, moments(e, np.zeros((4, 16), dtype=complex), state),
@@ -315,9 +315,9 @@ def test_update_aec_freezes_bin_with_vanishing_curvature():
     data = DataStats.of(x, u)
 
     def score_flat_bin0(s):
-        phi, dconj, dplain = score_spherical(s)
-        dconj[0] = 0.0
-        return phi, dconj, dplain
+        phi, rho = score_spherical(s)
+        rho[0] = 0.0
+        return phi, rho
 
     h_usual, ok_usual = update_aec(state, x, u, data)
     h_new, ok = update_aec(state, x, u, data, score=score_flat_bin0)
@@ -365,7 +365,7 @@ def test_closed_form_statistics_equal_dense_passes(m):
     e = x - state.h[:, None, :] * u[:, :, None]
     z = np.einsum("fkm,ftm->ftk", blocking_matrix(state.a), e)
     s = np.einsum("fm,ftm->ft", state.w.conj(), e)
-    phi, _, _ = score_spherical(s)
+    phi, _ = score_spherical(s)
     mom = moments(x, u, state)
     np.testing.assert_allclose(state.C_ee, covariance(e), rtol=1e-10)
     np.testing.assert_allclose(background_covariance(state.a, state.C_ee), covariance(z),
@@ -868,3 +868,85 @@ def test_run_joint_shape_and_reference_validation():
     with pytest.raises(ValueError):
         run_joint(x, np.zeros((4, 10), dtype=complex),
                   RunConfig(iterations=1, reference_channel=3))
+
+
+def _pad_silent(a, frames=4):
+    """a with `frames` all-zero frames added at each end of the frame axis."""
+    silence = np.zeros_like(a[:, :frames])
+    return np.concatenate([silence, a, silence], axis=1)
+
+
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
+def test_silent_frames_leave_the_estimates_unchanged(run):
+    """Frames silent on every microphone and the loudspeaker carry no score or curvature.
+
+    Padding with them rescales every frame average alike, so after the run
+    has converged the echo path and the output on the active frames are those
+    of the unpadded scene. A silent frame that weighed in rho (its radius is
+    0, so any finite 1/r is arbitrary) would move both far from there.
+    """
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=0, enr_db=np.inf),
+                                       n_freqs=48, n_frames=160)
+    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
+    cfg = RunConfig(iterations=50)
+    base = run(*inputs, cfg)
+    padded = run(*(_pad_silent(a) for a in inputs), cfg)
+    h_scale = np.linalg.norm(scene.truth.echo_atf)
+    assert np.linalg.norm(padded.state.h - base.state.h) <= 1e-6 * h_scale
+    assert (np.linalg.norm(padded.s_hat[:, 4:-4] - base.s_hat)
+            <= 1e-6 * np.linalg.norm(base.s_hat))
+    assert np.all(padded.s_hat[:, :4] == 0) and np.all(padded.s_hat[:, -4:] == 0)
+
+
+def _degenerate_inputs(case, mics, seed):
+    """Microphone and loudspeaker spectra of a small scene, made degenerate as named."""
+    n_frames = 2 if case == "two_frames" else 40
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=mics, seed=seed),
+                                       n_freqs=16, n_frames=n_frames)
+    x, u = scene.mixture.copy(), scene.loudspeaker.copy()
+    if case == "silent_bins":
+        x[3:6], u[3:6] = 0.0, 0.0
+    elif case == "dead_other_mic":
+        x[:, :, mics - 1] = 0.0
+    elif case == "duplicated_mic":
+        x[:, :, mics - 1] = x[:, :, 0]
+    elif case == "silent_frames":
+        x, u = _pad_silent(x), _pad_silent(u)
+    elif case == "dead_reference_mic":
+        x[:, :, 0] = 0.0
+    return x, u
+
+
+@settings(max_examples=20)
+@given(case=st.sampled_from(["two_frames", "silent_bins", "dead_other_mic", "duplicated_mic",
+                             "silent_frames"]),
+       mics=st.integers(2, 4), iterations=st.integers(1, 8), seed=st.integers(0, 2**16))
+def test_runs_stay_finite_and_constrained_on_degenerate_input(case, mics, iterations, seed):
+    """Two frames, silent bins or frames, a dead or duplicated other microphone.
+
+    Every iterating run returns finite estimates and keeps w^H a = 1 on every
+    active bin; the per-bin freezing absorbs what is degenerate.
+    """
+    if case == "two_frames":
+        mics = 2
+    x, u = _degenerate_inputs(case, mics, seed)
+    cfg = RunConfig(iterations=iterations, records=False)
+    for run in (run_joint, run_bnlms_ive, run_ive_only):
+        result = run(x, cfg) if run is run_ive_only else run(x, u, cfg)
+        state = result.state
+        for value in (result.s_hat, state.h, state.w, state.a):
+            assert np.all(np.isfinite(value))
+        w, a = state.w[state.active], state.a[state.active]
+        assert np.all(np.abs(np.sum(w.conj() * a, axis=1) - 1.0) <= 1e-10)
+
+
+@settings(max_examples=5)
+@given(mics=st.integers(2, 4), seed=st.integers(0, 2**16))
+def test_runs_raise_on_a_dead_reference_microphone(mics, seed):
+    """With microphone 1 silent, the initial beamformer sees nothing: a numerically dead run."""
+    x, u = _degenerate_inputs("dead_reference_mic", mics, seed)
+    cfg = RunConfig(iterations=3, records=False)
+    for call in (lambda: run_joint(x, u, cfg), lambda: run_bnlms_ive(x, u, cfg),
+                 lambda: run_ive_only(x, cfg)):
+        with pytest.raises(NumericsError):
+            call()
