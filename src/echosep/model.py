@@ -20,9 +20,7 @@ __all__ = [
     "DemixState",
     "ScoreStats",
     "blocking_matrix",
-    "background_covariance",
     "background_power",
-    "apply_demixer",
     "orthogonal_constraint_atf",
     "score_spherical",
     "score_gauss",
@@ -55,10 +53,6 @@ class DemixState:
     a : (F, M) steering-vector estimate tied to w by the orthogonal constraint
     C_ee : (F, M, M) sample covariance of the error signal e; depends on h
         alone, so the driver forms it at the start and whenever h moves
-    R : (F, M, M) interference whitener B^H C_zz^{-1} B with C_zz = B C_ee B^H
-        the background covariance and C_zz^{-1} its loaded_inverse; no update
-        reads it, so the driver forms both once per iteration for the cost
-        record, and only when RunConfig.records is set (None otherwise)
     active : (F,) bool, bins currently updated (False = frozen/degenerate)
     """
 
@@ -66,7 +60,6 @@ class DemixState:
     w: np.ndarray
     a: np.ndarray
     C_ee: np.ndarray = None
-    R: np.ndarray = None
     active: np.ndarray = None
 
     @classmethod
@@ -119,29 +112,12 @@ def blocking_matrix(a):
     return b[0] if single else b
 
 
-def background_covariance(a, C_ee):
-    """C_zz = B C_ee B^H for B = blocking_matrix(a), per bin, from (F, M) and (F, M, M).
-
-    Written out elementwise from B = (g, -gamma I) and a Hermitian C_ee: with
-    c00 = C_ee[0, 0], c1 = C_ee[1:, 0] and C11 = C_ee[1:, 1:],
-    C_zz = |gamma|^2 C11 + (c00 g - gamma c1) g^H - g (gamma c1)^H.
-    Products over the stack avoid the per-bin dispatch of a batched triple
-    product, which costs about twice as much at F=1025, M=4.
-    """
-    gamma = a[:, :1, None]
-    g = a[:, 1:, None]
-    gamma_c1 = gamma * C_ee[:, 1:, :1]
-    c = (gamma.real ** 2 + gamma.imag ** 2) * C_ee[:, 1:, 1:]
-    c += (C_ee[:, :1, :1] * g - gamma_c1) * np.conj(np.swapaxes(g, 1, 2))
-    c -= g * np.conj(np.swapaxes(gamma_c1, 1, 2))
-    return c
-
-
 def background_power(a, C_ee):
     """tr(B C_ee B^H) for B = blocking_matrix(a), per bin, without forming C_zz.
 
-    The trace of background_covariance: |gamma|^2 tr C11 + c00 |g|^2
-    - 2 Re(gamma g^H c1) in the same notation, for a Hermitian C_ee.
+    Written out from B = (g, -gamma I) and a Hermitian C_ee: with
+    c00 = C_ee[0, 0], c1 = C_ee[1:, 0] and C11 = C_ee[1:, 1:], the trace is
+    |gamma|^2 tr C11 + c00 |g|^2 - 2 Re(gamma g^H c1).
     """
     gamma = a[:, 0]
     g = a[:, 1:]
@@ -150,23 +126,6 @@ def background_power(a, C_ee):
     return ((gamma.real ** 2 + gamma.imag ** 2) * tr11
             + C_ee[:, 0, 0].real * np.sum(g.real ** 2 + g.imag ** 2, axis=1)
             - 2.0 * (gamma * g_c1).real)
-
-
-def apply_demixer(x, u, state):
-    """Run the demixing cascade on microphone and loudspeaker spectra.
-
-    e = x - h u (echo-cancelled error), s_hat = w^H e (source estimate),
-    z_hat = B(a) e (background estimate).
-    """
-    if x.shape[2] != state.n_channels:
-        raise ValueError(
-            f"microphone channel count {x.shape[2]} does not match state ({state.n_channels})"
-        )
-    e = x - state.h[:, None, :] * u[:, :, None]
-    s_hat = np.einsum("fm,ftm->ft", state.w.conj(), e)
-    b = blocking_matrix(state.a)
-    z_hat = np.einsum("fkm,ftm->ftk", b, e)
-    return e, s_hat, z_hat
 
 
 def orthogonal_constraint_atf(C_ee, w):
@@ -284,9 +243,10 @@ def interference_whitener(a, C_zz, loading=DEFAULT_LOADING):
     """R = B^H C_zz^{-1} B for B = blocking_matrix(a), with a mask of invertible bins.
 
     X = loaded_inverse(C_zz, loading), so bins whose C_zz is numerically dead
-    (zero trace or non-finite) get R = 0 and ok=False; callers freeze them.
-    Written out elementwise from B = (g, -gamma I) as in background_covariance,
-    with X symmetrised so R is exactly Hermitian: R00 = g^H X g, R[1:, 0] =
+    (zero trace or non-finite) get R = 0 and ok=False. Unloaded, at the OGC a
+    and C_zz = B C_ee B^H, R equals the matrix C_ee^{-1} - w w^H / sigma^2
+    of cost's h-gradient. Written out elementwise from B = (g, -gamma I), with
+    X symmetrised so R is exactly Hermitian: R00 = g^H X g, R[1:, 0] =
     -conj(gamma) X g, R[0, 1:] its conjugate, and R[1:, 1:] = |gamma|^2 X.
     """
     inverse, ok = loaded_inverse(C_zz, loading)
@@ -307,22 +267,25 @@ def neg_log_density_spherical(s_hat):
 
 
 def cost(state, C_ee, s_hat):
-    """Diagnostic cost: E[-log p(s_hat)] + sum_f tr(R C_ee) - (M-2) sum_f log|gamma|^2.
+    """Profile likelihood J = E[-log p(s_hat)] + sum_f [log det C_ee - log sigma_f^2].
 
-    C_ee is the error covariance E[e e^H] at the h that gave s_hat; the
-    middle term is E[sum_f e^H R e]. Never used by the updates; serves
-    convergence monitoring and finite-difference validation of the gradients.
+    C_ee is the error covariance E[e e^H] at the h that gave s_hat and
+    sigma_f^2 = w^H C_ee w; the log terms sum over the state's active bins.
+    They equal the OGC likelihood's log det C_zz - (M-2) log|gamma|^2 by the
+    identity log det C_zz = log det C_ee + (M-2) log|gamma|^2 - log sigma^2,
+    for C_zz = B C_ee B^H and a = C_ee w / sigma^2, so J needs no B or C_zz.
+    Never used by the updates; serves convergence monitoring and
+    finite-difference validation of the gradients. An active bin whose C_ee
+    has no positive determinant, or whose sigma^2 is not positive, raises
+    NumericsError.
     """
-    m = state.n_channels
-    quad = float(np.einsum("fmn,fnm->", state.R, C_ee).real)
-    j = float(np.mean(neg_log_density_spherical(s_hat))) + quad
-    if m != 2:
-        gamma = state.a[:, 0]
-        mag2 = np.abs(gamma) ** 2
-        if np.any(mag2 <= 0.0):
-            raise NumericsError("degenerate steering estimate: gamma = 0")
-        j -= (m - 2) * float(np.sum(np.log(mag2)))
-    return j
+    c, w = C_ee[state.active], state.w[state.active]
+    sign, logdet = np.linalg.slogdet(c)
+    sigma2 = np.einsum("fm,fmn,fn->f", w.conj(), c, w).real
+    if not (np.all(sign.real > 0.0) and np.all(sigma2 > 0.0)):
+        raise NumericsError("degenerate error covariance or source power on an active bin")
+    j = float(np.mean(neg_log_density_spherical(s_hat)))
+    return j + float(np.sum(logdet - np.log(sigma2)))
 
 
 def transmission_matrix(state, a_soi, bg_mix, echo_atf):

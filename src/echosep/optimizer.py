@@ -17,14 +17,15 @@ that the BSE step applies depend on h alone, so they are formed at the start
 and after each echo step that moved h: a run makes one inversion per echo
 path (n for joint, one for BNLMS and ive), not one solve per BSE step. a and
 the active mask follow w, and are refreshed from the held C_ee after every
-BSE step. The background covariance C_zz = B C_ee B^H is formed only for the
-cost record; the mask needs its trace alone.
+BSE step; the mask reads the trace of the background covariance
+B C_ee B^H in closed form, and no run forms the covariance itself.
 
 With RunConfig.records set (the default) each iteration also writes an
-IterationRecord: the cost (the interference whitener's only reader), filter
-deltas, score medians and, given the truth, the off-block energy. Without it
-none of these is formed, nor the last iteration's moment pass, which only its
-record reads: n iterations make 2n passes (joint) or n, not 2n + 1 or n + 1.
+IterationRecord: the profile likelihood J of model.cost, from the held C_ee
+and the iteration's moment pass, filter deltas, score medians and, given the
+truth, the off-block energy. Without it none of these is formed, nor the
+last iteration's moment pass, which only its record reads: n iterations make
+2n passes (joint) or n, not 2n + 1 or n + 1.
 
 Baselines: per-channel BNLMS interleaved with the same extraction update,
 batch least-squares echo cancellation alone, and extraction alone.
@@ -36,11 +37,9 @@ from dataclasses import asdict, dataclass, field
 from .model import (
     DemixState,
     NumericsError,
-    background_covariance,
     background_power,
     cost,
     covariance,
-    interference_whitener,
     loaded_inverse,
     off_block_energy_db,
     orthogonal_constraint_atf,
@@ -59,7 +58,6 @@ __all__ = [
     "moments",
     "grad_h",
     "grad_w",
-    "hessian_h",
     "circularity_check",
     "update_aec",
     "update_bse",
@@ -74,9 +72,9 @@ __all__ = [
 # Bins whose score normalizer or Newton curvature falls below this, or whose
 # error power falls below this share of the microphone power, are frozen.
 DEAD_BIN_FLOOR = 1e-12
-# Absolute floor on the background covariance, relative to the error-signal
-# power scale; keeps the interference whitener bounded when the background
-# estimate is numerically zero (e.g. a noise-free echo-only scene).
+# Floor on the background covariance's diagonal, relative to the error-signal
+# power scale. The active-bin mask adds it to the closed-form background trace
+# before testing that trace; it decides which bins freeze, and nothing else.
 BACKGROUND_FLOOR = 1e-10
 
 
@@ -87,7 +85,7 @@ class RunConfig:
     iterations: int = 50
     loading: float = DEFAULT_LOADING
     reference_channel: int = 1  # 1-based microphone index for backprojection
-    records: bool = True  # form an IterationRecord (cost, whitener, truth) each iteration
+    records: bool = True  # form an IterationRecord (cost J, deltas, truth) each iteration
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -208,33 +206,28 @@ def _score_weight(nu, normalize):
 
 
 def grad_h(state, data, mom, normalize=True):
-    """Gradient of the cost w.r.t. conj(h): -(E[phi* u*]/nu* w + R E[e u*]) per bin.
+    """Gradient of the cost J w.r.t. conj(h): -(E[phi* u*]/nu* w + R E[e u*]) per bin.
 
-    With normalize=False the score is used raw (no nu division), matching the
-    plain cost gradient that finite differences reproduce.
+    R = C_ee^{-1} - w w^H / sigma^2, with sigma^2 = w^H C_ee w, from the
+    state's C_ee and w, is the gradient of J's log terms; bins whose C_ee has
+    no inverse or whose sigma^2 is not positive get R = 0. R a = 0 for
+    a = C_ee w / sigma^2, which lets update_aec step in closed form. With
+    normalize=False the score is used raw (no nu division), matching the
+    plain gradient of J that finite differences reproduce.
     """
     weight = np.conj(mom.u_phi * _score_weight(mom.nu, normalize))
-    r_eu = (state.R @ data.error_cross(state.h)[:, :, None])[:, :, 0]
-    return -(weight[:, None] * state.w + r_eu)
+    inverse, ok = loaded_inverse(state.C_ee, 0.0)
+    sigma2 = np.einsum("fm,fmn,fn->f", state.w.conj(), state.C_ee, state.w).real
+    ok &= sigma2 > np.finfo(float).tiny
+    r = data.error_cross(state.h)
+    w_r = np.sum(state.w.conj() * r, axis=1) / np.where(ok, sigma2, 1.0)
+    r_eu = (inverse @ r[:, :, None])[:, :, 0] - w_r[:, None] * state.w
+    return -(weight[:, None] * state.w + np.where(ok[:, None], r_eu, 0.0))
 
 
 def grad_w(state, mom, normalize=True):
     """Gradient of the cost w.r.t. conj(w): E[e phi]/nu - a per bin."""
     return mom.e_phi * _score_weight(mom.nu, normalize)[:, None] - state.a
-
-
-def hessian_h(state, data, mom, normalize=True):
-    """Curvature matrix of the echo-path Newton step, per bin.
-
-    (R + (rho*/nu*) w w^H) * E[|u|^2]; with normalize=False the rho*/nu*
-    weight is replaced by plain rho* (the unnormalized second derivative).
-    update_aec solves with it in closed form and never forms it.
-    For M = 1 with a Gaussian score this reduces to E[|u|^2]. Only mom.nu
-    and mom.rho are read, so a ScoreStats serves as well as Moments.
-    """
-    weight = np.conj(mom.rho * _score_weight(mom.nu, normalize))
-    outer = state.w[:, :, None] * state.w.conj()[:, None, :]
-    return (state.R + weight[:, None, None] * outer) * data.P_u[:, None, None]
 
 
 def circularity_check(u):
@@ -249,9 +242,10 @@ def circularity_check(u):
 def update_aec(state, x, u, data, score=score_spherical, mom=None):
     """One Newton step on the echo-path filter h for every active bin.
 
-    solve(hessian_h, -grad_h) in closed form: any whitener R = B^H X B has
-    R a = 0, and w^H a = 1, so with r = E[e u*], kappa = conj(E[u phi]/nu) and
-    alpha = conj(rho/nu) the step is (r + a (kappa - alpha w^H r) / alpha) / P_u,
+    solve(H, -grad_h) in closed form, for the curvature
+    H = (R + conj(rho/nu) w w^H) P_u with grad_h's R: R a = 0 and w^H a = 1,
+    so with r = E[e u*], kappa = conj(E[u phi]/nu) and alpha = conj(rho/nu)
+    the step is (r + a (kappa - alpha w^H r) / alpha) / P_u,
     the least-squares step plus a correction along a. mom holds the moments
     at the state's h and w; when not given, they come from one pass over x
     and u with the given score. Returns (h_new, active_mask); bins with
@@ -337,9 +331,9 @@ def _refresh_beamformer(state, loading):
     """Form a and the active-bin mask at the current w from the held C_ee.
 
     No linear solve. Bins with a degenerate w^H C_ee w keep their a and are
-    frozen, and so are bins that interference_whitener would reject for the
-    trace of their loaded background covariance, taken in closed form
-    (background_power); that test is what freezes noise-free echo-only bins.
+    frozen, and so are bins whose loaded, floored background trace
+    tr(B C_ee B^H), taken in closed form (background_power), is not
+    positive; that test is what freezes noise-free echo-only bins.
     """
     a, ok = orthogonal_constraint_atf(state.C_ee, state.w)
     state.a = np.where(ok[:, None], a, state.a)
@@ -358,16 +352,6 @@ def _background_floor(state):
     # |B|_F^2 / (M - 1) for B = (g, -gamma I)
     b_scale = np.abs(state.a[:, 0]) ** 2 + np.sum(np.abs(state.a[:, 1:]) ** 2, axis=1) / (m - 1)
     return BACKGROUND_FLOOR * e_scale * b_scale
-
-
-def _whitener(state, loading):
-    """The interference whitener R at the state's a and C_ee, for the cost; zero for M = 1."""
-    m = state.n_channels
-    if m < 2:
-        return np.zeros((state.n_freqs, 1, 1), dtype=np.complex128)
-    floor = _background_floor(state)[:, None, None] * np.eye(m - 1)
-    c_zz = background_covariance(state.a, state.C_ee) + floor
-    return interference_whitener(state.a, c_zz, loading)[0]
 
 
 def _run(x, u, cfg, aec_mode, truth=None):
@@ -414,10 +398,9 @@ def _run(x, u, cfg, aec_mode, truth=None):
             mom = moments(x, u, state)  # the next echo or BSE step, and the record
         if not cfg.records:
             continue
-        state.R = _whitener(state, cfg.loading)  # read by the cost alone
         try:
             cost_value = cost(state, state.C_ee, mom.s)
-        except NumericsError:  # fully cancelled bins can degenerate the log term
+        except NumericsError:  # cancellation can leave an active C_ee indefinite
             cost_value = float("nan")
         record = IterationRecord(
             iteration=it,

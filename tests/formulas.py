@@ -1,0 +1,63 @@
+"""Dense reference forms that the tests check the package against.
+
+The package takes these in closed form, or has no use for them outside the
+tests: the demixing cascade applied frame by frame, the background
+covariance B C_ee B^H, the h-gradient matrix R of the cost J and the Newton
+curvature of the echo-path step.
+"""
+
+import numpy as np
+
+from echosep.model import blocking_matrix
+from echosep.optimizer import _score_weight
+
+
+def apply_demixer(x, u, state):
+    """Run the demixing cascade on microphone and loudspeaker spectra.
+
+    e = x - h u (echo-cancelled error), s_hat = w^H e (source estimate),
+    z_hat = B(a) e (background estimate).
+    """
+    if x.shape[2] != state.n_channels:
+        raise ValueError(
+            f"microphone channel count {x.shape[2]} does not match state ({state.n_channels})"
+        )
+    e = x - state.h[:, None, :] * u[:, :, None]
+    s_hat = np.einsum("fm,ftm->ft", state.w.conj(), e)
+    z_hat = np.einsum("fkm,ftm->ftk", blocking_matrix(state.a), e)
+    return e, s_hat, z_hat
+
+
+def background_covariance(a, C_ee):
+    """C_zz = B C_ee B^H for B = blocking_matrix(a), per bin."""
+    b = blocking_matrix(a)
+    return b @ C_ee @ np.conj(np.swapaxes(b, 1, 2))
+
+
+def cost_whitener(C_ee, w):
+    """R = C_ee^{-1} - w w^H / sigma^2 with sigma^2 = w^H C_ee w, per bin.
+
+    The matrix of J's h-gradient; zero on bins whose C_ee is singular or
+    whose sigma^2 is not positive.
+    """
+    sigma2 = np.einsum("fm,fmn,fn->f", w.conj(), C_ee, w).real
+    ok = (np.abs(np.linalg.det(C_ee)) > 0.0) & (sigma2 > 0.0)
+    inverse = np.linalg.inv(np.where(ok[:, None, None], C_ee, np.eye(C_ee.shape[-1])))
+    outer = w[:, :, None] * w.conj()[:, None, :] / np.where(ok, sigma2, 1.0)[:, None, None]
+    return np.where(ok[:, None, None], inverse - outer, 0.0)
+
+
+def hessian_h(state, data, mom, normalize=True):
+    """Curvature matrix of the echo-path Newton step, per bin.
+
+    (R + (rho*/nu*) w w^H) * E[|u|^2] with R = cost_whitener(C_ee, w); with
+    normalize=False the rho*/nu* weight is replaced by plain rho* (the
+    unnormalized second derivative). update_aec solves with it in closed
+    form and never forms it. For M = 1 with a Gaussian score this reduces to
+    E[|u|^2]. Only mom.nu and mom.rho are read, so a ScoreStats serves as
+    well as Moments.
+    """
+    weight = np.conj(mom.rho * _score_weight(mom.nu, normalize))
+    outer = state.w[:, :, None] * state.w.conj()[:, None, :]
+    r = cost_whitener(state.C_ee, state.w)
+    return (r + weight[:, None, None] * outer) * data.P_u[:, None, None]

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from echosep import model
 from echosep.model import (
     DemixState,
-    apply_demixer,
+    NumericsError,
     blocking_matrix,
     cost,
     covariance,
@@ -24,6 +24,7 @@ from echosep.model import (
     score_stats,
     transmission_matrix,
 )
+from formulas import apply_demixer, background_covariance, cost_whitener
 
 
 def crandn(rng, shape):
@@ -44,12 +45,7 @@ def make_instance(rng, n_freqs=4, n_frames=16, m=3):
     e = x - h[:, None, :] * u[:, :, None]
     c_ee = load_diagonal(covariance(e), 1e-6)
     a, _ = orthogonal_constraint_atf(c_ee, w)
-    b = blocking_matrix(a)
-    z = np.einsum("fkm,ftm->ftk", b, e)
-    c_zz = load_diagonal(covariance(z), 1e-6)
-    r, ok = interference_whitener(a, c_zz)
-    assert ok.all()
-    state = DemixState(h=h, w=w, a=a, C_ee=c_ee, R=r, active=np.ones(n_freqs, dtype=bool))
+    state = DemixState(h=h, w=w, a=a, C_ee=c_ee, active=np.ones(n_freqs, dtype=bool))
     return x, u, state
 
 
@@ -92,7 +88,7 @@ def test_background_power_is_the_trace_of_the_background_covariance(m, seed, def
     a = crandn(rng, (8, m))
     c = crandn(rng, (8, m, m))
     c = c @ np.conj(np.swapaxes(c, 1, 2)) if definite else c + np.conj(np.swapaxes(c, 1, 2))
-    trace = np.einsum("fkk->f", model.background_covariance(a, c)).real
+    trace = np.einsum("fkk->f", background_covariance(a, c)).real
     scale = np.sum(np.abs(a) ** 2, axis=1) * np.max(np.abs(c), axis=(1, 2))
     error = np.abs(model.background_power(a, c) - trace)
     assert np.all(error <= 1e-12 * np.maximum(np.abs(trace), scale))
@@ -337,19 +333,48 @@ def test_covariance_needs_frames():
 # -------------------------------------------------------------------- cost
 
 def test_cost_zero_signals():
+    """A zero C_ee on an active bin has no log det: NumericsError. Frozen bins add nothing."""
     state = DemixState.initial(2, 2)
-    state.R = np.zeros((2, 2, 2), dtype=complex)
     e = np.zeros((2, 1, 2), dtype=complex)
     s = np.zeros((2, 1), dtype=complex)
-    assert cost(state, covariance(e), s) == pytest.approx(0.0)
+    with pytest.raises(NumericsError):
+        cost(state, covariance(e), s)
+    state.active[:] = False
+    assert cost(state, covariance(e), s) == 0.0
 
 
 def test_cost_single_frame_single_bin():
-    state = DemixState.initial(1, 2)
-    state.R = np.zeros((1, 2, 2), dtype=complex)
-    e = np.zeros((1, 1, 2), dtype=complex)
+    """J = 2 r + log det C_ee - log(w^H C_ee w): 4 + log 6 - log 2 here."""
+    state = DemixState.initial(1, 2)  # w = (1, 0)
+    c_ee = np.diag([2.0, 3.0]).astype(complex)[None]
     s = np.array([[2.0 + 0j]])
-    assert cost(state, covariance(e), s) == pytest.approx(4.0)
+    assert cost(state, c_ee, s) == pytest.approx(4.0 + np.log(3.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_cost_log_terms_are_the_background_log_likelihood(m):
+    """log det C_zz = log det C_ee + (M-2) log|gamma|^2 - log sigma^2 for the OGC a.
+
+    With a = C_ee w / sigma^2, sigma^2 = w^H C_ee w and C_zz = B C_ee B^H
+    for B = blocking_matrix(a): the identity that takes J's log terms from
+    C_ee alone. The unloaded whitener B^H C_zz^{-1} B is then
+    C_ee^{-1} - w w^H / sigma^2, the matrix of J's h-gradient.
+    """
+    rng = np.random.default_rng(40 + m)
+    c_ee = np.stack([random_psd(rng, m) for _ in range(16)])
+    w = crandn(rng, (16, m))
+    a, ok = orthogonal_constraint_atf(c_ee, w)
+    assert ok.all()
+    c_zz = background_covariance(a, c_ee)
+    sigma2 = np.einsum("fm,fmn,fn->f", w.conj(), c_ee, w).real
+    log_zz = np.linalg.slogdet(c_zz)[1]
+    log_ee = np.linalg.slogdet(c_ee)[1]
+    identity = log_ee + (m - 2) * np.log(np.abs(a[:, 0]) ** 2) - np.log(sigma2)
+    assert np.linalg.norm(log_zz - identity) <= 1e-12 * np.linalg.norm(log_zz)
+    r, ok = interference_whitener(a, c_zz, loading=0.0)
+    assert ok.all()
+    expected = cost_whitener(c_ee, w)
+    assert np.linalg.norm(r - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def wirtinger_grad_fd(fun, z, eps=1e-5):
@@ -381,7 +406,7 @@ def test_cost_gradient_h_matches_finite_differences():
     def costfun(h):
         e = x - h[:, None, :] * u[:, :, None]
         s = np.einsum("fm,ftm->ft", state.w.conj(), e)
-        return cost(state, covariance(e), s)  # R and a frozen in state
+        return cost(state, covariance(e), s)  # w and the active mask held in state
 
     fd = wirtinger_grad_fd(costfun, state.h.copy())
     analytic = grad_h(state, DataStats.of(x, u), moments(x, u, state), normalize=False)

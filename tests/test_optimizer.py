@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from echosep import optimizer, scenegen
+from echosep import model, optimizer, scenegen
 from echosep.model import (
     DEFAULT_LOADING,
     DemixState,
     NumericsError,
-    background_covariance,
+    background_power,
     blocking_matrix,
+    cost,
     covariance,
     interference_whitener,
     load_diagonal,
@@ -25,7 +26,6 @@ from echosep.optimizer import (
     circularity_check,
     grad_h,
     grad_w,
-    hessian_h,
     moments,
     normalize_w,
     run_bnlms_ive,
@@ -38,6 +38,7 @@ from echosep.optimizer import (
     _update_statistics,
 )
 from echosep.model import score_stats
+from formulas import background_covariance, hessian_h
 
 
 def crandn(rng, shape):
@@ -60,8 +61,8 @@ def echo_noise_scene(rng, n_freqs=64, n_frames=400, m=3, enr_db=30.0):
 def test_grad_h_zero_without_excitation():
     rng = np.random.default_rng(0)
     state = DemixState.initial(4, 3)
-    state.R = np.zeros((4, 3, 3), dtype=complex)
     e = crandn(rng, (4, 10, 3))
+    state.C_ee = covariance(e)
     u = np.zeros((4, 10), dtype=complex)
     g = grad_h(state, DataStats.of(e, u), moments(e, u, state))  # h = 0: x = e
     assert np.all(g == 0)
@@ -70,9 +71,9 @@ def test_grad_h_zero_without_excitation():
 def test_grad_h_zero_at_exact_cancellation():
     rng = np.random.default_rng(1)
     state = DemixState.initial(4, 3)
-    state.R = np.zeros((4, 3, 3), dtype=complex)
     u = crandn(rng, (4, 10))
     e = np.zeros((4, 10, 3), dtype=complex)
+    state.C_ee = covariance(e)
     g = grad_h(state, DataStats.of(e, u), moments(e, u, state))  # h = 0: x = e, s = 0
     assert np.all(g == 0)
 
@@ -83,8 +84,8 @@ def test_hessian_single_channel_gaussian_reduces_to_u_power():
     rng = np.random.default_rng(2)
     u = crandn(rng, (6, 50))
     state = DemixState.initial(6, 1)
-    state.R = np.zeros((6, 1, 1), dtype=complex)
     s = crandn(rng, (6, 50))
+    state.C_ee = covariance(s[:, :, None])
     stats = score_stats(s, score=score_gauss)
     hess = hessian_h(state, DataStats.of(s[:, :, None], u), stats, normalize=False)
     np.testing.assert_allclose(hess[:, 0, 0], np.mean(np.abs(u) ** 2, axis=1), rtol=1e-12)
@@ -92,7 +93,7 @@ def test_hessian_single_channel_gaussian_reduces_to_u_power():
 
 def test_hessian_zero_without_excitation():
     state = DemixState.initial(3, 2)
-    state.R = np.zeros((3, 2, 2), dtype=complex)
+    state.C_ee = np.zeros((3, 2, 2), dtype=complex)
     s = np.ones((3, 10), dtype=complex)
     stats = score_stats(s)
     u = np.zeros((3, 10), dtype=complex)
@@ -101,7 +102,7 @@ def test_hessian_zero_without_excitation():
 
 
 def _instance(rng, n_freqs=4, n_frames=16, m=3):
-    from echosep.model import blocking_matrix, interference_whitener, orthogonal_constraint_atf
+    from echosep.model import orthogonal_constraint_atf
 
     x = crandn(rng, (n_freqs, n_frames, m))
     u = crandn(rng, (n_freqs, n_frames))
@@ -111,9 +112,6 @@ def _instance(rng, n_freqs=4, n_frames=16, m=3):
     e = x - state.h[:, None, :] * u[:, :, None]
     state.C_ee = load_diagonal(covariance(e), 1e-6)
     state.a, _ = orthogonal_constraint_atf(state.C_ee, state.w)
-    b = blocking_matrix(state.a)
-    z = np.einsum("fkm,ftm->ftk", b, e)
-    state.R, _ = interference_whitener(state.a, load_diagonal(covariance(z), 1e-6))
     return x, u, state
 
 
@@ -162,7 +160,6 @@ def test_update_aec_single_channel_one_step_least_squares():
             / np.mean(np.abs(u) ** 2, axis=1))[:, None]
     state = DemixState.initial(n_freqs, 1)
     state.h = 3.0 * crandn(rng, (n_freqs, 1))  # arbitrary start
-    state.R = np.zeros((n_freqs, 1, 1), dtype=complex)
     h_new, ok = update_aec(state, x, u, DataStats.of(x, u), score=score_gauss)
     assert ok.all()
     assert np.linalg.norm(h_new - h_ls) <= 1e-10 * np.linalg.norm(h_ls)
@@ -175,7 +172,6 @@ def test_update_aec_stationary_at_exact_cancellation():
     x = echo_atf[:, None, :] * u[:, :, None]
     state = DemixState.initial(5, 3)
     state.h = echo_atf.copy()
-    state.R = np.zeros((5, 3, 3), dtype=complex)
     h_new, _ = update_aec(state, x, u, DataStats.of(x, u))
     np.testing.assert_array_equal(h_new, echo_atf)
 
@@ -248,7 +244,8 @@ def test_shipped_updates_equal_the_checked_formulas():
 
     Criterion 2 checks grad_h and grad_w against finite differences; the two
     updates are batched solves applied to those same functions, and this
-    ties their steps to them on a random M=3 instance.
+    ties their steps to them on a random M=3 instance. hessian_h is the
+    dense curvature with J's R, which update_aec never forms.
     """
     rng = np.random.default_rng(24)
     x, u, state = _instance(rng)
@@ -357,7 +354,7 @@ def test_refresh_freezes_bins_the_whitener_would_reject():
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_closed_form_statistics_equal_dense_passes(m):
-    """C_ee, C_zz, E[e phi] and E[e u*] from the data statistics equal passes over e and z."""
+    """C_ee, tr C_zz, E[e phi] and E[e u*] from the data statistics equal passes over e and z."""
     rng = np.random.default_rng(25 + m)
     x, u, state = _instance(rng, m=m)
     data = DataStats.of(x, u)
@@ -368,8 +365,8 @@ def test_closed_form_statistics_equal_dense_passes(m):
     phi, _ = score_spherical(s)
     mom = moments(x, u, state)
     np.testing.assert_allclose(state.C_ee, covariance(e), rtol=1e-10)
-    np.testing.assert_allclose(background_covariance(state.a, state.C_ee), covariance(z),
-                               rtol=1e-10)
+    np.testing.assert_allclose(background_power(state.a, state.C_ee),
+                               np.einsum("fkk->f", covariance(z)).real, rtol=1e-10)
     np.testing.assert_allclose(mom.e_phi, np.mean(e * phi[:, :, None], axis=1), rtol=1e-10)
     np.testing.assert_allclose(mom.u_phi, np.mean(u * phi, axis=1), rtol=1e-10)
     np.testing.assert_allclose(mom.nu, score_stats(s).nu, rtol=1e-10)
@@ -512,7 +509,6 @@ def test_bnlms_step_equals_gaussian_joint_step_single_channel():
     u = crandn(rng, (8, 100))
     x = crandn(rng, (8, 100, 1))
     state = DemixState.initial(8, 1)
-    state.R = np.zeros((8, 1, 1), dtype=complex)
     data = DataStats.of(x, u)
     h_bnlms = _least_squares(data.r_xu, data.P_u)
     h_joint, _ = update_aec(state, x, u, data, score=score_gauss)
@@ -701,16 +697,14 @@ def test_runs_make_one_score_pass_per_half_step(run, per_iteration, monkeypatch)
                          ids=["run_joint", "run_bnlms_ive", "run_ive_only"])
 def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inversions,
                                                            monkeypatch):
-    """C_ee and its loaded inverse are formed anew only when h moves; C_zz only for a record.
+    """C_ee and its loaded inverse are formed anew only when h moves, records or not.
 
     C_ee is formed at the start and after every echo step that moved h: each
     iteration under joint, the first under BNLMS, never under ive. The first
     BSE step on each echo path inverts the loaded C_ee, and the later ones
-    reuse it; the count is of optimizer.loaded_inverse, so the record's
-    whitener, which inverts C_zz through model.loaded_inverse, is not in it.
-    background_covariance serves the record's whitener alone.
+    reuse it; the record's cost J reads the held C_ee and inverts nothing.
     """
-    calls = {"error_covariance": 0, "loaded_inverse": 0, "background_covariance": 0}
+    calls = {"error_covariance": 0, "loaded_inverse": 0}
 
     def counting(original, name):
         def counted(*args, **kwargs):
@@ -720,8 +714,8 @@ def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inv
 
     monkeypatch.setattr(DataStats, "error_covariance",
                         counting(DataStats.error_covariance, "error_covariance"))
-    for name in ("loaded_inverse", "background_covariance"):
-        monkeypatch.setattr(optimizer, name, counting(getattr(optimizer, name), name))
+    monkeypatch.setattr(optimizer, "loaded_inverse",
+                        counting(optimizer.loaded_inverse, "loaded_inverse"))
     scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
                                        n_freqs=16, n_frames=40)
     inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
@@ -730,39 +724,58 @@ def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inv
             calls.update(dict.fromkeys(calls, 0))
             run(*inputs, RunConfig(iterations=iterations, records=records))
             assert calls == {"error_covariance": covariances(iterations),
-                             "loaded_inverse": inversions(iterations),
-                             "background_covariance": iterations if records else 0}
+                             "loaded_inverse": inversions(iterations)}
 
 
 @pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
-def test_runs_form_the_whitener_once_per_iteration(run, monkeypatch):
-    """No update reads R; the driver forms it for each iteration's cost record alone."""
-    calls = []
+def test_runs_form_the_cost_once_per_iteration_and_no_whitener(run, monkeypatch):
+    """Each record forms the cost J once, from C_ee; no run forms a whitener or a B."""
+    calls = {"cost": 0, "interference_whitener": 0, "blocking_matrix": 0}
 
-    def counting_whitener(*args, **kwargs):
-        calls.append(1)
-        return interference_whitener(*args, **kwargs)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(optimizer, "interference_whitener", counting_whitener)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(optimizer, "cost", counting(optimizer, "cost"))
+    for name in ("interference_whitener", "blocking_matrix"):
+        monkeypatch.setattr(model, name, counting(model, name))
     scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
                                        n_freqs=16, n_frames=40)
     inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
-    for iterations in (1, 7):
-        calls.clear()
-        run(*inputs, RunConfig(iterations=iterations))
-        assert len(calls) == iterations
+    for records in (False, True):
+        for iterations in (1, 7):
+            calls.update(dict.fromkeys(calls, 0))
+            run(*inputs, RunConfig(iterations=iterations, records=records))
+            assert calls == {"cost": iterations if records else 0,
+                             "interference_whitener": 0, "blocking_matrix": 0}
+
+
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive])
+def test_the_last_record_is_the_cost_at_the_returned_filters(run):
+    """records[-1].cost, from the closed-form C_ee, is J over a dense pass at the returned h, w."""
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
+                                       n_freqs=16, n_frames=40)
+    x, u = scene.mixture, scene.loudspeaker
+    res = run(x, u, RunConfig(iterations=5))
+    e = x - res.state.h[:, None, :] * u[:, :, None]
+    s = np.einsum("fm,ftm->ft", res.state.w.conj(), e)
+    dense = cost(res.state, covariance(e), s)
+    assert res.diagnostics.records[-1].cost == pytest.approx(dense, rel=1e-10)
 
 
 @pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
 def test_runs_without_records_match_runs_with_records(run):
-    """No update reads R or a record, so records=False changes no filter or output."""
+    """No update reads a record, so records=False changes no filter or output."""
     scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
                                        n_freqs=16, n_frames=40)
     inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
     full = run(*inputs, RunConfig(iterations=7), truth=scene.truth)
     bare = run(*inputs, RunConfig(iterations=7, records=False), truth=scene.truth)
     assert len(full.diagnostics.records) == 7 and bare.diagnostics.records == []
-    assert bare.state.R is None
     for name in ("h", "w", "a"):
         assert np.array_equal(getattr(full.state, name), getattr(bare.state, name))
     assert np.array_equal(full.e, bare.e)
@@ -776,9 +789,9 @@ def test_runs_without_records_skip_the_diagnostics(run, per_iteration, monkeypat
     """Without records, n iterations make 2n moment passes (joint) or n (BNLMS, ive).
 
     The last iteration's pass, which only its record reads, is skipped, and
-    no whitener, cost or transmission matrix is formed.
+    no cost or transmission matrix is formed.
     """
-    calls = {"moments": 0, "interference_whitener": 0, "cost": 0, "transmission_matrix": 0}
+    calls = {"moments": 0, "cost": 0, "transmission_matrix": 0}
 
     def counting(name):
         original = getattr(optimizer, name)
@@ -796,7 +809,7 @@ def test_runs_without_records_skip_the_diagnostics(run, per_iteration, monkeypat
     for iterations in (1, 7):
         calls.update(dict.fromkeys(calls, 0))
         run(*inputs, RunConfig(iterations=iterations, records=False), truth=scene.truth)
-        assert calls == {"moments": per_iteration * iterations, "interference_whitener": 0,
+        assert calls == {"moments": per_iteration * iterations,
                          "cost": 0, "transmission_matrix": 0}
 
 
