@@ -28,6 +28,7 @@ __all__ = [
     "covariance",
     "loaded_inverse",
     "interference_whitener",
+    "log_det_terms",
     "cost",
     "transmission_matrix",
     "off_block_energy_db",
@@ -174,8 +175,8 @@ def score_gauss(s_hat):
 def score_stats(s_hat, score=score_spherical):
     """nu = E[s_hat phi] and rho = E[d phi / d s_hat*] per frequency bin.
 
-    nu is the frame mean of s_hat * phi, formed directly: a reference for the
-    closed form that optimizer.moments uses.
+    nu is the frame mean of s_hat * phi, formed elementwise: a reference for
+    the batched dot product that optimizer.moments takes.
     """
     if s_hat.shape[1] < 2:
         raise ValueError("score statistics need at least 2 frames")
@@ -214,7 +215,10 @@ def loaded_inverse(c, loading=DEFAULT_LOADING):
     inversion and drop out, so one dead bin does not send the whole batch
     down the per-bin path. A bin whose batched inversion fails or is not
     finite gets a plain inversion and one loaded retry on its own, then drops
-    out. Bins that drop out get a zero inverse and ok False.
+    out. Bins that drop out get a zero inverse and ok False. grad_h and
+    interference_whitener use it; no run does, since the driver's BSE
+    inverse comes from optimizer.DataStats.error_inverse, which the tests
+    check against it.
     """
     loaded = load_diagonal(c, loading)
     eye = np.eye(loaded.shape[-1])
@@ -266,26 +270,34 @@ def neg_log_density_spherical(s_hat):
     return 2.0 * np.sqrt(np.sum(np.abs(s_hat) ** 2, axis=0))
 
 
-def cost(state, C_ee, s_hat):
-    """Profile likelihood J = E[-log p(s_hat)] + sum_f [log det C_ee - log sigma_f^2].
+def log_det_terms(state, C_ee):
+    """J's terms beyond E[-log p(s_hat)]: sum_f [log det C_ee - log sigma_f^2].
 
-    C_ee is the error covariance E[e e^H] at the h that gave s_hat and
-    sigma_f^2 = w^H C_ee w; the log terms sum over the state's active bins.
-    They equal the OGC likelihood's log det C_zz - (M-2) log|gamma|^2 by the
-    identity log det C_zz = log det C_ee + (M-2) log|gamma|^2 - log sigma^2,
-    for C_zz = B C_ee B^H and a = C_ee w / sigma^2, so J needs no B or C_zz.
-    Never used by the updates; serves convergence monitoring and
-    finite-difference validation of the gradients. An active bin whose C_ee
-    has no positive determinant, or whose sigma^2 is not positive, raises
-    NumericsError.
+    sigma_f^2 = w^H C_ee w, and the sum runs over the state's active bins. An
+    active bin whose C_ee has no positive determinant, or whose sigma^2 is
+    not positive, raises NumericsError.
     """
     c, w = C_ee[state.active], state.w[state.active]
     sign, logdet = np.linalg.slogdet(c)
     sigma2 = np.einsum("fm,fmn,fn->f", w.conj(), c, w).real
     if not (np.all(sign.real > 0.0) and np.all(sigma2 > 0.0)):
         raise NumericsError("degenerate error covariance or source power on an active bin")
-    j = float(np.mean(neg_log_density_spherical(s_hat)))
-    return j + float(np.sum(logdet - np.log(sigma2)))
+    return float(np.sum(logdet - np.log(sigma2)))
+
+
+def cost(state, C_ee, s_hat):
+    """Profile likelihood J = E[-log p(s_hat)] + sum_f [log det C_ee - log sigma_f^2].
+
+    C_ee is the error covariance E[e e^H] at the h that gave s_hat and
+    sigma_f^2 = w^H C_ee w; the log terms (log_det_terms) sum over the
+    state's active bins. They equal the OGC likelihood's log det C_zz -
+    (M-2) log|gamma|^2 by the identity log det C_zz = log det C_ee + (M-2)
+    log|gamma|^2 - log sigma^2, for C_zz = B C_ee B^H and a = C_ee w /
+    sigma^2, so J needs no B or C_zz. Never used by the updates; serves
+    convergence monitoring and finite-difference validation of the
+    gradients. Raises NumericsError where log_det_terms does.
+    """
+    return float(np.mean(neg_log_density_spherical(s_hat))) + log_det_terms(state, C_ee)
 
 
 def transmission_matrix(state, a_soi, bg_mix, echo_atf):
@@ -302,7 +314,7 @@ def transmission_matrix(state, a_soi, bg_mix, echo_atf):
     cols = np.concatenate([a_soi[:, :, None], bg_mix, (echo_atf - state.h)[:, :, None]],
                           axis=2)  # (F, M, M+1)
     v = np.zeros((n_freqs, m + 1, m + 1), dtype=np.complex128)
-    v[:, 0, :] = np.einsum("fm,fmk->fk", state.w.conj(), cols)
+    v[:, 0, :] = (state.w.conj()[:, None, :] @ cols)[:, 0, :]
     v[:, 1:m, :] = state.a[:, 1:, None] * cols[:, :1, :]
     v[:, 1:m, :] -= state.a[:, :1, None] * cols[:, 1:, :]
     v[:, m, m] = 1.0
@@ -310,15 +322,17 @@ def transmission_matrix(state, a_soi, bg_mix, echo_atf):
 
 
 def off_block_energy_db(v):
-    """Energy outside the 1/(M-1)/1 diagonal blocks over total energy, in dB."""
+    """Energy outside the 1/(M-1)/1 diagonal blocks over total energy, in dB.
+
+    The off-block entries are summed directly: row 0 past its first entry,
+    the first and last columns of rows 1..M-1, and row M before its last.
+    """
     v = np.asarray(v)
     m = v.shape[-1] - 1
-    mask = np.zeros((m + 1, m + 1), dtype=bool)
-    mask[0, 0] = True
-    mask[1:m, 1:m] = True
-    mask[m, m] = True
-    total = float(np.sum(np.abs(v) ** 2))
-    off = float(np.sum(np.abs(v) ** 2 * (~mask)))
+    p = v.real ** 2 + v.imag ** 2
+    total = float(np.sum(p))
+    off = float(np.sum(p[..., 0, 1:]) + np.sum(p[..., 1:m, 0]) + np.sum(p[..., 1:m, m])
+                + np.sum(p[..., m, :m]))
     if total <= 0.0:
         return -np.inf
     return 10.0 * np.log10(max(off / total, 1e-300))

@@ -12,20 +12,28 @@ in closed form, so e is formed only once, at the end, where the scale
 ambiguity of the extracted source is resolved by projecting onto a reference
 error channel.
 
-Each quantity is formed when its inputs move. C_ee and the loaded inverse
-that the BSE step applies depend on h alone, so they are formed at the start
-and after each echo step that moved h: a run makes one inversion per echo
-path (n for joint, one for BNLMS and ive), not one solve per BSE step. a and
-the active mask follow w, and are refreshed from the held C_ee after every
-BSE step; the mask reads the trace of the background covariance
-B C_ee B^H in closed form, and no run forms the covariance itself.
+Each quantity is formed when its inputs move. C_ee(h) = C_LS + P_u d d^H,
+with d = h - h_LS, is a rank-one update of the least-squares residual
+covariance, so a run makes one eigendecomposition, of C_LS, and inverts no
+matrix: C_ee and the loaded inverse that the BSE step applies follow from
+it in closed form at the start and after each echo step that moved h
+(n times for joint, once for BNLMS and ive). a and the active mask follow
+w, and are refreshed from the held C_ee after every BSE step; the mask reads
+the trace of the background covariance B C_ee B^H in closed form, and no
+run forms the covariance itself. Only a BSE step reads E[e phi], so a pass
+that serves an echo step and a record alone (joint's pass after its BSE
+step) does not form E[x phi]: joint forms it n times in n iterations. An
+iteration whose echo step left h in place forms it in that pass too, since
+the next BSE step is likely to read the pass unchanged (a silent
+loudspeaker holds h throughout).
 
 With RunConfig.records set (the default) each iteration also writes an
 IterationRecord: the profile likelihood J of model.cost, from the held C_ee
-and the iteration's moment pass, filter deltas, score medians and, given the
-truth, the off-block energy. Without it none of these is formed, nor the
-last iteration's moment pass, which only its record reads: n iterations make
-2n passes (joint) or n, not 2n + 1 or n + 1.
+and the iteration's moment pass (its data term is 2 sum_f nu_f), filter
+deltas, score medians and, given the truth, the off-block energy. Without it
+none of these is formed, nor the last iteration's moment pass, which only
+its record reads: n iterations make 2n passes (joint) or n, not 2n + 1 or
+n + 1.
 
 Baselines: per-channel BNLMS interleaved with the same extraction update,
 batch least-squares echo cancellation alone, and extraction alone.
@@ -38,9 +46,9 @@ from .model import (
     DemixState,
     NumericsError,
     background_power,
-    cost,
     covariance,
     loaded_inverse,
+    log_det_terms,
     off_block_energy_db,
     orthogonal_constraint_atf,
     score_spherical,
@@ -128,11 +136,30 @@ class RunResult:
 
 @dataclass
 class DataStats:
-    """Second-order statistics of the data, computed once per run."""
+    """Second-order statistics of the data, computed once per run.
+
+    C_ee(h) = C_LS + P_u d d^H for d = h - h_LS, with h_LS the least-squares
+    echo path and C_LS = C_xx - P_u h_LS h_LS^H its residual covariance. So
+    the one eigendecomposition of C_LS made here gives the loaded inverse of
+    C_ee at every h (error_inverse), and the held traces give tr C_ee.
+    """
 
     C_xx: np.ndarray  # (F, M, M) E[x x^H]
     r_xu: np.ndarray  # (F, M) E[x u*]
     P_u: np.ndarray   # (F,) E[|u|^2]
+    h_ls: np.ndarray = field(init=False)   # (F, M) r_xu / P_u, 0 without excitation
+    C_ls: np.ndarray = field(init=False)   # (F, M, M) C_xx - P_u h_ls h_ls^H
+    eig: tuple = field(init=False)         # (values (F, M), vectors (F, M, M)) of C_ls
+    tr_ls: np.ndarray = field(init=False)  # (F,) tr C_ls
+    tr_xx: np.ndarray = field(init=False)  # (F,) tr C_xx
+
+    def __post_init__(self):
+        self.h_ls = _least_squares(self.r_xu, self.P_u)
+        v = np.sqrt(self.P_u)[:, None] * self.h_ls
+        self.C_ls = self.C_xx - v[:, :, None] * v.conj()[:, None, :]
+        self.eig = np.linalg.eigh(self.C_ls)
+        self.tr_ls = np.einsum("fmm->f", self.C_ls).real
+        self.tr_xx = np.einsum("fmm->f", self.C_xx).real
 
     @classmethod
     def of(cls, x, u):
@@ -142,43 +169,80 @@ class DataStats:
         """E[e u*] = r_xu - h P_u for the error signal e = x - h u."""
         return self.r_xu - h * self.P_u[:, None]
 
-    def error_covariance(self, h):
-        """C_ee = C_xx - r_xu h^H - h r_xu^H + P_u h h^H for e = x - h u.
+    def _scaled_offset(self, h):
+        """(sqrt(P_u) d, tr C_ee, live) at h: C_ee = C_ls + v v^H, and its dead-bin mask.
 
         A bin whose trace falls below DEAD_BIN_FLOOR times that of C_xx holds
-        a fully cancelled echo, and what is left of it is rounding; it gets
+        a fully cancelled echo, and what is left of it is rounding; it is not
+        live.
+        """
+        v = np.sqrt(self.P_u)[:, None] * (h - self.h_ls)
+        tr = self.tr_ls + np.sum(v.real ** 2 + v.imag ** 2, axis=1)
+        return v, tr, tr > DEAD_BIN_FLOOR * self.tr_xx
+
+    def error_covariance(self, h):
+        """C_ee = E[e e^H] for e = x - h u, as C_ls + P_u d d^H, made exactly Hermitian.
+
+        A bin that is not live (its trace is at the dead-bin floor) gets
         C_ee = 0, as a pass over the exact e gives, which freezes it.
         """
-        c = (self.C_xx - self.r_xu[:, :, None] * h.conj()[:, None, :]
-             - h[:, :, None] * self.error_cross(h).conj()[:, None, :])
-        c = 0.5 * (c + np.conj(np.swapaxes(c, 1, 2)))
-        tr = np.einsum("fmm->f", c).real
-        c[~(tr > DEAD_BIN_FLOOR * np.einsum("fmm->f", self.C_xx).real)] = 0.0
+        v, _, live = self._scaled_offset(h)
+        c = self.C_ls + v[:, :, None] * v.conj()[:, None, :]
+        c = 0.5 * (c + np.conj(np.swapaxes(c, 1, 2)))  # the products round off its symmetry
+        c[~live] = 0.0
         return c
+
+    def error_inverse(self, h, loading):
+        """(inverse, ok) of C_ee(h) loaded with loading * tr C_ee / M, from the held eigh.
+
+        With C_ls = V diag(e) V^H and lam the loading, the loaded C_ls has the
+        inverse A = V diag(1 / (e + lam)) V^H, and Sherman-Morrison adds
+        P_u d d^H: A - A v v^H A / (1 + v^H A v) for v = sqrt(P_u) d. A bin is
+        not ok, with a zero inverse, when its trace is at the dead-bin floor,
+        any e + lam is not above tiny, or its inverse is not finite. Equals
+        model.loaded_inverse(error_covariance(h), loading) up to rounding.
+        """
+        values, vectors = self.eig
+        v, tr, ok = self._scaled_offset(h)
+        shifted = values + (loading * tr / values.shape[1])[:, None]
+        ok &= np.all(shifted > np.finfo(float).tiny, axis=1)
+        scaled = vectors * (1.0 / np.where(ok[:, None], shifted, 1.0))[:, None, :]
+        inverse = scaled @ np.conj(np.swapaxes(vectors, 1, 2))
+        av = (inverse @ v[:, :, None])[:, :, 0]
+        denom = 1.0 + np.sum(v.conj() * av, axis=1).real
+        inverse -= (av / denom[:, None])[:, :, None] * av.conj()[:, None, :]
+        ok &= np.all(np.isfinite(inverse), axis=(1, 2))
+        inverse[~ok] = 0.0
+        return inverse, ok
 
 
 @dataclass
 class Moments:
-    """Score-weighted moments at the current filters, from one pass over the frames."""
+    """Score-weighted moments at the current filters, from one pass over the frames.
+
+    e_phi is None when the pass was made for an echo step and a record alone,
+    which read no E[e phi].
+    """
 
     s: np.ndarray      # (F, T) source estimate w^H e
     y: np.ndarray      # (F, T) beamformed microphones w^H x, valid while w holds
     nu: np.ndarray     # (F,) E[s phi], the score normalizer
     rho: np.ndarray    # (F,) E[d phi / d s*]
-    e_phi: np.ndarray  # (F, M) E[e phi]
+    e_phi: np.ndarray  # (F, M) E[e phi], or None
     u_phi: np.ndarray  # (F,) E[u phi]
 
 
-def moments(x, u, state, score=score_spherical, y=None):
+def moments(x, u, state, score=score_spherical, y=None, e_phi=True):
     """One pass at the state's h and w: s = w^H x - (w^H h) u, its score, the moments.
 
     score(s) returns phi and rho = E[d phi / d s*]. s is formed in one buffer,
-    c u with c = w^H h, then subtracted from y = w^H x in place. E[x phi] and
-    E[u phi] are batched dot products over the frame axis, and the rest
-    follows in closed form: E[e phi] = E[x phi] - h E[u phi] and
-    nu = E[s phi] = w^H E[x phi] - c E[u phi], so neither e nor s phi is
-    formed. The result holds while h and w do: the driver passes the moments
-    behind one iteration's diagnostics on to the next iteration's first step
+    c u with c = w^H h, then subtracted from y = w^H x in place. nu = E[s phi]
+    and E[u phi] are batched dot products over the frame axis. Only the BSE
+    step reads E[e phi]; with e_phi set (the default) the pass also forms
+    E[x phi], one more product over the frames and channels, and takes
+    E[e phi] = E[x phi] - h E[u phi] in closed form, so e is never formed.
+    The result holds while h and w do: the driver passes the moments behind
+    one iteration's diagnostics on to the next iteration's first step
     instead of making the pass again. y holds while w does; when given, as
     after an echo step that moved only h, it is not formed again.
     """
@@ -190,11 +254,13 @@ def moments(x, u, state, score=score_spherical, y=None):
     phi, rho = score(s)
     phi_col = phi[:, :, None]
     n_frames = s.shape[1]
-    x_phi = (np.swapaxes(x, 1, 2) @ phi_col)[:, :, 0] / n_frames
+    nu = (s[:, None, :] @ phi_col)[:, 0, 0] / n_frames
     u_phi = (u[:, None, :] @ phi_col)[:, 0, 0] / n_frames
-    nu = np.sum(state.w.conj() * x_phi, axis=1) - c * u_phi
-    return Moments(s=s, y=y, nu=nu, rho=rho,
-                   e_phi=x_phi - state.h * u_phi[:, None], u_phi=u_phi)
+    mom = Moments(s=s, y=y, nu=nu, rho=rho, e_phi=None, u_phi=u_phi)
+    if e_phi:
+        x_phi = (np.swapaxes(x, 1, 2) @ phi_col)[:, :, 0] / n_frames
+        mom.e_phi = x_phi - state.h * u_phi[:, None]
+    return mom
 
 
 def _score_weight(nu, normalize):
@@ -248,12 +314,12 @@ def update_aec(state, x, u, data, score=score_spherical, mom=None):
     the step is (r + a (kappa - alpha w^H r) / alpha) / P_u,
     the least-squares step plus a correction along a. mom holds the moments
     at the state's h and w; when not given, they come from one pass over x
-    and u with the given score. Returns (h_new, active_mask); bins with
-    P_u <= tiny, |nu| or |alpha| <= DEAD_BIN_FLOOR, or a non-finite step are
-    left unchanged.
+    and u with the given score, which forms no E[e phi]. Returns (h_new,
+    active_mask); bins with P_u <= tiny, |nu| or |alpha| <= DEAD_BIN_FLOOR,
+    or a non-finite step are left unchanged.
     """
     if mom is None:
-        mom = moments(x, u, state, score)
+        mom = moments(x, u, state, score, e_phi=False)
     live = np.abs(mom.nu) > DEAD_BIN_FLOOR
     nu = np.where(live, mom.nu, 1.0)
     alpha = np.conj(mom.rho / nu)
@@ -274,10 +340,11 @@ def update_bse(state, mom, inv):
     the extraction contrast, with the moments taken at the state's h and w;
     the sign of the curvature denominator is the one that contracts toward
     the fixed point (the same structure as one-unit FastICA). inv is the
-    (inverse, ok) pair of loaded_inverse(C_ee, loading) at the state's h,
-    which the driver forms once per echo path and hands on. Bins where the
-    curvature nu - rho vanishes, the loaded C_ee has no inverse or the step
-    is not finite are skipped. Returns (w_new, active_mask); the caller is
+    (inverse, ok) pair of the loaded C_ee at the state's h, as
+    DataStats.error_inverse gives it (model.loaded_inverse is its
+    reference); the driver forms it once per echo path and hands it on.
+    Bins where the curvature nu - rho vanishes, the loaded C_ee has no
+    inverse or the step is not finite are skipped. Returns (w_new, active_mask); the caller is
     expected to renormalize.
     """
     inverse, solvable = inv
@@ -380,26 +447,29 @@ def _run(x, u, cfg, aec_mode, truth=None):
         # h stays put when frozen, under BNLMS after its first step and under
         # ive; C_ee, its inverse and the last iteration's moments then still hold
         y = None if mom is None else mom.y  # w^H x: w has not moved since
-        if not np.array_equal(state.h, h_old):
+        h_moved = not np.array_equal(state.h, h_old)
+        if h_moved:
             _update_statistics(state, data, cfg.loading)
             mom = inv = None
         w_old = state.w
         if m >= 2:
-            if mom is None:
+            if mom is None or mom.e_phi is None:  # joint's record pass formed no E[e phi]
                 mom = moments(x, u, state, y=y)
             if inv is None:
-                inv = loaded_inverse(state.C_ee, cfg.loading)
+                inv = data.error_inverse(state.h, cfg.loading)
             state.w, ok = update_bse(state, mom, inv)
             frozen = max(frozen, int(np.sum(~ok)))
         normalize_w(state)
         _refresh_beamformer(state, cfg.loading)  # w moved, h and C_ee did not
 
         if cfg.records or it + 1 < cfg.iterations:
-            mom = moments(x, u, state)  # the next echo or BSE step, and the record
+            # the next echo step (joint) or BSE step, and the record; joint's
+            # next BSE step reads it too if its echo step holds h, as this one did
+            mom = moments(x, u, state, e_phi=aec_mode != "joint" or not h_moved)
         if not cfg.records:
             continue
-        try:
-            cost_value = cost(state, state.C_ee, mom.s)
+        try:  # E[-log p(s)] = mean_t 2 r_t = 2 sum_f nu_f for the spherical score
+            cost_value = 2.0 * float(np.sum(mom.nu.real)) + log_det_terms(state, state.C_ee)
         except NumericsError:  # cancellation can leave an active C_ee indefinite
             cost_value = float("nan")
         record = IterationRecord(

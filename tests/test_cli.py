@@ -130,12 +130,14 @@ def test_bench_single_run_mean_equals_row(tmp_path):
 
 
 def test_bench_forms_no_whitener_or_cost(monkeypatch):
-    """bench reads no iteration record, so its runs form no cost; run still does.
+    """bench reads no iteration record, so its runs form no cost J; run still does.
+
+    A record's J is 2 sum_f nu_f plus model.log_det_terms, so that count is the cost's.
 
     No run forms a whitener, records or not; the count of
     test_runs_form_the_cost_once_per_iteration_and_no_whitener checks that.
     """
-    calls = {"cost": 0}
+    calls = {"log_det_terms": 0}
 
     def counting(name):
         original = getattr(cli._optimizer, name)
@@ -151,9 +153,9 @@ def test_bench_forms_no_whitener_or_cost(monkeypatch):
                           iterations=3)
     reports = cli.run_bench(spec)
     assert [r.algorithm for r in reports] == list(cli.CLI_ALGORITHMS)
-    assert calls == {"cost": 0}
+    assert calls == {"log_det_terms": 0}
     cli.run_algorithm("joint", cli._make_scene(spec, spec.seed), spec.run_config())
-    assert calls == {"cost": 3}
+    assert calls == {"log_det_terms": 3}
 
 
 def test_bench_rejects_unknown_algorithm_before_work(tmp_path):

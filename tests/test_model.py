@@ -490,6 +490,19 @@ def test_transmission_matrix_equals_the_blocking_matrix_formula(m):
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_off_block_energy_equals_the_masked_formula(m):
+    """The direct off-block sum equals the total minus the 1/(M-1)/1 diagonal blocks."""
+    rng = np.random.default_rng(40 + m)
+    v = crandn(rng, (7, m + 1, m + 1))
+    mask = np.zeros((m + 1, m + 1), dtype=bool)
+    mask[0, 0] = mask[m, m] = True
+    mask[1:m, 1:m] = True
+    power = np.abs(v) ** 2
+    reference = 10.0 * np.log10(np.sum(power * ~mask) / np.sum(power))
+    assert off_block_energy_db(v) == pytest.approx(reference, rel=1e-12)
+
+
 def test_score_stats_requires_two_frames():
     with pytest.raises(ValueError):
         score_stats(np.ones((4, 1), dtype=complex))

@@ -375,6 +375,51 @@ def test_closed_form_statistics_equal_dense_passes(m):
                                np.mean(e * u.conj()[:, :, None], axis=1), rtol=1e-10)
 
 
+def _error_inverse_data(rng, m=3, n_frames=60):
+    """DataStats over eight bins: four random, then silent, echo-only, echo-only, no loudspeaker.
+
+    Returns the data and an h: a random offset from h_LS everywhere but in
+    bin 6, where h = h_LS leaves the noise-free echo at the dead-bin floor.
+    In bin 5 the same kind of echo, left at a random offset, has a rank-one
+    C_ee. Bin 7 has microphone signals but P_u = 0.
+    """
+    x = crandn(rng, (8, n_frames, m))
+    u = crandn(rng, (8, n_frames))
+    x[:4] += crandn(rng, (4, m))[:, None, :] * u[:4, :, None]
+    x[4], u[4] = 0.0, 0.0
+    x[5:7] = crandn(rng, (2, m))[:, None, :] * u[5:7, :, None]
+    u[7] = 0.0
+    data = DataStats.of(x, u)
+    h = data.h_ls + crandn(rng, (8, m))
+    h[6] = data.h_ls[6]
+    return data, h
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_error_inverse_equals_the_loaded_inverse_of_c_ee(m):
+    """The inverse from the run's one eigendecomposition is loaded_inverse of C_ee(h).
+
+    Same ok mask: the silent bin and the bin at the dead-bin floor drop out,
+    and the rank-one echo-only bin and the bin without excitation do not.
+    The inverses agree to 1e-10 relative, or to 4 eps times the loaded
+    matrix's condition number where that is larger: the rank-one bin's is
+    about M / loading, and an exact inverse of the loaded matrix differs
+    from either form by up to 5e-10 there at the default loading.
+    """
+    rng = np.random.default_rng(40 + m)
+    data, h = _error_inverse_data(rng, m=m)
+    for loading in (DEFAULT_LOADING, 1e-3):
+        c_ee = data.error_covariance(h)
+        inverse, ok = data.error_inverse(h, loading)
+        reference, ok_ref = loaded_inverse(c_ee, loading)
+        np.testing.assert_array_equal(ok, [True] * 4 + [False, True, False, True])
+        np.testing.assert_array_equal(ok, ok_ref)
+        for f in range(len(ok)):
+            cond = np.linalg.cond(load_diagonal(c_ee[f], loading)) if ok[f] else 1.0
+            rtol = max(1e-10, 4 * np.finfo(float).eps * cond)
+            np.testing.assert_allclose(inverse[f], reference[f], rtol=rtol, atol=0)
+
+
 # ------------------------------------------------------------- normalize
 
 def test_normalize_identity_covariance():
@@ -471,14 +516,35 @@ def test_run_joint_invariants_after_run():
     assert np.max(np.abs(power - 1.0)) <= 1e-10  # unit-scale chain
 
 
-def test_run_joint_u_scale_invariance():
-    cfg = scenegen.ScenarioConfig(mics=3, seed=5)
-    scene = scenegen.render_narrowband(cfg, n_freqs=48, n_frames=160)
-    c = 2.0 - 1.5j
-    r1 = run_joint(scene.mixture, scene.loudspeaker, RunConfig(iterations=30))
-    r2 = run_joint(scene.mixture, c * scene.loudspeaker, RunConfig(iterations=30))
-    assert np.linalg.norm(r2.state.h - r1.state.h / c) <= 1e-8 * np.linalg.norm(r1.state.h)
-    assert np.linalg.norm(r2.s_hat - r1.s_hat) <= 1e-8 * np.linalg.norm(r1.s_hat)
+@settings(max_examples=8)
+@given(mics=st.integers(2, 4), log_scale=st.floats(-3.0, 3.0),
+       phase=st.floats(0.0, 2 * np.pi), seed=st.integers(0, 2**16))
+def test_runs_are_invariant_to_the_loudspeaker_scale(mics, log_scale, phase, seed):
+    """Under u -> alpha u, |alpha| in [1e-3, 1e3] with any phase, h becomes h / alpha.
+
+    w, a and s_hat hold. The run's least-squares echo path h_LS scales as h
+    does and its residual covariance C_LS holds, so the closed forms built on
+    them keep the invariance.
+    """
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=mics, seed=seed),
+                                       n_freqs=24, n_frames=80)
+    alpha = 10.0 ** log_scale * np.exp(1j * phase)
+    cfg = RunConfig(iterations=20, records=False)
+
+    def close(actual, expected):
+        return np.linalg.norm(actual - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    data = DataStats.of(scene.mixture, scene.loudspeaker)
+    data_scaled = DataStats.of(scene.mixture, alpha * scene.loudspeaker)
+    assert close(data_scaled.h_ls, data.h_ls / alpha)
+    assert close(data_scaled.C_ls, data.C_ls)
+    for run in (run_joint, run_bnlms_ive):
+        base = run(scene.mixture, scene.loudspeaker, cfg)
+        scaled = run(scene.mixture, alpha * scene.loudspeaker, cfg)
+        assert close(scaled.state.h, base.state.h / alpha)
+        for name in ("w", "a"):
+            assert close(getattr(scaled.state, name), getattr(base.state, name))
+        assert close(scaled.s_hat, base.s_hat)
 
 
 def test_run_joint_frequency_permutation_invariance():
@@ -585,6 +651,33 @@ def test_ive_only_keeps_h_zero_and_matches_joint_when_echo_free():
         return 10 * np.log10(p_s / p_rest)
 
     assert abs(sir_db(res_ive) - sir_db(res_joint)) <= 1.0
+
+
+def test_joint_with_a_silent_loudspeaker_equals_ive_only(monkeypatch):
+    """With u = 0 no echo step moves h, and joint's filters are ive's, bit for bit.
+
+    Past the lean pass its first echo step makes, joint then makes ive's n + 1
+    passes, each forming E[e phi]: a record pass after an echo step that held
+    h forms it for the next BSE step, which reads that pass instead of making
+    its own.
+    """
+    passes = []
+
+    def counting_moments(*args, **kwargs):
+        mom = moments(*args, **kwargs)
+        passes.append(mom.e_phi is not None)
+        return mom
+
+    monkeypatch.setattr(optimizer, "moments", counting_moments)
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
+                                       n_freqs=16, n_frames=40)
+    cfg = RunConfig(iterations=7)
+    joint = run_joint(scene.mixture, np.zeros_like(scene.loudspeaker), cfg)
+    assert passes == [False] + [True] * 8
+    ive = run_ive_only(scene.mixture, cfg)
+    for name in ("h", "w", "a"):
+        np.testing.assert_array_equal(getattr(joint.state, name), getattr(ive.state, name))
+    np.testing.assert_array_equal(joint.s_hat, ive.s_hat)
 
 
 def test_ive_only_loses_to_joint_when_echo_dominates():
@@ -697,14 +790,16 @@ def test_runs_make_one_score_pass_per_half_step(run, per_iteration, monkeypatch)
                          ids=["run_joint", "run_bnlms_ive", "run_ive_only"])
 def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inversions,
                                                            monkeypatch):
-    """C_ee and its loaded inverse are formed anew only when h moves, records or not.
+    """One eigendecomposition per run; C_ee and its loaded inverse once per echo path.
 
-    C_ee is formed at the start and after every echo step that moved h: each
-    iteration under joint, the first under BNLMS, never under ive. The first
-    BSE step on each echo path inverts the loaded C_ee, and the later ones
-    reuse it; the record's cost J reads the held C_ee and inverts nothing.
+    DataStats decomposes C_LS once. C_ee is formed at the start and after
+    every echo step that moved h: each iteration under joint, the first under
+    BNLMS, never under ive. The first BSE step on each echo path builds the
+    loaded inverse from the held decomposition and the later ones reuse it;
+    no run calls model.loaded_inverse, and the record's cost J inverts
+    nothing.
     """
-    calls = {"error_covariance": 0, "loaded_inverse": 0}
+    calls = dict.fromkeys(["eigh", "error_covariance", "error_inverse", "loaded_inverse"], 0)
 
     def counting(original, name):
         def counted(*args, **kwargs):
@@ -712,10 +807,12 @@ def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inv
             return original(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(DataStats, "error_covariance",
-                        counting(DataStats.error_covariance, "error_covariance"))
-    monkeypatch.setattr(optimizer, "loaded_inverse",
-                        counting(optimizer.loaded_inverse, "loaded_inverse"))
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eigh"))
+    for name in ("error_covariance", "error_inverse"):
+        monkeypatch.setattr(DataStats, name, counting(getattr(DataStats, name), name))
+    for module in (model, optimizer):
+        monkeypatch.setattr(module, "loaded_inverse",
+                            counting(module.loaded_inverse, "loaded_inverse"))
     scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
                                        n_freqs=16, n_frames=40)
     inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
@@ -723,14 +820,73 @@ def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inv
         for iterations in (1, 7):
             calls.update(dict.fromkeys(calls, 0))
             run(*inputs, RunConfig(iterations=iterations, records=records))
-            assert calls == {"error_covariance": covariances(iterations),
-                             "loaded_inverse": inversions(iterations)}
+            assert calls == {"eigh": 1, "error_covariance": covariances(iterations),
+                             "error_inverse": inversions(iterations), "loaded_inverse": 0}
+
+
+@pytest.mark.parametrize("run, e_phi_passes",
+                         [(run_joint, lambda n, records: n),
+                          (run_bnlms_ive, lambda n, records: n + records),
+                          (run_ive_only, lambda n, records: n + records)],
+                         ids=["run_joint", "run_bnlms_ive", "run_ive_only"])
+def test_only_the_passes_a_bse_step_reads_form_e_phi(run, e_phi_passes, monkeypatch):
+    """Joint forms E[x phi] once per iteration, in its BSE step's pass; the others in every pass.
+
+    Joint's other passes serve an echo step and a record, which read no
+    E[e phi]. BNLMS and ive make n + 1 passes (n without records), each of
+    which a BSE step may read.
+    """
+    passes = []
+
+    def counting_moments(*args, **kwargs):
+        mom = moments(*args, **kwargs)
+        passes.append(mom.e_phi is not None)
+        return mom
+
+    monkeypatch.setattr(optimizer, "moments", counting_moments)
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
+                                       n_freqs=16, n_frames=40)
+    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
+    for records in (False, True):
+        for iterations in (1, 7):
+            passes.clear()
+            run(*inputs, RunConfig(iterations=iterations, records=records))
+            assert sum(passes) == e_phi_passes(iterations, records)
+            if run is not run_joint:
+                assert all(passes)
+
+
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
+def test_the_records_cost_is_the_cost_at_its_pass(run, monkeypatch):
+    """Every record's J, whose data term is 2 sum_f nu_f, equals cost at the record's pass.
+
+    For the spherical score sum_f nu_f = mean_t r_t, so the record needs no
+    second look at s; model.cost forms E[2 r] from s itself.
+    """
+    passes, expected = [], []
+
+    def keeping_moments(*args, **kwargs):
+        passes.append(moments(*args, **kwargs))
+        return passes[-1]
+
+    def checking_log_det_terms(state, C_ee):
+        expected.append(cost(state, state.C_ee, passes[-1].s))
+        return model.log_det_terms(state, C_ee)
+
+    monkeypatch.setattr(optimizer, "moments", keeping_moments)
+    monkeypatch.setattr(optimizer, "log_det_terms", checking_log_det_terms)
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
+                                       n_freqs=16, n_frames=40)
+    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
+    records = run(*inputs, RunConfig(iterations=7)).diagnostics.records
+    assert len(expected) == 7
+    np.testing.assert_allclose([r.cost for r in records], expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
 def test_runs_form_the_cost_once_per_iteration_and_no_whitener(run, monkeypatch):
-    """Each record forms the cost J once, from C_ee; no run forms a whitener or a B."""
-    calls = {"cost": 0, "interference_whitener": 0, "blocking_matrix": 0}
+    """Each record forms J's log-det terms once, from C_ee; no run forms a whitener or a B."""
+    calls = {"log_det_terms": 0, "interference_whitener": 0, "blocking_matrix": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -740,7 +896,7 @@ def test_runs_form_the_cost_once_per_iteration_and_no_whitener(run, monkeypatch)
             return original(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(optimizer, "cost", counting(optimizer, "cost"))
+    monkeypatch.setattr(optimizer, "log_det_terms", counting(optimizer, "log_det_terms"))
     for name in ("interference_whitener", "blocking_matrix"):
         monkeypatch.setattr(model, name, counting(model, name))
     scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
@@ -750,7 +906,7 @@ def test_runs_form_the_cost_once_per_iteration_and_no_whitener(run, monkeypatch)
         for iterations in (1, 7):
             calls.update(dict.fromkeys(calls, 0))
             run(*inputs, RunConfig(iterations=iterations, records=records))
-            assert calls == {"cost": iterations if records else 0,
+            assert calls == {"log_det_terms": iterations if records else 0,
                              "interference_whitener": 0, "blocking_matrix": 0}
 
 
@@ -791,7 +947,7 @@ def test_runs_without_records_skip_the_diagnostics(run, per_iteration, monkeypat
     The last iteration's pass, which only its record reads, is skipped, and
     no cost or transmission matrix is formed.
     """
-    calls = {"moments": 0, "cost": 0, "transmission_matrix": 0}
+    calls = {"moments": 0, "log_det_terms": 0, "transmission_matrix": 0}
 
     def counting(name):
         original = getattr(optimizer, name)
@@ -810,7 +966,7 @@ def test_runs_without_records_skip_the_diagnostics(run, per_iteration, monkeypat
         calls.update(dict.fromkeys(calls, 0))
         run(*inputs, RunConfig(iterations=iterations, records=False), truth=scene.truth)
         assert calls == {"moments": per_iteration * iterations,
-                         "cost": 0, "transmission_matrix": 0}
+                         "log_det_terms": 0, "transmission_matrix": 0}
 
 
 @settings(max_examples=5)
