@@ -20,6 +20,7 @@ from .optimizer import (
     run_bnlms_ive,
     run_ive_only,
     run_ls_aec,
+    run_unprocessed,
 )
 from .scenegen import (
     Scene,

@@ -21,57 +21,22 @@ from . import metrics as _metrics
 from . import optimizer as _optimizer
 from . import scenegen as _scenegen
 from . import stft as _stft
-from .model import DemixState, NumericsError
+from .model import NumericsError
 
 __all__ = ["main", "ExperimentSpec", "run_algorithm", "run_bench"]
 
 
-def _reference_output(e, h, run_cfg):
-    """Result of a condition without a beamformer: the reference channel of e.
-
-    w = a = that channel's unit vector, so s_hat = w^H e, and there is no
-    backprojection scale and no iteration record.
-    """
-    n_freqs, _, m = e.shape
-    if run_cfg.reference_channel > m:
-        raise ValueError(f"reference channel {run_cfg.reference_channel} exceeds {m} microphones")
-    ref = run_cfg.reference_channel - 1
-    w = np.zeros((n_freqs, m), dtype=np.complex128)
-    w[:, ref] = 1.0
-    return _optimizer.RunResult(s_hat=e[:, :, ref], e=e, state=DemixState(h=h, w=w, a=w.copy()),
-                                diagnostics=_optimizer.RunDiagnostics())
-
-
-def _unprocessed(scene, run_cfg):
-    x, _ = _optimizer._inputs(scene.mixture, None)
-    return _reference_output(x, np.zeros_like(x[:, 0, :]), run_cfg)
-
-
-def _ls_aec(scene, run_cfg):
-    e, h = _optimizer.run_ls_aec(scene.mixture, scene.loudspeaker)
-    return _reference_output(e, h, run_cfg)
-
-
-def _ive(scene, run_cfg):
-    return _optimizer.run_ive_only(scene.mixture, run_cfg, truth=scene.truth)
-
-
-def _bnlms_ive(scene, run_cfg):
-    return _optimizer.run_bnlms_ive(scene.mixture, scene.loudspeaker, run_cfg, truth=scene.truth)
-
-
-def _joint(scene, run_cfg):
-    return _optimizer.run_joint(scene.mixture, scene.loudspeaker, run_cfg, truth=scene.truth)
-
-
 # The algorithms by name, in table order; each maps (scene, RunConfig) to a
-# RunResult.
+# RunResult. Each looks its run up in optimizer at call time, so a wrapper
+# patched onto optimizer.run_* is the one called.
 CLI_ALGORITHMS = {
-    "unprocessed": _unprocessed,
-    "ls_aec": _ls_aec,
-    "ive": _ive,
-    "bnlms_ive": _bnlms_ive,
-    "joint": _joint,
+    "unprocessed": lambda scene, cfg: _optimizer.run_unprocessed(scene.mixture, cfg),
+    "ls_aec": lambda scene, cfg: _optimizer.run_ls_aec(scene.mixture, scene.loudspeaker, cfg),
+    "ive": lambda scene, cfg: _optimizer.run_ive_only(scene.mixture, cfg, truth=scene.truth),
+    "bnlms_ive": lambda scene, cfg: _optimizer.run_bnlms_ive(
+        scene.mixture, scene.loudspeaker, cfg, truth=scene.truth),
+    "joint": lambda scene, cfg: _optimizer.run_joint(
+        scene.mixture, scene.loudspeaker, cfg, truth=scene.truth),
 }
 
 

@@ -12,8 +12,6 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import stft as _stft
-from .model import DemixState
-from .scenegen import COMPONENTS
 
 __all__ = [
     "MetricsReport",
@@ -44,23 +42,31 @@ class MetricsReport:
         return {c: getattr(self, c) for c in CSV_COLUMNS}
 
 
-def component_pass(state, images, u, bp_scale=None):
-    """Pass each component image through the estimated pipeline.
+def component_pass(state, images, u, bp_scale=None, reference_channel=1):
+    """Pass each component image through the estimated pipeline to the output.
 
-    Only the echo component has a loudspeaker part, so it alone changes at
-    the echo-cancellation stage: echo - h u. The extraction stage applies
-    w^H and the backprojection scale uniformly.
+    The pipeline is linear: echo subtraction e = x - h u, then w^H and the
+    backprojection scale. Only the echo component has a loudspeaker part, so
+    its output alone subtracts (w^H h) u. Without a backprojection scale
+    there is no beamformer: w is the reference channel's unit vector and the
+    scale is 1. state None is the unprocessed condition (h = 0).
 
-    Returns (aec_stage, bse_stage): dicts of (F, T, M) and (F, T) arrays;
-    bse_stage is None without a backprojection scale (no beamformer).
+    Returns a dict of each component's (F, T) output.
     """
-    aec_stage = {name: img - state.h[:, None, :] * u[:, :, None] if name == "echo" else img
-                 for name, img in images.items()}
+    n_freqs, _, m = images["echo"].shape
     if bp_scale is None:
-        return aec_stage, None
-    bse_stage = {name: bp_scale[:, None] * np.einsum("fm,ftm->ft", state.w.conj(), contrib)
-                 for name, contrib in aec_stage.items()}
-    return aec_stage, bse_stage
+        w = np.zeros((n_freqs, m), dtype=np.complex128)
+        w[:, reference_channel - 1] = 1.0
+    else:
+        w = state.w
+    w_col = w.conj()[:, :, None]
+    out = {}
+    for name, img in images.items():
+        y = (img @ w_col)[:, :, 0]
+        if name == "echo" and state is not None:
+            y -= np.sum(w.conj() * state.h, axis=1)[:, None] * u
+        out[name] = y if bp_scale is None else bp_scale[:, None] * y
+    return out
 
 
 def _db_ratio(num, den):
@@ -107,32 +113,25 @@ def evaluate_run(scene, state=None, bp_scale=None,
     AEC conditions).
     """
     ref = reference_channel - 1
-    if state is None:
-        state = DemixState.initial(scene.mixture.shape[0], scene.n_channels)
-    aec_stage, bse_stage = component_pass(state, scene.images, scene.loudspeaker, bp_scale)
-    if bp_scale is not None:
-        out = {name: bse_stage[name] for name in COMPONENTS}
-    else:
-        out = {name: aec_stage[name][:, :, ref] for name in COMPONENTS}
-
+    out = component_pass(state, scene.images, scene.loudspeaker, bp_scale, reference_channel)
     echo_ref_in = scene.images["echo"][:, :, ref]
-    echo_ref_res = aec_stage["echo"][:, :, ref]
-    echo_out = out["echo"]
+    echo_ref_res = echo_ref_in
+    if state is not None:
+        echo_ref_res = echo_ref_in - state.h[:, ref, None] * scene.loudspeaker
 
     if scene.frame_spec is not None:
         spec = scene.frame_spec
         echo_ref_in = _to_time(echo_ref_in, spec)
         echo_ref_res = _to_time(echo_ref_res, spec)
         out = {name: _to_time(sig, spec) for name, sig in out.items()}
-        echo_out = out["echo"]
 
-    sir, ser, sier = ratios(out["soi"], echo_out, out["interference"], out["noise"])
+    sir, ser, sier = ratios(out["soi"], out["echo"], out["interference"], out["noise"])
     return MetricsReport(
         sir_db=sir,
         ser_db=ser,
         sier_db=sier,
         erle_aec_db=erle(echo_ref_in, echo_ref_res),
-        erle_bf_db=erle(echo_ref_in, echo_out),
+        erle_bf_db=erle(echo_ref_in, out["echo"]),
         algorithm=algorithm,
         seed=seed,
         iterations=iterations,

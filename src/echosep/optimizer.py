@@ -16,11 +16,11 @@ Each quantity is formed when its inputs move. C_ee(h) = C_LS + P_u d d^H,
 with d = h - h_LS, is a rank-one update of the least-squares residual
 covariance, so a run makes one eigendecomposition, of C_LS, and inverts no
 matrix: C_ee and the loaded inverse that the BSE step applies follow from
-it in closed form at the start and after each echo step that moved h
-(n times for joint, once for BNLMS and ive). a and the active mask follow
-w, and are refreshed from the held C_ee after every BSE step; the mask reads
-the trace of the background covariance B C_ee B^H in closed form, and no
-run forms the covariance itself. Only a BSE step reads E[e phi], so a pass
+it in closed form at the start and after each echo step that moved h (only
+joint moves h). a and the active mask follow w, and are refreshed from the
+held C_ee after every BSE step; the mask reads the trace of the background
+covariance B C_ee B^H in closed form, and no run forms the covariance
+itself. Only a BSE step reads E[e phi], so a pass
 that serves an echo step and a record alone (joint's pass after its BSE
 step) does not form E[x phi]: joint forms it n times in n iterations. An
 iteration whose echo step left h in place forms it in that pass too, since
@@ -35,8 +35,12 @@ none of these is formed, nor the last iteration's moment pass, which only
 its record reads: n iterations make 2n passes (joint) or n, not 2n + 1 or
 n + 1.
 
-Baselines: per-channel BNLMS interleaved with the same extraction update,
-batch least-squares echo cancellation alone, and extraction alone.
+Baselines. BNLMS-IVE is the extraction update on the least-squares
+echo-cancelled signal: one batch-NLMS step from any h lands on the
+least-squares echo path h_LS, so the run starts there and never moves h.
+IVE is the same run with no loudspeaker (h_LS = 0). LS-AEC and the
+unprocessed condition form no beamformer: their output is the reference
+channel of e at h_LS and at h = 0.
 """
 
 import numpy as np
@@ -75,6 +79,7 @@ __all__ = [
     "run_bnlms_ive",
     "run_ls_aec",
     "run_ive_only",
+    "run_unprocessed",
 ]
 
 # Bins whose score normalizer or Newton curvature falls below this, or whose
@@ -384,21 +389,21 @@ def backprojection_scale(s_hat, e, reference_channel=1):
     return np.divide(corr, power, out=np.zeros_like(corr), where=power > 0)
 
 
-def _update_statistics(state, data, loading):
+def _update_statistics(state, data):
     """Form C_ee at the current h in closed form, then a and the active-bin mask.
 
     C_ee depends on h alone: the driver calls this at the start and whenever
     h moves, and _refresh_beamformer alone after a step that moved only w.
     """
     state.C_ee = data.error_covariance(state.h)
-    _refresh_beamformer(state, loading)
+    _refresh_beamformer(state)
 
 
-def _refresh_beamformer(state, loading):
+def _refresh_beamformer(state):
     """Form a and the active-bin mask at the current w from the held C_ee.
 
     No linear solve. Bins with a degenerate w^H C_ee w keep their a and are
-    frozen, and so are bins whose loaded, floored background trace
+    frozen, and so are bins whose floored background trace
     tr(B C_ee B^H), taken in closed form (background_power), is not
     positive; that test is what freezes noise-free echo-only bins.
     """
@@ -407,7 +412,6 @@ def _refresh_beamformer(state, loading):
     m = state.n_channels
     if m >= 2:
         tr = background_power(state.a, state.C_ee) + (m - 1) * _background_floor(state)
-        tr *= 1.0 + loading  # the trace of load_diagonal(C_zz + floor, loading)
         ok &= np.isfinite(tr) & (tr > np.finfo(float).tiny)
     state.active = ok
 
@@ -421,35 +425,34 @@ def _background_floor(state):
     return BACKGROUND_FLOOR * e_scale * b_scale
 
 
-def _run(x, u, cfg, aec_mode, truth=None):
-    """Shared iteration driver for the joint algorithm and its variants."""
-    x, u = _inputs(x, u)
+def _run(x, u, cfg=None, joint=True, truth=None):
+    """Shared iteration driver; a run that is not joint holds h at h_LS throughout."""
+    cfg = cfg or RunConfig()
+    x, u = _inputs(x, u, cfg)
     n_freqs, n_frames, m = x.shape
     if n_frames < 2:
         raise ValueError("score statistics need at least 2 frames")
-    if cfg.reference_channel > m:
-        raise ValueError(f"reference channel {cfg.reference_channel} exceeds {m} microphones")
     state = DemixState.initial(n_freqs, m)
     data = DataStats.of(x, u)
+    if not joint:
+        state.h = data.h_ls
     diag = RunDiagnostics()
 
-    _update_statistics(state, data, cfg.loading)
+    _update_statistics(state, data)
     mom = None  # the moments at the state's h and w, once a pass has made them
     inv = None  # the loaded inverse of C_ee at the state's h, once a BSE step needed it
     for it in range(cfg.iterations):
         frozen = int(np.sum(~state.active))
         h_old = state.h
-        if aec_mode == "joint":
+        h_moved = False
+        if joint:
             state.h, ok = update_aec(state, x, u, data, mom=mom)
             frozen = max(frozen, int(np.sum(~ok)))
-        elif aec_mode == "bnlms":
-            state.h = _least_squares(data.r_xu, data.P_u)
-        # h stays put when frozen, under BNLMS after its first step and under
-        # ive; C_ee, its inverse and the last iteration's moments then still hold
+            h_moved = not np.array_equal(state.h, h_old)
+        # while h stays put, C_ee, its inverse and the last iteration's moments still hold
         y = None if mom is None else mom.y  # w^H x: w has not moved since
-        h_moved = not np.array_equal(state.h, h_old)
         if h_moved:
-            _update_statistics(state, data, cfg.loading)
+            _update_statistics(state, data)
             mom = inv = None
         w_old = state.w
         if m >= 2:
@@ -460,12 +463,12 @@ def _run(x, u, cfg, aec_mode, truth=None):
             state.w, ok = update_bse(state, mom, inv)
             frozen = max(frozen, int(np.sum(~ok)))
         normalize_w(state)
-        _refresh_beamformer(state, cfg.loading)  # w moved, h and C_ee did not
+        _refresh_beamformer(state)  # w moved, h and C_ee did not
 
         if cfg.records or it + 1 < cfg.iterations:
-            # the next echo step (joint) or BSE step, and the record; joint's
-            # next BSE step reads it too if its echo step holds h, as this one did
-            mom = moments(x, u, state, e_phi=aec_mode != "joint" or not h_moved)
+            # the next echo step (joint) or BSE step, and the record; the next
+            # BSE step reads it too if h held in this iteration
+            mom = moments(x, u, state, e_phi=not h_moved)
         if not cfg.records:
             continue
         try:  # E[-log p(s)] = mean_t 2 r_t = 2 sum_f nu_f for the spherical score
@@ -494,24 +497,25 @@ def _run(x, u, cfg, aec_mode, truth=None):
 
 def run_joint(x, u, cfg=None, truth=None):
     """Joint echo-path and beamformer estimation (the full algorithm)."""
-    cfg = cfg or RunConfig()
-    return _run(x, u, cfg, aec_mode="joint", truth=truth)
+    return _run(x, u, cfg, truth=truth)
 
 
 def run_bnlms_ive(x, u, cfg=None, truth=None):
-    """Per-channel BNLMS echo canceller interleaved with the extraction update."""
-    cfg = cfg or RunConfig()
-    return _run(x, u, cfg, aec_mode="bnlms", truth=truth)
+    """Extraction on the least-squares echo-cancelled signal: h held at h_LS.
+
+    h_LS is where one batch-NLMS step lands from any h, so this is BNLMS
+    echo cancellation with the extraction update, each filter updated alone.
+    """
+    return _run(x, u, cfg, joint=False, truth=truth)
 
 
 def run_ive_only(x, cfg=None, truth=None):
-    """Extraction without echo cancellation: h frozen at zero."""
-    cfg = cfg or RunConfig()
-    return _run(x, None, cfg, aec_mode="frozen", truth=truth)
+    """Extraction without echo cancellation: run_bnlms_ive with no loudspeaker (h = 0)."""
+    return _run(x, None, cfg, joint=False, truth=truth)
 
 
-def _inputs(x, u):
-    """Validate microphone (F, T, M) and loudspeaker (F, T) spectra; u None is silence."""
+def _inputs(x, u, cfg):
+    """Validate spectra x (F, T, M) and u (F, T) (None is silence) and cfg's reference channel."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 3:
         raise ValueError("expected shape (n_freqs, n_frames, n_channels)")
@@ -522,6 +526,9 @@ def _inputs(x, u):
         raise ValueError("microphone and loudspeaker spectrograms disagree in shape")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
         raise ValueError("microphone or loudspeaker spectrogram is not finite (NaN or inf)")
+    m = x.shape[2]
+    if cfg.reference_channel > m:
+        raise ValueError(f"reference channel {cfg.reference_channel} exceeds {m} microphones")
     return x, u
 
 
@@ -539,15 +546,35 @@ def _least_squares(r_xu, P_u):
     return np.where(ok[:, None], r_xu / np.where(ok, P_u, 1.0)[:, None], 0.0)
 
 
-def run_ls_aec(x, u):
-    """Batch least-squares echo canceller, no beamformer.
+def _reference_output(e, h, cfg):
+    """Result of a condition without a beamformer: the reference channel of e.
 
-    Returns (e, h) with h = E[x u*] / E[|u|^2] per bin and channel.
+    w = a = that channel's unit vector, so s_hat = w^H e, and there is no
+    backprojection scale and no iteration record.
     """
-    x, u = _inputs(x, u)
+    ref = cfg.reference_channel - 1
+    w = np.zeros_like(h)
+    w[:, ref] = 1.0
+    return RunResult(s_hat=e[:, :, ref], e=e, state=DemixState(h=h, w=w, a=w.copy()),
+                     diagnostics=RunDiagnostics())
+
+
+def run_ls_aec(x, u, cfg=None):
+    """Batch least-squares echo canceller, no beamformer: h = E[x u*] / E[|u|^2].
+
+    Its output is the reference channel of e = x - h u.
+    """
+    cfg = cfg or RunConfig()
+    x, u = _inputs(x, u, cfg)
     r_xu, P_u = _echo_moments(x, u)
     if not np.any(P_u > 0):
         raise NumericsError("least-squares echo canceller needs a nonzero loudspeaker signal")
     h = _least_squares(r_xu, P_u)
-    e = x - h[:, None, :] * u[:, :, None]
-    return e, h
+    return _reference_output(x - h[:, None, :] * u[:, :, None], h, cfg)
+
+
+def run_unprocessed(x, cfg=None):
+    """The unprocessed condition: h = 0 and no beamformer; the output is x's reference channel."""
+    cfg = cfg or RunConfig()
+    x, _ = _inputs(x, None, cfg)
+    return _reference_output(x, np.zeros_like(x[:, 0, :]), cfg)

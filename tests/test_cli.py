@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from echosep import cli, metrics, stft
+from echosep import cli, metrics, optimizer, scenegen, stft
 from echosep.cli import ExperimentSpec, main
 
 
@@ -203,6 +203,23 @@ def test_experiment_spec_validation():
 
 def test_cli_algorithms_cover_table():
     assert set(cli.CLI_ALGORITHMS) == {"unprocessed", "ls_aec", "ive", "bnlms_ive", "joint"}
+
+
+@pytest.mark.parametrize("ref", [1, 2])
+def test_every_registered_algorithm_returns_a_run_result(ref):
+    """Each entry returns a RunResult; without a beamformer s_hat is e's reference channel."""
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
+                                       n_freqs=16, n_frames=40)
+    run_cfg = optimizer.RunConfig(iterations=3, reference_channel=ref)
+    for name in cli.CLI_ALGORITHMS:
+        res = cli.run_algorithm(name, scene, run_cfg)
+        assert isinstance(res, optimizer.RunResult), name
+        if name in ("unprocessed", "ls_aec"):
+            np.testing.assert_array_equal(res.s_hat, res.e[:, :, ref - 1])
+            assert res.diagnostics.bp_scale is None
+            assert res.diagnostics.records == []
+        else:
+            assert len(res.diagnostics.records) == 3
 
 
 def test_run_numerical_failure_exits_two(tmp_path):

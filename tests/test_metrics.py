@@ -6,7 +6,7 @@ import pytest
 from echosep import metrics, scenegen
 from echosep.metrics import MetricsReport, component_pass, csv_text, erle, ratios
 from echosep.model import DemixState
-from echosep.optimizer import RunConfig, run_joint
+from echosep.optimizer import RunConfig, run_joint, run_ls_aec
 from echosep.scenegen import ScenarioConfig, render_narrowband
 
 
@@ -20,29 +20,36 @@ def small_scene(seed=0, n_freqs=24, n_frames=80, mics=3):
 
 
 def test_component_pass_superposition():
+    """The components' outputs add up to s_hat, with a beamformer and without."""
     scene = small_scene()
     res = run_joint(scene.mixture, scene.loudspeaker, RunConfig(iterations=10))
-    aec, bse = component_pass(res.state, scene.images, scene.loudspeaker,
-                              res.diagnostics.bp_scale)
-    total_aec = sum(aec.values())
-    np.testing.assert_allclose(total_aec, res.e, rtol=1e-8)
-    total_bse = sum(bse.values())
-    np.testing.assert_allclose(total_bse, res.s_hat, rtol=1e-8)
+    out = component_pass(res.state, scene.images, scene.loudspeaker, res.diagnostics.bp_scale)
+    np.testing.assert_allclose(sum(out.values()), res.s_hat, rtol=1e-8)
+    ls = run_ls_aec(scene.mixture, scene.loudspeaker)
+    out = component_pass(ls.state, scene.images, scene.loudspeaker)
+    np.testing.assert_allclose(sum(out.values()), ls.s_hat, rtol=1e-8)
 
 
 def test_component_pass_perfect_filter_removes_echo():
     scene = small_scene(seed=1)
-    state = DemixState.initial(scene.mixture.shape[0], scene.n_channels)
+    n_freqs, m = scene.mixture.shape[0], scene.n_channels
+    state = DemixState.initial(n_freqs, m)
     state.h = scene.truth.echo_atf.copy()
-    aec, _ = metrics.component_pass(state, scene.images, scene.loudspeaker)
-    assert np.max(np.abs(aec["echo"])) <= 1e-12
+    out = metrics.component_pass(state, scene.images, scene.loudspeaker)
+    assert np.max(np.abs(out["echo"])) <= 1e-12
+    state.w = crandn(np.random.default_rng(1), (n_freqs, m))
+    out = metrics.component_pass(state, scene.images, scene.loudspeaker, np.ones(n_freqs))
+    assert np.max(np.abs(out["echo"])) <= 1e-12
 
 
 def test_component_pass_zero_filter_passes_echo_through():
     scene = small_scene(seed=2)
     state = DemixState.initial(scene.mixture.shape[0], scene.n_channels)
-    aec, _ = metrics.component_pass(state, scene.images, scene.loudspeaker)
-    np.testing.assert_array_equal(aec["echo"], scene.images["echo"])
+    for ref in (1, 2):
+        for st in (state, None):
+            out = metrics.component_pass(st, scene.images, scene.loudspeaker,
+                                         reference_channel=ref)
+            np.testing.assert_array_equal(out["echo"], scene.images["echo"][:, :, ref - 1])
 
 
 def test_erle_arithmetic():

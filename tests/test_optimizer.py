@@ -184,7 +184,7 @@ def test_update_aec_model_matched_misalignment():
     res = run_joint(scene.mixture, scene.loudspeaker, RunConfig(iterations=50))
     echo_atf = scene.truth.echo_atf
     mis = np.linalg.norm(res.state.h - echo_atf) / np.linalg.norm(echo_atf)
-    _, h_ls = run_ls_aec(scene.mixture, scene.loudspeaker)
+    h_ls = run_ls_aec(scene.mixture, scene.loudspeaker).state.h
     mis_ls = np.linalg.norm(h_ls - echo_atf) / np.linalg.norm(echo_atf)
     assert mis <= 0.05
     assert mis < 0.7 * mis_ls
@@ -272,7 +272,7 @@ def test_update_aec_with_given_moments_equals_its_own_pass():
     rng = np.random.default_rng(26)
     x, u, state = _instance(rng)
     data = DataStats.of(x, u)
-    _update_statistics(state, data, DEFAULT_LOADING)
+    _update_statistics(state, data)
     h_own, ok_own = update_aec(state, x, u, data)
     h_given, ok_given = update_aec(state, x, u, data, mom=moments(x, u, state))
     np.testing.assert_array_equal(h_given, h_own)
@@ -329,7 +329,7 @@ def test_moments_reuse_the_beamformed_microphones_after_an_echo_step():
     rng = np.random.default_rng(27)
     x, u, state = _instance(rng)
     data = DataStats.of(x, u)
-    _update_statistics(state, data, DEFAULT_LOADING)
+    _update_statistics(state, data)
     y = moments(x, u, state).y
     state.h, _ = update_aec(state, x, u, data)
     fresh, reused = moments(x, u, state), moments(x, u, state, y=y)
@@ -346,7 +346,7 @@ def test_refresh_freezes_bins_the_whitener_would_reject():
     c_xx = np.array([np.eye(3), np.diag([1.0, -1e-3, -1e-3])], dtype=complex)
     data = DataStats(C_xx=c_xx, r_xu=np.zeros((2, 3), dtype=complex), P_u=np.zeros(2))
     state = DemixState.initial(2, 3)
-    _update_statistics(state, data, DEFAULT_LOADING)
+    _update_statistics(state, data)
     _, whitener_ok = interference_whitener(state.a, background_covariance(state.a, state.C_ee))
     np.testing.assert_array_equal(state.active, [True, False])
     np.testing.assert_array_equal(whitener_ok, state.active)
@@ -358,7 +358,7 @@ def test_closed_form_statistics_equal_dense_passes(m):
     rng = np.random.default_rng(25 + m)
     x, u, state = _instance(rng, m=m)
     data = DataStats.of(x, u)
-    _update_statistics(state, data, DEFAULT_LOADING)
+    _update_statistics(state, data)
     e = x - state.h[:, None, :] * u[:, :, None]
     z = np.einsum("fkm,ftm->ftk", blocking_matrix(state.a), e)
     s = np.einsum("fm,ftm->ft", state.w.conj(), e)
@@ -601,9 +601,9 @@ def test_ls_aec_exact_on_pure_echo():
     u = crandn(rng, (16, 80))
     echo_atf = crandn(rng, (16, 3))
     x = echo_atf[:, None, :] * u[:, :, None]
-    e, h = run_ls_aec(x, u)
-    np.testing.assert_allclose(h, echo_atf, rtol=1e-12)
-    assert np.max(np.abs(e)) <= 1e-12
+    res = run_ls_aec(x, u)
+    np.testing.assert_allclose(res.state.h, echo_atf, rtol=1e-12)
+    assert np.max(np.abs(res.e)) <= 1e-12
 
 
 def test_ls_aec_rejects_silent_loudspeaker():
@@ -615,7 +615,7 @@ def test_ls_aec_matches_bnlms_batch_optimum():
     rng = np.random.default_rng(20)
     cfg = scenegen.ScenarioConfig(mics=3, seed=9)
     scene = scenegen.render_narrowband(cfg, n_freqs=32, n_frames=200)
-    _, h_ls = run_ls_aec(scene.mixture, scene.loudspeaker)
+    h_ls = run_ls_aec(scene.mixture, scene.loudspeaker).state.h
     res_b = run_bnlms_ive(scene.mixture, scene.loudspeaker, RunConfig(iterations=10))
     echo = scene.images["echo"]
     u = scene.loudspeaker
@@ -659,7 +659,7 @@ def test_joint_with_a_silent_loudspeaker_equals_ive_only(monkeypatch):
     Past the lean pass its first echo step makes, joint then makes ive's n + 1
     passes, each forming E[e phi]: a record pass after an echo step that held
     h forms it for the next BSE step, which reads that pass instead of making
-    its own.
+    its own. BNLMS-IVE on a silent loudspeaker holds h at h_LS = 0: it is ive.
     """
     passes = []
 
@@ -675,9 +675,11 @@ def test_joint_with_a_silent_loudspeaker_equals_ive_only(monkeypatch):
     joint = run_joint(scene.mixture, np.zeros_like(scene.loudspeaker), cfg)
     assert passes == [False] + [True] * 8
     ive = run_ive_only(scene.mixture, cfg)
-    for name in ("h", "w", "a"):
-        np.testing.assert_array_equal(getattr(joint.state, name), getattr(ive.state, name))
-    np.testing.assert_array_equal(joint.s_hat, ive.s_hat)
+    bnlms = run_bnlms_ive(scene.mixture, np.zeros_like(scene.loudspeaker), cfg)
+    for res in (joint, bnlms):
+        for name in ("h", "w", "a"):
+            np.testing.assert_array_equal(getattr(res.state, name), getattr(ive.state, name))
+        np.testing.assert_array_equal(res.s_hat, ive.s_hat)
 
 
 def test_ive_only_loses_to_joint_when_echo_dominates():
@@ -764,7 +766,7 @@ def test_runs_make_one_score_pass_per_half_step(run, per_iteration, monkeypatch)
     Every iteration makes one pass for its diagnostics record, and joint one
     more for its BSE step, after the echo step moved h. The record's pass
     serves the next iteration's echo step (joint) or, when h does not move
-    (ive; BNLMS after its first step), its BSE step. The first iteration
+    (BNLMS and ive), its BSE step. The first iteration
     makes the one pass that nothing before it could supply.
     """
     calls = []
@@ -785,7 +787,7 @@ def test_runs_make_one_score_pass_per_half_step(run, per_iteration, monkeypatch)
 
 @pytest.mark.parametrize("run, covariances, inversions",
                          [(run_joint, lambda n: n + 1, lambda n: n),
-                          (run_bnlms_ive, lambda n: 2, lambda n: 1),
+                          (run_bnlms_ive, lambda n: 1, lambda n: 1),
                           (run_ive_only, lambda n: 1, lambda n: 1)],
                          ids=["run_joint", "run_bnlms_ive", "run_ive_only"])
 def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inversions,
@@ -793,8 +795,8 @@ def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inv
     """One eigendecomposition per run; C_ee and its loaded inverse once per echo path.
 
     DataStats decomposes C_LS once. C_ee is formed at the start and after
-    every echo step that moved h: each iteration under joint, the first under
-    BNLMS, never under ive. The first BSE step on each echo path builds the
+    every echo step that moved h: each iteration under joint, never under
+    BNLMS and ive, which hold h at h_LS. The first BSE step on each echo path builds the
     loaded inverse from the held decomposition and the later ones reuse it;
     no run calls model.loaded_inverse, and the record's cost J inverts
     nothing.
