@@ -5,12 +5,14 @@ ndarrays of shape (n_freqs, n_frames, n_channels); synthesis takes the
 FrameSpec they were analysed with. Analysis and synthesis use the same
 window (square-root Hann by default), which satisfies the constant-overlap-add
 condition at 50% overlap and gives perfect reconstruction on interior samples.
+WAV files are read and written by a small numpy RIFF/WAVE codec.
 """
 
+import struct
 import numpy as np
 from dataclasses import dataclass
+from pathlib import Path
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.io import wavfile
 
 __all__ = [
     "FrameSpec",
@@ -162,36 +164,106 @@ def synthesize(data, spec, length=None):
     return out
 
 
+# RIFF/WAVE format tags: PCM, IEEE float, and WAVE_FORMAT_EXTENSIBLE, whose
+# subformat GUID carries one of the first two in its leading bytes.
+_PCM, _FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# (format tag, bytes per sample) -> (little-endian dtype, full scale)
+_READ_FORMATS = {
+    (_PCM, 2): ("<i2", 32768.0),
+    (_PCM, 3): ("<i4", 2147483648.0),  # 24-bit, left-justified in int32
+    (_PCM, 4): ("<i4", 2147483648.0),
+    (_FLOAT, 4): ("<f4", 1.0),
+    (_FLOAT, 8): ("<f8", 1.0),
+}
+
+
+def _parse_fmt(buf, path):
+    """(format tag, channels, sample rate, bytes per sample) of a fmt chunk."""
+    if len(buf) < 16:
+        raise ValueError(f"{path}: fmt chunk of {len(buf)} bytes")
+    tag, channels, rate, _, block_align, _ = struct.unpack_from("<HHIIHH", buf)
+    if tag == _EXTENSIBLE and len(buf) >= 40 and buf[24:40].endswith(_GUID_TAIL):
+        tag = struct.unpack_from("<I", buf, 24)[0]
+    if channels < 1 or block_align % channels:
+        raise ValueError(f"{path}: {channels} channels in {block_align}-byte blocks")
+    return tag, channels, rate, block_align // channels
+
+
 def read_wav(path):
-    """Read a PCM WAV file as float64 samples in [-1, 1].
+    """Read a WAV file as float64 samples in [-1, 1].
+
+    Accepts little-endian RIFF/WAVE files of 16-, 24- or 32-bit PCM or
+    32- or 64-bit IEEE float, also as WAVE_FORMAT_EXTENSIBLE; other chunks
+    are skipped. Anything else raises ValueError.
 
     Returns
     -------
-    (data, sample_rate) with data of shape (n_samples, n_channels).
+    (data, sample_rate) with data of shape (n_samples, n_channels), writable.
     """
-    rate, data = wavfile.read(path)
-    if data.dtype == np.int16:
-        data = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        data = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        data = data.astype(np.float64)
+    buf = Path(path).read_bytes()
+    if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
+    fmt, pos = None, 12
+    while pos + 8 <= len(buf):
+        chunk_id, size = struct.unpack_from("<4sI", buf, pos)
+        pos += 8
+        if pos + size > len(buf):
+            raise ValueError(f"{path}: {chunk_id!r} chunk runs past the end of the file")
+        if chunk_id == b"fmt ":
+            fmt = _parse_fmt(buf[pos:pos + size], path)
+        elif chunk_id == b"data":
+            break
+        pos += size + size % 2  # chunks are padded to an even length
     else:
-        raise ValueError(f"unsupported WAV sample format: {data.dtype}")
-    if data.ndim == 1:
-        data = data[:, None]
-    return data, int(rate)
+        raise ValueError(f"{path}: no data chunk")
+    if fmt is None:
+        raise ValueError(f"{path}: no fmt chunk before the data chunk")
+    tag, channels, rate, width = fmt
+    if (tag, width) not in _READ_FORMATS:
+        raise ValueError(f"{path}: unsupported WAV sample format "
+                         f"(format tag {tag:#06x}, {8 * width}-bit container)")
+    dtype, scale = _READ_FORMATS[tag, width]
+    n = size // (width * channels) * channels
+    raw = np.frombuffer(buf, np.uint8, n * width, pos)
+    if width == 3:  # each sample's 3 bytes go to the top of an int32
+        padded = np.zeros((n, 4), np.uint8)
+        padded[:, 1:] = raw.reshape(n, 3)
+        raw = padded
+    data = raw.view(dtype).astype(np.float64)
+    if scale != 1.0:
+        data /= scale
+    return data.reshape(-1, channels), int(rate)
 
 
 def write_wav(path, data, sample_rate, dtype="float32"):
-    """Write samples to a PCM WAV file (float32 or int16)."""
+    """Write samples to a WAV file as 32-bit float or 16-bit PCM.
+
+    The header is the canonical RIFF/WAVE layout: float32 files carry an
+    18-byte fmt chunk (cbSize 0) and a fact chunk with the frame count,
+    int16 files a 16-byte fmt chunk.
+    """
     data = np.asarray(data)
     if data.ndim == 1:
         data = data[:, None]
     if dtype == "float32":
-        wavfile.write(path, sample_rate, data.astype(np.float32))
+        samples, tag, fmt_tail = data.astype("<f4"), _FLOAT, b"\x00\x00"
     elif dtype == "int16":
         clipped = np.clip(data, -1.0, 1.0 - 1.0 / 32768.0)
-        wavfile.write(path, sample_rate, np.round(clipped * 32768.0).astype(np.int16))
+        samples, tag, fmt_tail = np.round(clipped * 32768.0).astype("<i2"), _PCM, b""
     else:
         raise ValueError(f"unsupported dtype: {dtype}")
+    n_frames, channels = samples.shape
+    width = samples.itemsize
+    fmt = struct.pack("<HHIIHH", tag, channels, sample_rate, sample_rate * width * channels,
+                      width * channels, 8 * width) + fmt_tail
+    header = b"WAVE" + struct.pack("<4sI", b"fmt ", len(fmt)) + fmt
+    if tag == _FLOAT:
+        header += struct.pack("<4sII", b"fact", 4, n_frames)
+    header += struct.pack("<4sI", b"data", samples.nbytes)
+    riff_size = len(header) + samples.nbytes
+    if riff_size > 0xFFFFFFFF:
+        raise ValueError(f"{path}: {samples.nbytes} bytes of samples exceed a RIFF file")
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sI", b"RIFF", riff_size) + header)
+        samples.tofile(f)

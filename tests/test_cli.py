@@ -1,6 +1,9 @@
 """CLI behavior: simulate/run/bench subcommands, config handling, determinism."""
 
 import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -286,6 +289,45 @@ def test_convolutive_workflow_end_to_end(tmp_path):
                     "--out", str(bench_dir)]) == 0
     text = (bench_dir / "results.csv").read_text()
     assert text.count("\n") == 11  # header + 5 runs + 5 means
+
+
+@pytest.mark.parametrize("silent, length", [("soi", 16000), ("intf", 16000), ("intf", 0)],
+                         ids=["silent_target", "silent_interferer", "empty_interferer"])
+def test_simulate_convolutive_silent_or_empty_source_exits_one(tmp_path, capsys, silent, length):
+    src_paths, rir_paths = [], []
+    for name in ("soi", "loud", "intf"):
+        sig = np.random.default_rng(33).standard_normal(16000) * 0.1
+        if name == silent:
+            sig = np.zeros(length)
+        src_paths.append(str(tmp_path / f"{name}.wav"))
+        stft.write_wav(src_paths[-1], sig, 16000)
+        rir_paths.append(str(tmp_path / f"{name}_rir.wav"))
+        stft.write_wav(rir_paths[-1], np.eye(8, 2), 16000)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mode": "convolutive", "mics": 2, "duration_s": 0.5,
+                                    "frame_len": 512, "hop": 256,
+                                    "source_wavs": src_paths, "rir_wavs": rir_paths}))
+    code = run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "scene")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: source {tmp_path}")
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    """Neither importing echosep nor simulating and running a scene loads scipy."""
+    code = (
+        "import sys, echosep, echosep.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "after_import = loaded()\n"
+        f"scene, out = {str(tmp_path / 'scene')!r}, {str(tmp_path / 'run')!r}\n"
+        "assert echosep.cli.main(['simulate', '--out', scene, '--seed', '3', '--duration',"
+        " '0.6', '--frame', '512', '--hop', '256', '--mics', '3']) == 0\n"
+        "assert echosep.cli.main(['run', '--scene', scene, '--algo', 'joint', '--out', out,"
+        " '--frame', '512', '--hop', '256', '--iterations', '3']) == 0\n"
+        "print(after_import, loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] []"
 
 
 def test_run_missing_scene_exits_one(tmp_path):

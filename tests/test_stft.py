@@ -1,7 +1,10 @@
 """STFT analysis/synthesis: reconstruction, linearity, energy, WAV I/O."""
 
+import struct
+
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from echosep import stft
 
@@ -203,3 +206,106 @@ def test_wav_mono_round_trip(tmp_path):
     assert rate == 8000
     assert back.shape == (300, 1)
     np.testing.assert_allclose(back[:, 0], data, atol=1e-7)
+
+
+def scipy_written(path, data, dtype):
+    """write_wav's samples, written by scipy.io.wavfile."""
+    data = data[:, None] if data.ndim == 1 else data
+    if dtype == "int16":
+        data = np.round(np.clip(data, -1.0, 1.0 - 1.0 / 32768.0) * 32768.0).astype(np.int16)
+    wavfile.write(path, 16000, data.astype(dtype))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "int16"])
+@pytest.mark.parametrize("shape", [(1500,), (1500, 4)], ids=["mono", "4ch"])
+def test_write_wav_bytes_equal_scipy(tmp_path, dtype, shape):
+    data = np.random.default_rng(8).standard_normal(shape) * 0.4
+    stft.write_wav(tmp_path / "ours.wav", data, 16000, dtype=dtype)
+    assert (tmp_path / "ours.wav").read_bytes() == scipy_written(tmp_path / "s.wav", data, dtype)
+
+
+@pytest.mark.parametrize("dtype, scale", [(np.int16, 2.0**15), (np.int32, 2.0**31),
+                                          (np.float32, 1.0), (np.float64, 1.0)])
+@pytest.mark.parametrize("n_chan", [1, 3])
+def test_read_wav_equals_scipy_read(tmp_path, dtype, scale, n_chan):
+    rng = np.random.default_rng(9)
+    samples = (rng.uniform(-0.9, 0.9, (700, n_chan)) * scale).astype(dtype)
+    path = tmp_path / "x.wav"
+    wavfile.write(path, 22050, samples[:, 0] if n_chan == 1 else samples)
+    rate, expected = wavfile.read(path)
+    data, ours = stft.read_wav(path)
+    assert ours == rate == 22050
+    assert data.dtype == np.float64 and data.shape == (700, n_chan)
+    assert np.array_equal(data, expected.reshape(700, n_chan).astype(np.float64) / scale)
+
+
+def riff(*chunks):
+    """A RIFF/WAVE file of the given (id, payload) chunks, each padded to even length."""
+    body = b"WAVE"
+    for chunk_id, payload in chunks:
+        body += struct.pack("<4sI", chunk_id, len(payload)) + payload + b"\0" * (len(payload) % 2)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt(tag, channels, width, rate=16000, extra=b""):
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * width * channels,
+                       width * channels, 8 * width) + extra
+
+
+def extensible(channels, width, subformat):
+    guid = struct.pack("<I", subformat) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return fmt(0xFFFE, channels, width, extra=struct.pack("<HHI", 22, 8 * width, 0) + guid)
+
+
+def test_read_wav_24_bit_pcm(tmp_path):
+    values = np.array([[0, -1], [2**23 - 1, -2**23], [12345, -54321]])
+    payload = b"".join(int(v).to_bytes(3, "little", signed=True) for v in values.ravel())
+    path = tmp_path / "x24.wav"
+    path.write_bytes(riff((b"fmt ", fmt(1, 2, 3)), (b"data", payload)))
+    data, rate = stft.read_wav(path)
+    assert rate == 16000
+    assert np.array_equal(data, values / 2.0**23)
+    _, expected = wavfile.read(path)  # scipy's left-justified int32
+    assert np.array_equal(data, expected / 2.0**31)
+
+
+@pytest.mark.parametrize("subformat, dtype", [(1, "<i2"), (3, "<f4")])
+def test_read_wav_extensible(tmp_path, subformat, dtype):
+    samples = (np.random.default_rng(10).uniform(-0.5, 0.5, (40, 2))
+               * (2.0**15 if subformat == 1 else 1.0)).astype(dtype)
+    path = tmp_path / "ext.wav"
+    path.write_bytes(riff((b"fmt ", extensible(2, samples.itemsize, subformat)),
+                          (b"data", samples.tobytes())))
+    data, _ = stft.read_wav(path)
+    assert np.array_equal(data, samples / (2.0**15 if subformat == 1 else 1.0))
+
+
+def test_read_wav_skips_an_odd_sized_list_chunk(tmp_path):
+    samples = np.arange(-6, 6, dtype="<i2").reshape(6, 2)
+    path = tmp_path / "list.wav"
+    path.write_bytes(riff((b"fmt ", fmt(1, 2, 2)), (b"LIST", b"INFOabc"),
+                          (b"data", samples.tobytes())))
+    data, _ = stft.read_wav(path)
+    assert np.array_equal(data, samples / 32768.0)
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"RIFX" + bytes(40), "not a RIFF"),
+    (riff((b"fmt ", fmt(1, 1, 1)), (b"data", bytes(10))), "8-bit"),
+    (riff((b"fmt ", fmt(3, 1, 4)), (b"LIST", b"INFO")), "no data chunk"),
+    (riff((b"fmt ", fmt(1, 1, 2)), (b"data", bytes(10)))[:-4], "past the end"),
+], ids=["not_riff", "pcm_8_bit", "no_data_chunk", "data_past_end"])
+def test_read_wav_rejects(tmp_path, content, reason):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=reason):
+        stft.read_wav(path)
+
+
+def test_read_wav_returns_a_writable_array(tmp_path):
+    """Callers edit what they read (the CLI's non-finite-mixture tests do)."""
+    stft.write_wav(tmp_path / "x.wav", np.zeros((10, 2)), 16000)
+    data, _ = stft.read_wav(tmp_path / "x.wav")
+    data[3, 1] = np.nan
+    assert data.flags.writeable and np.isnan(data[3, 1])
