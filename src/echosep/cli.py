@@ -5,8 +5,9 @@ Subcommands:
   run       process a saved scene with one algorithm, write the result
   bench     run algorithms over seeded scenes and write a metrics CSV
 
-Configuration comes from an optional JSON file (--config) whose keys mirror
-the flags; flags override file values. Exit codes: 0 success, 1 configuration
+Configuration comes from an optional JSON file (--config) whose keys are
+ExperimentSpec's fields; each flag sets the field its argparse dest names and
+overrides the file's value. Exit codes: 0 success, 1 configuration
 error, 2 numerical failure at runtime.
 """
 
@@ -69,6 +70,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if not self.algorithms:
+            raise ConfigError("algorithms must name at least one algorithm")
         if self.mode not in ("narrowband", "convolutive"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         for name in self.algorithms:
@@ -99,8 +102,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_args(cls, args):
+        """The config file's values, overridden by every spec field the command line set."""
         values = {}
-        if getattr(args, "config", None):
+        if args.config:
             path = Path(args.config)
             if not path.exists():
                 raise ConfigError(f"config file not found: {path}")
@@ -112,21 +116,8 @@ class ExperimentSpec:
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             values.update(loaded)
-        overrides = {
-            "seed": args.seed,
-            "mode": args.mode,
-            "runs": getattr(args, "runs", None),
-            "mics": getattr(args, "mics", None),
-            "duration_s": getattr(args, "duration", None),
-            "iterations": getattr(args, "iterations", None),
-            "frame_len": getattr(args, "frame", None),
-            "hop": getattr(args, "hop", None),
-            "out": getattr(args, "out", None),
-        }
-        algo = getattr(args, "algo", None)
-        if algo:
-            overrides["algorithms"] = tuple(a.strip() for a in algo.split(",") if a.strip())
-        values.update({k: v for k, v in overrides.items() if v is not None})
+        values.update({k: v for k, v in vars(args).items()
+                       if k in cls.__dataclass_fields__ and v is not None})
         try:
             return cls(**values)
         except TypeError as exc:
@@ -184,10 +175,9 @@ def cmd_run(spec, scene_path, algo):
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     sr = scene.frame_spec.sample_rate
-    run_cfg = spec.run_config()
     ref = spec.reference_channel - 1
 
-    res = run_algorithm(algo, scene, run_cfg)
+    res = run_algorithm(algo, scene, spec.run_config())
     mixture = scene.time_signals["mixture"]
     if algo == "unprocessed":  # exact, without an STFT round trip
         out_time = mixture[:, ref:ref + 1]
@@ -195,8 +185,7 @@ def cmd_run(spec, scene_path, algo):
         out_time = _stft.synthesize(res.s_hat, scene.frame_spec, length=mixture.shape[0])
     _stft.write_wav(out / "enhanced.wav", out_time, sr, dtype="float32")
     bp_scale = res.diagnostics.bp_scale
-    filters = {"h": res.state.h, "w": res.state.w, "a": res.state.a, "bp_scale": bp_scale}
-    np.savez(out / "filters.npz", **{k: v for k, v in filters.items() if v is not None})
+    np.savez(out / "filters.npz", h=res.state.h, w=res.state.w, a=res.state.a, bp_scale=bp_scale)
 
     rep = _metrics.evaluate_run(
         scene, res.state, bp_scale, algorithm=algo,
@@ -228,20 +217,24 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _algorithm_list(text):
+    return tuple(a.strip() for a in text.split(",") if a.strip())
+
+
 def _build_parser():
     parser = _Parser(prog="echosep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=("narrowband", "convolutive"), default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--mics", type=int, default=None)
-        p.add_argument("--duration", type=float, default=None, help="scene length in seconds")
-        p.add_argument("--iterations", type=int, default=None)
-        p.add_argument("--frame", type=int, default=None, help="STFT frame length")
-        p.add_argument("--hop", type=int, default=None, help="STFT hop size")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--mode", choices=("narrowband", "convolutive"))
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--mics", type=int)
+        p.add_argument("--duration", dest="duration_s", type=float, help="scene length in seconds")
+        p.add_argument("--iterations", type=int)
+        p.add_argument("--frame", dest="frame_len", type=int, help="STFT frame length")
+        p.add_argument("--hop", type=int, help="STFT hop size")
 
     p_sim = sub.add_parser("simulate", help="render a scene to WAVs + manifest")
     common(p_sim)
@@ -253,8 +246,8 @@ def _build_parser():
 
     p_bench = sub.add_parser("bench", help="benchmark algorithms over seeded scenes")
     common(p_bench)
-    p_bench.add_argument("--runs", type=int, default=None)
-    p_bench.add_argument("--algo", default=None,
+    p_bench.add_argument("--runs", type=int)
+    p_bench.add_argument("--algo", dest="algorithms", type=_algorithm_list,
                          help="comma-separated algorithm list "
                               f"(default: {','.join(CLI_ALGORITHMS)})")
     return parser
@@ -264,17 +257,13 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            algo = args.algo
-            args_no_algo = argparse.Namespace(**{**vars(args), "algo": None})
-            spec = ExperimentSpec.from_args(args_no_algo)
-            code = cmd_run(spec, args.scene, algo)
+        spec = ExperimentSpec.from_args(args)
+        if args.command == "simulate":
+            code = cmd_simulate(spec)
+        elif args.command == "run":
+            code = cmd_run(spec, args.scene, args.algo)
         else:
-            spec = ExperimentSpec.from_args(args)
-            if args.command == "simulate":
-                code = cmd_simulate(spec)
-            else:
-                code = cmd_bench(spec)
+            code = cmd_bench(spec)
     except (NumericsError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

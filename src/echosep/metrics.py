@@ -42,30 +42,23 @@ class MetricsReport:
         return {c: getattr(self, c) for c in CSV_COLUMNS}
 
 
-def component_pass(state, images, u, bp_scale=None, reference_channel=1):
+def component_pass(state, images, u, bp_scale):
     """Pass each component image through the estimated pipeline to the output.
 
     The pipeline is linear: echo subtraction e = x - h u, then w^H and the
     backprojection scale. Only the echo component has a loudspeaker part, so
-    its output alone subtracts (w^H h) u. Without a backprojection scale
-    there is no beamformer: w is the reference channel's unit vector and the
-    scale is 1. state None is the unprocessed condition (h = 0).
+    its output alone subtracts (w^H h) u. A run without a beamformer has w
+    the reference channel's unit vector and a scale of 1.
 
     Returns a dict of each component's (F, T) output.
     """
-    n_freqs, _, m = images["echo"].shape
-    if bp_scale is None:
-        w = np.zeros((n_freqs, m), dtype=np.complex128)
-        w[:, reference_channel - 1] = 1.0
-    else:
-        w = state.w
-    w_col = w.conj()[:, :, None]
+    w_col = state.w.conj()[:, :, None]
     out = {}
     for name, img in images.items():
         y = (img @ w_col)[:, :, 0]
-        if name == "echo" and state is not None:
-            y -= np.sum(w.conj() * state.h, axis=1)[:, None] * u
-        out[name] = y if bp_scale is None else bp_scale[:, None] * y
+        if name == "echo":
+            y -= np.sum(state.w.conj() * state.h, axis=1)[:, None] * u
+        out[name] = bp_scale[:, None] * y
     return out
 
 
@@ -103,21 +96,18 @@ def _to_time(tf_signal, frame_spec):
     return out[trim:out.shape[0] - trim]
 
 
-def evaluate_run(scene, state=None, bp_scale=None,
+def evaluate_run(scene, state, bp_scale,
                  algorithm="", seed=0, iterations=0, reference_channel=1):
     """Compute the metric report for one processed scene.
 
-    state None means the unprocessed condition (h = 0). Without a
-    backprojection scale there is no beamformer, and the echo-cancellation
-    stage at the reference channel is the final output (unprocessed and LS
-    AEC conditions).
+    Without a beamformer (unprocessed and LS AEC conditions) the state's w
+    is the reference channel's unit vector, so the echo-cancellation stage
+    at the reference channel is the final output.
     """
     ref = reference_channel - 1
-    out = component_pass(state, scene.images, scene.loudspeaker, bp_scale, reference_channel)
+    out = component_pass(state, scene.images, scene.loudspeaker, bp_scale)
     echo_ref_in = scene.images["echo"][:, :, ref]
-    echo_ref_res = echo_ref_in
-    if state is not None:
-        echo_ref_res = echo_ref_in - state.h[:, ref, None] * scene.loudspeaker
+    echo_ref_res = echo_ref_in - state.h[:, ref, None] * scene.loudspeaker
 
     if scene.frame_spec is not None:
         spec = scene.frame_spec

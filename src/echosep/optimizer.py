@@ -96,7 +96,6 @@ class RunConfig:
     """Iteration settings shared by all algorithms."""
 
     iterations: int = 50
-    loading: float = DEFAULT_LOADING
     reference_channel: int = 1  # 1-based microphone index for backprojection
     records: bool = True  # form an IterationRecord (cost J, deltas, truth) each iteration
 
@@ -130,7 +129,7 @@ class RunDiagnostics:
 
 @dataclass
 class RunResult:
-    """What every algorithm returns; diagnostics.bp_scale is None without a beamformer."""
+    """What every algorithm returns; without a beamformer diagnostics.bp_scale is ones."""
 
     s_hat: np.ndarray  # (F, T) output: backprojected source estimate, or the
                        # reference channel of e when there is no beamformer
@@ -229,7 +228,6 @@ class Moments:
     which read no E[e phi].
     """
 
-    s: np.ndarray      # (F, T) source estimate w^H e
     y: np.ndarray      # (F, T) beamformed microphones w^H x, valid while w holds
     nu: np.ndarray     # (F,) E[s phi], the score normalizer
     rho: np.ndarray    # (F,) E[d phi / d s*]
@@ -261,7 +259,7 @@ def moments(x, u, state, score=score_spherical, y=None, e_phi=True):
     n_frames = s.shape[1]
     nu = (s[:, None, :] @ phi_col)[:, 0, 0] / n_frames
     u_phi = (u[:, None, :] @ phi_col)[:, 0, 0] / n_frames
-    mom = Moments(s=s, y=y, nu=nu, rho=rho, e_phi=None, u_phi=u_phi)
+    mom = Moments(y=y, nu=nu, rho=rho, e_phi=None, u_phi=u_phi)
     if e_phi:
         x_phi = (np.swapaxes(x, 1, 2) @ phi_col)[:, :, 0] / n_frames
         mom.e_phi = x_phi - state.h * u_phi[:, None]
@@ -459,7 +457,7 @@ def _run(x, u, cfg=None, joint=True, truth=None):
             if mom is None or mom.e_phi is None:  # joint's record pass formed no E[e phi]
                 mom = moments(x, u, state, y=y)
             if inv is None:
-                inv = data.error_inverse(state.h, cfg.loading)
+                inv = data.error_inverse(state.h, DEFAULT_LOADING)
             state.w, ok = update_bse(state, mom, inv)
             frozen = max(frozen, int(np.sum(~ok)))
         normalize_w(state)
@@ -489,7 +487,8 @@ def _run(x, u, cfg=None, joint=True, truth=None):
             record.off_block_db = off_block_energy_db(v)
         diag.records.append(record)
 
-    e = x - state.h[:, None, :] * u[:, :, None]
+    e = state.h[:, None, :] * u[:, :, None]
+    np.subtract(x, e, out=e)  # e = x - h u in one (F, T, M) buffer
     s = (e @ state.w.conj()[:, :, None])[:, :, 0]
     diag.bp_scale = backprojection_scale(s, e, cfg.reference_channel)
     return RunResult(s_hat=diag.bp_scale[:, None] * s, e=e, state=state, diagnostics=diag)
@@ -549,14 +548,14 @@ def _least_squares(r_xu, P_u):
 def _reference_output(e, h, cfg):
     """Result of a condition without a beamformer: the reference channel of e.
 
-    w = a = that channel's unit vector, so s_hat = w^H e, and there is no
-    backprojection scale and no iteration record.
+    w = a = that channel's unit vector, so s_hat = w^H e, the backprojection
+    scale is 1 and there is no iteration record.
     """
     ref = cfg.reference_channel - 1
     w = np.zeros_like(h)
     w[:, ref] = 1.0
     return RunResult(s_hat=e[:, :, ref], e=e, state=DemixState(h=h, w=w, a=w.copy()),
-                     diagnostics=RunDiagnostics())
+                     diagnostics=RunDiagnostics(bp_scale=np.ones(len(h))))
 
 
 def run_ls_aec(x, u, cfg=None):

@@ -153,7 +153,25 @@ def _power(x, channel=0):
     return float(np.mean(np.abs(x[..., channel]) ** 2))
 
 
-def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None, sources=None):
+def _mix(raw, cfg):
+    """Scale raw (soi, echo, interference, noise) images in place to cfg's ratios; sum them.
+
+    The echo keeps its level; the other gains make SER, IER and ENR at
+    microphone 1 match cfg exactly. Returns (images, mixture, gains).
+    """
+    images = dict(zip(COMPONENTS, raw))
+    p_echo = _power(images["echo"])
+    ratios_db = {"soi": cfg.ser_db, "interference": cfg.ier_db, "noise": -cfg.enr_db}
+    gains = {name: float(np.sqrt(p_echo * 10.0 ** (db / 10.0) / _power(images[name])))
+             for name, db in ratios_db.items()}
+    gains["echo"] = 1.0
+    for name in ratios_db:
+        images[name] *= gains[name]
+    mixture = images["soi"] + images["echo"] + images["interference"] + images["noise"]
+    return images, mixture, gains
+
+
+def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None):
     """Build a narrowband scene with exact component images and known mixing.
 
     The grid is taken from frame_spec + cfg.duration_s when given, otherwise
@@ -168,37 +186,17 @@ def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None, sources
         raise ValueError("render_narrowband needs a frame_spec or explicit n_freqs/n_frames")
     rng = np.random.default_rng(cfg.seed)
     m = cfg.mics
-    if sources is None:
-        s, q, u = synth_sources(rng, n_freqs, n_frames, n_bg=m - 1)
-    else:
-        s, q, u = sources
-
+    s, q, u = synth_sources(rng, n_freqs, n_frames, n_bg=m - 1)
     a_soi = _circular_gauss(rng, (n_freqs, m))
     echo_atf = _circular_gauss(rng, (n_freqs, m))
     bg_mix = _circular_gauss(rng, (n_freqs, m, m - 1))
-
-    echo = echo_atf[:, None, :] * u[:, :, None]
-    soi_raw = a_soi[:, None, :] * s[:, :, None]
-    intf_raw = np.einsum("fmk,ftk->ftm", bg_mix, q)
-    noise_raw = _circular_gauss(rng, (n_freqs, n_frames, m))
-
-    p_echo = _power(echo)
-    gain_soi = np.sqrt(p_echo * 10.0 ** (cfg.ser_db / 10.0) / _power(soi_raw))
-    gain_intf = np.sqrt(p_echo * 10.0 ** (cfg.ier_db / 10.0) / _power(intf_raw))
-    gain_noise = np.sqrt(p_echo * 10.0 ** (-cfg.enr_db / 10.0) / _power(noise_raw))
-
-    # fold the source gains into the source signals so truth ATFs stay exact
-    s = gain_soi * s
-    q = gain_intf * q
-    images = {
-        "soi": gain_soi * soi_raw,
-        "echo": echo,
-        "interference": gain_intf * intf_raw,
-        "noise": gain_noise * noise_raw,
-    }
-    mixture = images["soi"] + images["echo"] + images["interference"] + images["noise"]
-    gains = {"soi": float(gain_soi), "interference": float(gain_intf),
-             "noise": float(gain_noise), "echo": 1.0}
+    raw = (
+        a_soi[:, None, :] * s[:, :, None],
+        echo_atf[:, None, :] * u[:, :, None],
+        np.einsum("fmk,ftk->ftm", bg_mix, q),
+        _circular_gauss(rng, (n_freqs, n_frames, m)),
+    )
+    images, mixture, gains = _mix(raw, cfg)
     return Scene(
         mixture=mixture,
         loudspeaker=u,
@@ -207,6 +205,20 @@ def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None, sources
         truth=SceneTruth(a_soi=a_soi, echo_atf=echo_atf, bg_mix=bg_mix),
         frame_spec=frame_spec,
         gains=gains,
+    )
+
+
+def _analyzed_scene(time_signals, cfg, frame_spec, gains, truth=None):
+    """A Scene whose STFT tensors are the analyses of its time signals."""
+    return Scene(
+        mixture=_stft.analyze(time_signals["mixture"], frame_spec),
+        loudspeaker=_stft.analyze(time_signals["loudspeaker"], frame_spec)[:, :, 0],
+        images={k: _stft.analyze(time_signals[k], frame_spec) for k in COMPONENTS},
+        config=cfg,
+        truth=truth,
+        frame_spec=frame_spec,
+        gains=gains,
+        time_signals=time_signals,
     )
 
 
@@ -266,40 +278,14 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec=None):
         dry.append(mono[:n_samples])
     rirs = [_load_rir(p, m, sr) for p in rir_wavs]
 
-    soi_t, echo_t, intf_t = (_convolve(sig, rir, n_samples) for sig, rir in zip(dry, rirs))
-    rng = np.random.default_rng(cfg.seed)
-    noise_t = rng.standard_normal((n_samples, m))
-
-    for image, source, rir in zip((soi_t, echo_t, intf_t), source_wavs, rir_wavs):
+    raw = [_convolve(sig, rir, n_samples) for sig, rir in zip(dry, rirs)]
+    for image, source, rir in zip(raw, source_wavs, rir_wavs):
         if _power(image) <= 0:
             raise ValueError(f"source {source} through RIR {rir}: image has zero power")
-    p_echo = _power(echo_t)
-    gain_soi = np.sqrt(p_echo * 10.0 ** (cfg.ser_db / 10.0) / _power(soi_t))
-    gain_intf = np.sqrt(p_echo * 10.0 ** (cfg.ier_db / 10.0) / _power(intf_t))
-    gain_noise = np.sqrt(p_echo * 10.0 ** (-cfg.enr_db / 10.0) / _power(noise_t))
-    time_signals = {
-        "soi": gain_soi * soi_t,
-        "echo": echo_t,
-        "interference": gain_intf * intf_t,
-        "noise": gain_noise * noise_t,
-        "loudspeaker": dry[1][:, None],
-    }
-    time_signals["mixture"] = (
-        time_signals["soi"] + time_signals["echo"]
-        + time_signals["interference"] + time_signals["noise"]
-    )
-    images = {k: _stft.analyze(time_signals[k], frame_spec) for k in COMPONENTS}
-    return Scene(
-        mixture=_stft.analyze(time_signals["mixture"], frame_spec),
-        loudspeaker=_stft.analyze(time_signals["loudspeaker"], frame_spec)[:, :, 0],
-        images=images,
-        config=cfg,
-        truth=None,
-        frame_spec=frame_spec,
-        gains={"soi": float(gain_soi), "interference": float(gain_intf),
-               "noise": float(gain_noise), "echo": 1.0},
-        time_signals=time_signals,
-    )
+    noise = np.random.default_rng(cfg.seed).standard_normal((n_samples, m))
+    images, mixture, gains = _mix((*raw, noise), cfg)
+    time_signals = {**images, "loudspeaker": dry[1][:, None], "mixture": mixture}
+    return _analyzed_scene(time_signals, cfg, frame_spec, gains)
 
 
 def scene_time_signals(scene):
@@ -326,11 +312,9 @@ def save_scene(scene, out_dir):
     sr = scene.frame_spec.sample_rate
     signals = scene_time_signals(scene)
     n_samples = int(round(scene.config.duration_s * sr))
-    files = {}
+    files = {name: f"{name}.wav" for name in signals}
     for name, sig in signals.items():
-        fname = f"{name}.wav"
-        _stft.write_wav(out / fname, sig[:n_samples], sr, dtype="float32")
-        files[name] = fname
+        _stft.write_wav(out / files[name], sig[:n_samples], sr, dtype="float32")
     manifest = {
         "schema": "echosep-scene-v1",
         "config": asdict(scene.config),
@@ -338,15 +322,9 @@ def save_scene(scene, out_dir):
         "files": files,
         "sample_rate": sr,
         "frame": {"frame_len": scene.frame_spec.frame_len, "hop": scene.frame_spec.hop},
-        "has_truth": scene.truth is not None,
     }
     if scene.truth is not None:
-        np.savez(
-            out / "truth.npz",
-            a_soi=scene.truth.a_soi,
-            echo_atf=scene.truth.echo_atf,
-            bg_mix=scene.truth.bg_mix,
-        )
+        np.savez(out / "truth.npz", **asdict(scene.truth))
         manifest["truth_file"] = "truth.npz"
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -373,20 +351,8 @@ def load_scene(manifest_path):
         if rate != sr:
             raise ValueError(f"{fname}: sample rate {rate} != manifest {sr}")
         time_signals[name] = data
-    images = {k: _stft.analyze(time_signals[k], spec) for k in COMPONENTS}
     truth = None
     if manifest.get("truth_file"):
         with np.load(base / manifest["truth_file"]) as npz:
-            truth = SceneTruth(
-                a_soi=npz["a_soi"], echo_atf=npz["echo_atf"], bg_mix=npz["bg_mix"]
-            )
-    return Scene(
-        mixture=_stft.analyze(time_signals["mixture"], spec),
-        loudspeaker=_stft.analyze(time_signals["loudspeaker"], spec)[:, :, 0],
-        images=images,
-        config=cfg,
-        truth=truth,
-        frame_spec=spec,
-        gains=manifest["gains"],
-        time_signals=time_signals,
-    )
+            truth = SceneTruth(**npz)
+    return _analyzed_scene(time_signals, cfg, spec, manifest["gains"], truth)

@@ -33,6 +33,7 @@ from echosep.optimizer import (
     moments,
     run_joint,
     run_ls_aec,
+    run_unprocessed,
     update_aec,
 )
 from echosep.scenegen import ScenarioConfig, render_narrowband
@@ -255,7 +256,9 @@ def test_criterion_5_model_matched_convergence():
         h_ls = run_ls_aec(scene.mixture, scene.loudspeaker).state.h
         misal_ls.append(np.linalg.norm(h_ls - echo_atf) / np.linalg.norm(echo_atf))
         refs.append(_echo_path_references(scene))
-        rep_un = metrics.evaluate_run(scene, algorithm="unprocessed", seed=seed)
+        un = run_unprocessed(scene.mixture)
+        rep_un = metrics.evaluate_run(scene, un.state, un.diagnostics.bp_scale,
+                                      algorithm="unprocessed", seed=seed)
         rep_j = metrics.evaluate_run(scene, res.state, res.diagnostics.bp_scale,
                                      algorithm="joint", seed=seed)
         sier_gain.append(rep_j.sier_db - rep_un.sier_db)

@@ -1,5 +1,6 @@
 """CLI behavior: simulate/run/bench subcommands, config handling, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -96,6 +97,9 @@ def test_run_every_algorithm_writes_one_diagnostics_schema(tmp_path):
         assert set(diag["metrics"]) == set(metrics.CSV_COLUMNS)
         with np.load(out / "filters.npz") as npz:  # allow_pickle=False
             assert all(np.all(np.isfinite(npz[k])) for k in npz.files)
+            assert sorted(npz.files) == ["a", "bp_scale", "h", "w"]
+            if algo in ("unprocessed", "ls_aec"):  # no beamformer: the scale is 1
+                np.testing.assert_array_equal(npz["bp_scale"], 1.0)
 
 
 def test_run_reference_channel_beyond_scene_exits_one(tmp_path):
@@ -162,10 +166,35 @@ def test_bench_forms_no_whitener_or_cost(monkeypatch):
 
 
 def test_bench_rejects_unknown_algorithm_before_work(tmp_path):
+    """So does an empty list, from --algo or the config file: a config error, not 0 runs."""
     out = tmp_path / "never"
-    code = run_cli(["bench", "--out", str(out), "--runs", "1", "--algo", "sorcery"])
-    assert code == 1
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"algorithms": []}))
+    for extra in (["--algo", "sorcery"], ["--algo", ","], ["--algo", ""],
+                  ["--config", str(empty)]):
+        code = run_cli(["bench", "--out", str(out), "--runs", "1", *extra])
+        assert code == 1, extra
     assert not out.exists()
+
+
+def test_every_flag_sets_the_spec_field_it_is_named_after():
+    """Each dest is an ExperimentSpec field, so from_args, which drops other names, reads it.
+
+    The exceptions are the subcommand, the config file, run's scene and
+    run's algorithm, which main and from_args read by name.
+    """
+    fields = set(ExperimentSpec.__dataclass_fields__)
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert subparsers.dest == "command"
+    for command, sub in subparsers.choices.items():
+        allowed = fields | {"config"} | ({"scene", "algo"} if command == "run" else set())
+        dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests <= allowed, (command, dests - allowed)
+    args = parser.parse_args(["bench", "--duration", "1.5", "--frame", "256",
+                              "--algo", "joint, ive"])
+    spec = ExperimentSpec.from_args(args)
+    assert (spec.duration_s, spec.frame_len, spec.algorithms) == (1.5, 256, ("joint", "ive"))
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -201,6 +230,8 @@ def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(algorithms=("joint", "unknown"))
     with pytest.raises(ValueError):
+        ExperimentSpec(algorithms=())
+    with pytest.raises(ValueError):
         ExperimentSpec(mode="convolutive")  # needs wav lists
 
 
@@ -219,7 +250,7 @@ def test_every_registered_algorithm_returns_a_run_result(ref):
         assert isinstance(res, optimizer.RunResult), name
         if name in ("unprocessed", "ls_aec"):
             np.testing.assert_array_equal(res.s_hat, res.e[:, :, ref - 1])
-            assert res.diagnostics.bp_scale is None
+            np.testing.assert_array_equal(res.diagnostics.bp_scale, np.ones(16))
             assert res.diagnostics.records == []
         else:
             assert len(res.diagnostics.records) == 3

@@ -6,7 +6,7 @@ import pytest
 from echosep import metrics, scenegen
 from echosep.metrics import MetricsReport, component_pass, csv_text, erle, ratios
 from echosep.model import DemixState
-from echosep.optimizer import RunConfig, run_joint, run_ls_aec
+from echosep.optimizer import RunConfig, run_joint, run_ls_aec, run_unprocessed
 from echosep.scenegen import ScenarioConfig, render_narrowband
 
 
@@ -19,6 +19,12 @@ def small_scene(seed=0, n_freqs=24, n_frames=80, mics=3):
     return render_narrowband(cfg, n_freqs=n_freqs, n_frames=n_frames)
 
 
+def unprocessed_report(scene, seed):
+    un = run_unprocessed(scene.mixture)
+    return metrics.evaluate_run(scene, un.state, un.diagnostics.bp_scale,
+                                algorithm="unprocessed", seed=seed)
+
+
 def test_component_pass_superposition():
     """The components' outputs add up to s_hat, with a beamformer and without."""
     scene = small_scene()
@@ -26,17 +32,20 @@ def test_component_pass_superposition():
     out = component_pass(res.state, scene.images, scene.loudspeaker, res.diagnostics.bp_scale)
     np.testing.assert_allclose(sum(out.values()), res.s_hat, rtol=1e-8)
     ls = run_ls_aec(scene.mixture, scene.loudspeaker)
-    out = component_pass(ls.state, scene.images, scene.loudspeaker)
+    out = component_pass(ls.state, scene.images, scene.loudspeaker, ls.diagnostics.bp_scale)
     np.testing.assert_allclose(sum(out.values()), ls.s_hat, rtol=1e-8)
 
 
 def test_component_pass_perfect_filter_removes_echo():
     scene = small_scene(seed=1)
     n_freqs, m = scene.mixture.shape[0], scene.n_channels
+    un = run_unprocessed(scene.mixture)  # no beamformer: w is microphone 1, the scale 1
+    un.state.h = scene.truth.echo_atf.copy()
+    out = metrics.component_pass(un.state, scene.images, scene.loudspeaker,
+                                 un.diagnostics.bp_scale)
+    assert np.max(np.abs(out["echo"])) <= 1e-12
     state = DemixState.initial(n_freqs, m)
     state.h = scene.truth.echo_atf.copy()
-    out = metrics.component_pass(state, scene.images, scene.loudspeaker)
-    assert np.max(np.abs(out["echo"])) <= 1e-12
     state.w = crandn(np.random.default_rng(1), (n_freqs, m))
     out = metrics.component_pass(state, scene.images, scene.loudspeaker, np.ones(n_freqs))
     assert np.max(np.abs(out["echo"])) <= 1e-12
@@ -44,12 +53,11 @@ def test_component_pass_perfect_filter_removes_echo():
 
 def test_component_pass_zero_filter_passes_echo_through():
     scene = small_scene(seed=2)
-    state = DemixState.initial(scene.mixture.shape[0], scene.n_channels)
     for ref in (1, 2):
-        for st in (state, None):
-            out = metrics.component_pass(st, scene.images, scene.loudspeaker,
-                                         reference_channel=ref)
-            np.testing.assert_array_equal(out["echo"], scene.images["echo"][:, :, ref - 1])
+        un = run_unprocessed(scene.mixture, RunConfig(reference_channel=ref))
+        out = metrics.component_pass(un.state, scene.images, scene.loudspeaker,
+                                     un.diagnostics.bp_scale)
+        np.testing.assert_array_equal(out["echo"], scene.images["echo"][:, :, ref - 1])
 
 
 def test_erle_arithmetic():
@@ -82,7 +90,7 @@ def test_ratios_halved_interference_gains_3dB():
 def test_unprocessed_power_consistency_relation():
     # 1/sier ~= 1/sir + 1/ser in linear power when noise is weak
     scene = small_scene(seed=6, n_freqs=64, n_frames=300)
-    rep = metrics.evaluate_run(scene, algorithm="unprocessed", seed=6)
+    rep = unprocessed_report(scene, seed=6)
     lhs = 10 ** (-rep.sier_db / 10)
     rhs = 10 ** (-rep.sir_db / 10) + 10 ** (-rep.ser_db / 10)
     assert abs(10 * np.log10(lhs / rhs)) <= 0.5
@@ -96,7 +104,7 @@ def test_unprocessed_erle_zero_with_frame_spec():
     cfg = ScenarioConfig(mics=3, seed=7, duration_s=0.6)
     spec = stft.FrameSpec.default(512, 256, 16000)
     scene = render_narrowband(cfg, frame_spec=spec)
-    rep = metrics.evaluate_run(scene, algorithm="unprocessed", seed=7)
+    rep = unprocessed_report(scene, seed=7)
     assert rep.erle_aec_db == pytest.approx(0.0)
     assert rep.erle_bf_db == pytest.approx(0.0)
 
@@ -111,7 +119,7 @@ def test_scale_invariance_of_ratios():
 
 def test_sier_bounded_by_sir_and_ser():
     scene = small_scene(seed=9)
-    rep = metrics.evaluate_run(scene, algorithm="unprocessed", seed=9)
+    rep = unprocessed_report(scene, seed=9)
     assert rep.sier_db <= min(rep.sir_db, rep.ser_db) + 3.02
 
 
