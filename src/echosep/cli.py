@@ -169,8 +169,6 @@ def cmd_simulate(spec):
 
 
 def cmd_run(spec, scene_path, algo):
-    if algo not in CLI_ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algo!r}; choose from {sorted(CLI_ALGORITHMS)}")
     scene = _scenegen.load_scene(scene_path)
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -242,7 +240,7 @@ def _build_parser():
     p_run = sub.add_parser("run", help="process a saved scene")
     common(p_run)
     p_run.add_argument("--scene", required=True, help="scene directory or manifest path")
-    p_run.add_argument("--algo", default="joint")
+    p_run.add_argument("--algo", default="joint", choices=tuple(CLI_ALGORITHMS))
 
     p_bench = sub.add_parser("bench", help="benchmark algorithms over seeded scenes")
     common(p_bench)

@@ -128,17 +128,13 @@ def evaluate_run(scene, state, bp_scale,
     )
 
 
-def csv_text(reports, algorithm_order=None):
+def csv_text(reports, algorithm_order):
     """Render reports as CSV: per-run rows sorted by seed, then mean rows.
 
-    Column order and float formatting are fixed so identical inputs yield
+    Rows of one seed, and the mean rows, follow algorithm_order. Column
+    order and float formatting are fixed so identical inputs yield
     byte-identical output.
     """
-    if algorithm_order is None:
-        algorithm_order = []
-        for r in reports:
-            if r.algorithm not in algorithm_order:
-                algorithm_order.append(r.algorithm)
     rank = {name: i for i, name in enumerate(algorithm_order)}
     rows = sorted(reports, key=lambda r: (r.seed, rank.get(r.algorithm, len(rank))))
     buf = io.StringIO()
@@ -163,7 +159,7 @@ def csv_text(reports, algorithm_order=None):
     return buf.getvalue()
 
 
-def write_csv(reports, path, algorithm_order=None):
+def write_csv(reports, path, algorithm_order):
     text = csv_text(reports, algorithm_order)
     with open(path, "w", newline="") as fh:
         fh.write(text)

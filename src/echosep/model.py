@@ -215,10 +215,8 @@ def loaded_inverse(c, loading=DEFAULT_LOADING):
     inversion and drop out, so one dead bin does not send the whole batch
     down the per-bin path. A bin whose batched inversion fails or is not
     finite gets a plain inversion and one loaded retry on its own, then drops
-    out. Bins that drop out get a zero inverse and ok False. grad_h and
-    interference_whitener use it; no run does, since the driver's BSE
-    inverse comes from optimizer.DataStats.error_inverse, which the tests
-    check against it.
+    out. Bins that drop out get a zero inverse and ok False. The driver's
+    BSE step, grad_h and interference_whitener all use it.
     """
     loaded = load_diagonal(c, loading)
     eye = np.eye(loaded.shape[-1])

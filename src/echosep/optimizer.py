@@ -14,18 +14,18 @@ error channel.
 
 Each quantity is formed when its inputs move. C_ee(h) = C_LS + P_u d d^H,
 with d = h - h_LS, is a rank-one update of the least-squares residual
-covariance, so a run makes one eigendecomposition, of C_LS, and inverts no
-matrix: C_ee and the loaded inverse that the BSE step applies follow from
-it in closed form at the start and after each echo step that moved h (only
-joint moves h). a and the active mask follow w, and are refreshed from the
-held C_ee after every BSE step; the mask reads the trace of the background
-covariance B C_ee B^H in closed form, and no run forms the covariance
-itself. Only a BSE step reads E[e phi], so a pass
-that serves an echo step and a record alone (joint's pass after its BSE
-step) does not form E[x phi]: joint forms it n times in n iterations. An
-iteration whose echo step left h in place forms it in that pass too, since
-the next BSE step is likely to read the pass unchanged (a silent
-loudspeaker holds h throughout).
+covariance, formed in closed form at the start and after each echo step
+that moved h (only joint moves h). The BSE step applies the loaded inverse
+of the held C_ee, one batched inversion (model.loaded_inverse) per echo
+path: n in n joint iterations, one under BNLMS-IVE and IVE. a and the
+active mask follow w, and are refreshed from the held C_ee after every BSE
+step; the mask reads the trace of the background covariance B C_ee B^H in
+closed form, and no run forms the covariance itself. Only a BSE step reads
+E[e phi], so a pass that serves an echo step and a record alone (joint's
+pass after its BSE step) does not form E[x phi]: joint forms it n times in
+n iterations. An iteration whose echo step left h in place forms it in that
+pass too, since the next BSE step is likely to read the pass unchanged (a
+silent loudspeaker holds h throughout).
 
 With RunConfig.records set (the default) each iteration also writes an
 IterationRecord: the profile likelihood J of model.cost, from the held C_ee
@@ -143,9 +143,8 @@ class DataStats:
     """Second-order statistics of the data, computed once per run.
 
     C_ee(h) = C_LS + P_u d d^H for d = h - h_LS, with h_LS the least-squares
-    echo path and C_LS = C_xx - P_u h_LS h_LS^H its residual covariance. So
-    the one eigendecomposition of C_LS made here gives the loaded inverse of
-    C_ee at every h (error_inverse), and the held traces give tr C_ee.
+    echo path and C_LS = C_xx - P_u h_LS h_LS^H its residual covariance, so
+    C_ee at any h follows in closed form (error_covariance).
     """
 
     C_xx: np.ndarray  # (F, M, M) E[x x^H]
@@ -153,16 +152,12 @@ class DataStats:
     P_u: np.ndarray   # (F,) E[|u|^2]
     h_ls: np.ndarray = field(init=False)   # (F, M) r_xu / P_u, 0 without excitation
     C_ls: np.ndarray = field(init=False)   # (F, M, M) C_xx - P_u h_ls h_ls^H
-    eig: tuple = field(init=False)         # (values (F, M), vectors (F, M, M)) of C_ls
-    tr_ls: np.ndarray = field(init=False)  # (F,) tr C_ls
     tr_xx: np.ndarray = field(init=False)  # (F,) tr C_xx
 
     def __post_init__(self):
         self.h_ls = _least_squares(self.r_xu, self.P_u)
         v = np.sqrt(self.P_u)[:, None] * self.h_ls
         self.C_ls = self.C_xx - v[:, :, None] * v.conj()[:, None, :]
-        self.eig = np.linalg.eigh(self.C_ls)
-        self.tr_ls = np.einsum("fmm->f", self.C_ls).real
         self.tr_xx = np.einsum("fmm->f", self.C_xx).real
 
     @classmethod
@@ -173,51 +168,18 @@ class DataStats:
         """E[e u*] = r_xu - h P_u for the error signal e = x - h u."""
         return self.r_xu - h * self.P_u[:, None]
 
-    def _scaled_offset(self, h):
-        """(sqrt(P_u) d, tr C_ee, live) at h: C_ee = C_ls + v v^H, and its dead-bin mask.
-
-        A bin whose trace falls below DEAD_BIN_FLOOR times that of C_xx holds
-        a fully cancelled echo, and what is left of it is rounding; it is not
-        live.
-        """
-        v = np.sqrt(self.P_u)[:, None] * (h - self.h_ls)
-        tr = self.tr_ls + np.sum(v.real ** 2 + v.imag ** 2, axis=1)
-        return v, tr, tr > DEAD_BIN_FLOOR * self.tr_xx
-
     def error_covariance(self, h):
         """C_ee = E[e e^H] for e = x - h u, as C_ls + P_u d d^H, made exactly Hermitian.
 
-        A bin that is not live (its trace is at the dead-bin floor) gets
+        A bin whose trace falls below DEAD_BIN_FLOOR times that of C_xx holds
+        a fully cancelled echo, and what is left of it is rounding: it gets
         C_ee = 0, as a pass over the exact e gives, which freezes it.
         """
-        v, _, live = self._scaled_offset(h)
+        v = np.sqrt(self.P_u)[:, None] * (h - self.h_ls)
         c = self.C_ls + v[:, :, None] * v.conj()[:, None, :]
         c = 0.5 * (c + np.conj(np.swapaxes(c, 1, 2)))  # the products round off its symmetry
-        c[~live] = 0.0
+        c[np.einsum("fmm->f", c).real <= DEAD_BIN_FLOOR * self.tr_xx] = 0.0
         return c
-
-    def error_inverse(self, h, loading):
-        """(inverse, ok) of C_ee(h) loaded with loading * tr C_ee / M, from the held eigh.
-
-        With C_ls = V diag(e) V^H and lam the loading, the loaded C_ls has the
-        inverse A = V diag(1 / (e + lam)) V^H, and Sherman-Morrison adds
-        P_u d d^H: A - A v v^H A / (1 + v^H A v) for v = sqrt(P_u) d. A bin is
-        not ok, with a zero inverse, when its trace is at the dead-bin floor,
-        any e + lam is not above tiny, or its inverse is not finite. Equals
-        model.loaded_inverse(error_covariance(h), loading) up to rounding.
-        """
-        values, vectors = self.eig
-        v, tr, ok = self._scaled_offset(h)
-        shifted = values + (loading * tr / values.shape[1])[:, None]
-        ok &= np.all(shifted > np.finfo(float).tiny, axis=1)
-        scaled = vectors * (1.0 / np.where(ok[:, None], shifted, 1.0))[:, None, :]
-        inverse = scaled @ np.conj(np.swapaxes(vectors, 1, 2))
-        av = (inverse @ v[:, :, None])[:, :, 0]
-        denom = 1.0 + np.sum(v.conj() * av, axis=1).real
-        inverse -= (av / denom[:, None])[:, :, None] * av.conj()[:, None, :]
-        ok &= np.all(np.isfinite(inverse), axis=(1, 2))
-        inverse[~ok] = 0.0
-        return inverse, ok
 
 
 @dataclass
@@ -344,11 +306,10 @@ def update_bse(state, mom, inv):
     the sign of the curvature denominator is the one that contracts toward
     the fixed point (the same structure as one-unit FastICA). inv is the
     (inverse, ok) pair of the loaded C_ee at the state's h, as
-    DataStats.error_inverse gives it (model.loaded_inverse is its
-    reference); the driver forms it once per echo path and hands it on.
-    Bins where the curvature nu - rho vanishes, the loaded C_ee has no
-    inverse or the step is not finite are skipped. Returns (w_new, active_mask); the caller is
-    expected to renormalize.
+    model.loaded_inverse gives it; the driver forms it once per echo path
+    and hands it on. Bins where the curvature nu - rho vanishes, the loaded
+    C_ee has no inverse or the step is not finite are skipped. Returns
+    (w_new, active_mask); the caller is expected to renormalize.
     """
     inverse, solvable = inv
     curv = np.conj(mom.nu - mom.rho)
@@ -457,7 +418,7 @@ def _run(x, u, cfg=None, joint=True, truth=None):
             if mom is None or mom.e_phi is None:  # joint's record pass formed no E[e phi]
                 mom = moments(x, u, state, y=y)
             if inv is None:
-                inv = data.error_inverse(state.h, DEFAULT_LOADING)
+                inv = loaded_inverse(state.C_ee, DEFAULT_LOADING)
             state.w, ok = update_bse(state, mom, inv)
             frozen = max(frozen, int(np.sum(~ok)))
         normalize_w(state)

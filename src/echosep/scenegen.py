@@ -11,7 +11,7 @@ echo-to-noise power ratios measured at the first microphone.
 
 import json
 import numpy as np
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
 
 from . import stft as _stft
@@ -339,6 +339,9 @@ def load_scene(manifest_path):
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("schema") != "echosep-scene-v1":
         raise ValueError(f"not a scene manifest: {manifest_path}")
+    missing = [k for k in ("config", "gains", "files", "sample_rate", "frame") if k not in manifest]
+    if missing:
+        raise ValueError(f"{manifest_path}: manifest lacks {', '.join(missing)}")
     base = manifest_path.parent
     cfg = ScenarioConfig(**manifest["config"])
     sr = manifest["sample_rate"]
@@ -354,5 +357,8 @@ def load_scene(manifest_path):
     truth = None
     if manifest.get("truth_file"):
         with np.load(base / manifest["truth_file"]) as npz:
+            missing = [f.name for f in fields(SceneTruth) if f.name not in npz.files]
+            if missing:
+                raise ValueError(f"{manifest['truth_file']}: truth lacks {', '.join(missing)}")
             truth = SceneTruth(**npz)
     return _analyzed_scene(time_signals, cfg, spec, manifest["gains"], truth)

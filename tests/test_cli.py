@@ -361,6 +361,45 @@ def test_cli_never_imports_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[] []"
 
 
+def test_run_unknown_algorithm_exits_one(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--scene", str(tmp_path / "ghost"), "--algo", "sorcery",
+                 "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert "error: argument --algo: invalid choice: 'sorcery'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _truncate_truth(scene_dir):
+    with np.load(scene_dir / "truth.npz") as npz:
+        a_soi = npz["a_soi"]
+    np.savez(scene_dir / "truth.npz", a_soi=a_soi)
+
+
+def _drop_gains(scene_dir):
+    path = scene_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["gains"]
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("break_scene, message",
+                         [(_truncate_truth, "truth.npz: truth lacks echo_atf, bg_mix"),
+                          (_drop_gains, "manifest.json: manifest lacks gains")],
+                         ids=["truth_without_every_array", "manifest_without_gains"])
+def test_run_malformed_scene_exits_one(tmp_path, capsys, break_scene, message):
+    """A saved scene missing a truth array or a manifest key is an error line, not a traceback."""
+    scene_dir = tmp_path / "scene"
+    run_cli(simulate_args(scene_dir))
+    break_scene(scene_dir)
+    capsys.readouterr()
+    code = run_cli(["run", "--scene", str(scene_dir), "--algo", "joint",
+                    "--out", str(tmp_path / "out"), "--iterations", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
 def test_run_missing_scene_exits_one(tmp_path):
     code = run_cli(["run", "--scene", str(tmp_path / "ghost"), "--algo", "joint",
                     "--out", str(tmp_path / "out")])

@@ -148,6 +148,6 @@ def test_write_csv_deterministic(tmp_path):
     ]
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    metrics.write_csv(reports, p1)
-    metrics.write_csv(list(reports), p2)
+    metrics.write_csv(reports, p1, ["joint"])
+    metrics.write_csv(list(reports), p2, ["joint"])
     assert p1.read_bytes() == p2.read_bytes()
