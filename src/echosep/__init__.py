@@ -25,8 +25,6 @@ from .optimizer import (
 from .scenegen import (
     Scene,
     ScenarioConfig,
-    ScenarioRanges,
-    sample_scenario,
     render_narrowband,
     render_convolutive,
     save_scene,

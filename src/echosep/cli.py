@@ -7,8 +7,9 @@ Subcommands:
 
 Configuration comes from an optional JSON file (--config) whose keys are
 ExperimentSpec's fields; each flag sets the field its argparse dest names and
-overrides the file's value. Exit codes: 0 success, 1 configuration
-error, 2 numerical failure at runtime.
+overrides the file's value. A subcommand takes only the flags it reads: run
+has no scene flags, simulate no --iterations. Exit codes: 0 success,
+1 configuration error, 2 numerical failure at runtime.
 """
 
 import argparse
@@ -81,18 +82,27 @@ class ExperimentSpec:
                 )
         if self.mode == "convolutive" and (not self.source_wavs or not self.rir_wavs):
             raise ConfigError("convolutive mode needs source_wavs and rir_wavs")
+        for name in ("ser_db", "ier_db", "enr_db"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(v, (int, float)) and np.isfinite(v) for v in pair)
+                    and pair[0] <= pair[1]):
+                raise ConfigError(f"{name} must be a pair [low, high] of finite numbers "
+                                  f"with low <= high, got {pair!r}")
 
     def frame_spec(self):
         return _stft.FrameSpec.default(self.frame_len, self.hop, self.sample_rate)
 
-    def ranges(self):
-        return _scenegen.ScenarioRanges(
-            ser_db=tuple(self.ser_db),
-            ier_db=tuple(self.ier_db),
-            enr_db=tuple(self.enr_db),
+    def scenario(self, seed):
+        """The scene drawn for seed: SER, IER and ENR uniform in their ranges, then its seed."""
+        rng = np.random.default_rng(seed)
+        return _scenegen.ScenarioConfig(
             mics=self.mics,
+            ser_db=float(rng.uniform(*self.ser_db)),
+            ier_db=float(rng.uniform(*self.ier_db)),
+            enr_db=float(rng.uniform(*self.enr_db)),
+            seed=int(rng.integers(0, 2**31 - 1)),
             duration_s=self.duration_s,
-            mode=self.mode,
         )
 
     def run_config(self):
@@ -125,7 +135,7 @@ class ExperimentSpec:
 
 
 def _make_scene(spec, seed):
-    cfg = _scenegen.sample_scenario(np.random.default_rng(seed), spec.ranges())
+    cfg = spec.scenario(seed)
     if spec.mode == "narrowband":
         return _scenegen.render_narrowband(cfg, frame_spec=spec.frame_spec())
     return _scenegen.render_convolutive(
@@ -223,27 +233,29 @@ def _build_parser():
     parser = _Parser(prog="echosep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary, scene=True, iterations=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--mode", choices=("narrowband", "convolutive"))
         p.add_argument("--out", help="output directory")
-        p.add_argument("--mics", type=int)
-        p.add_argument("--duration", dest="duration_s", type=float, help="scene length in seconds")
-        p.add_argument("--iterations", type=int)
-        p.add_argument("--frame", dest="frame_len", type=int, help="STFT frame length")
-        p.add_argument("--hop", type=int, help="STFT hop size")
+        if scene:  # the flags that draw a scene
+            p.add_argument("--seed", type=int)
+            p.add_argument("--mode", choices=("narrowband", "convolutive"))
+            p.add_argument("--mics", type=int)
+            p.add_argument("--duration", dest="duration_s", type=float,
+                           help="scene length in seconds")
+            p.add_argument("--frame", dest="frame_len", type=int, help="STFT frame length")
+            p.add_argument("--hop", type=int, help="STFT hop size")
+        if iterations:
+            p.add_argument("--iterations", type=int)
+        return p
 
-    p_sim = sub.add_parser("simulate", help="render a scene to WAVs + manifest")
-    common(p_sim)
+    command("simulate", "render a scene to WAVs + manifest", iterations=False)
 
-    p_run = sub.add_parser("run", help="process a saved scene")
-    common(p_run)
+    p_run = command("run", "process a saved scene", scene=False)
     p_run.add_argument("--scene", required=True, help="scene directory or manifest path")
     p_run.add_argument("--algo", default="joint", choices=tuple(CLI_ALGORITHMS))
 
-    p_bench = sub.add_parser("bench", help="benchmark algorithms over seeded scenes")
-    common(p_bench)
+    p_bench = command("bench", "benchmark algorithms over seeded scenes")
     p_bench.add_argument("--runs", type=int)
     p_bench.add_argument("--algo", dest="algorithms", type=_algorithm_list,
                          help="comma-separated algorithm list "

@@ -11,17 +11,16 @@ echo-to-noise power ratios measured at the first microphone.
 
 import json
 import numpy as np
+from collections.abc import Mapping
 from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
 
 from . import stft as _stft
 
 __all__ = [
-    "ScenarioRanges",
     "ScenarioConfig",
     "SceneTruth",
     "Scene",
-    "sample_scenario",
     "synth_sources",
     "render_narrowband",
     "render_convolutive",
@@ -30,18 +29,6 @@ __all__ = [
 ]
 
 COMPONENTS = ("soi", "echo", "interference", "noise")
-
-
-@dataclass
-class ScenarioRanges:
-    """Uniform sampling ranges for the acoustic-scene power ratios."""
-
-    ser_db: tuple = (5.0, 10.0)
-    ier_db: tuple = (0.0, 5.0)
-    enr_db: tuple = (25.0, 35.0)
-    mics: int = 4
-    duration_s: float = 5.0
-    mode: str = "narrowband"
 
 
 @dataclass
@@ -54,16 +41,12 @@ class ScenarioConfig:
     enr_db: float = 30.0
     seed: int = 0
     duration_s: float = 5.0
-    mode: str = "narrowband"
-    rir_paths: list = None
 
     def __post_init__(self):
         if self.mics < 2:
             raise ValueError("scenes need at least 2 microphones")
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
-        if self.mode not in ("narrowband", "convolutive"):
-            raise ValueError(f"unknown scene mode {self.mode!r}")
         for name in ("ser_db", "ier_db"):
             v = getattr(self, name)
             if np.isnan(v) or v == np.inf:
@@ -98,24 +81,6 @@ class Scene:
     frame_spec: object = None
     gains: dict = field(default_factory=dict)
     time_signals: dict = None
-
-    @property
-    def n_channels(self):
-        return self.mixture.shape[2]
-
-
-def sample_scenario(rng, ranges=None):
-    """Draw a ScenarioConfig uniformly inside the given ranges."""
-    ranges = ranges or ScenarioRanges()
-    return ScenarioConfig(
-        mics=ranges.mics,
-        ser_db=float(rng.uniform(*ranges.ser_db)),
-        ier_db=float(rng.uniform(*ranges.ier_db)),
-        enr_db=float(rng.uniform(*ranges.enr_db)),
-        seed=int(rng.integers(0, 2**31 - 1)),
-        duration_s=ranges.duration_s,
-        mode=ranges.mode,
-    )
 
 
 def _circular_gauss(rng, shape):
@@ -243,7 +208,7 @@ def _convolve(sig, rir, n_samples):
     return np.fft.irfft(spectrum, n_fft, axis=0)[:n_samples]
 
 
-def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec=None):
+def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec):
     """Render a time-domain scene from dry sources and impulse responses.
 
     source_wavs : paths of mono WAVs [target, loudspeaker, interferer]
@@ -255,7 +220,6 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec=None):
     in this mode. A source that is empty, or whose image is silent, raises
     ValueError.
     """
-    frame_spec = frame_spec or _stft.FrameSpec.default()
     if len(source_wavs) != 3 or len(rir_wavs) != 3:
         raise ValueError("expected three sources and three RIRs: target, loudspeaker, interferer")
     for p in list(source_wavs) + list(rir_wavs):
@@ -288,29 +252,21 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec=None):
     return _analyzed_scene(time_signals, cfg, frame_spec, gains)
 
 
-def scene_time_signals(scene):
-    """Time-domain renditions of the mixture, loudspeaker and images.
-
-    Uses stored signals when the scene was rendered in the time domain,
-    otherwise synthesizes from the STFT tensors (requires a frame_spec).
-    """
-    if scene.time_signals is not None:
-        return scene.time_signals
-    if scene.frame_spec is None:
-        raise ValueError("scene has no frame spec; cannot synthesize time signals")
-    spec = scene.frame_spec
-    signals = {"mixture": scene.mixture, "loudspeaker": scene.loudspeaker, **scene.images}
-    return {name: _stft.synthesize(sig, spec) for name, sig in signals.items()}
-
-
 def save_scene(scene, out_dir):
-    """Write a scene as a WAV set plus a JSON manifest; returns manifest path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write a scene as a WAV set plus a JSON manifest; returns manifest path.
+
+    The WAVs hold the stored time signals of a scene rendered in the time
+    domain, otherwise the syntheses of its STFT tensors.
+    """
     if scene.frame_spec is None:
         raise ValueError("cannot save a scene without a frame spec")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     sr = scene.frame_spec.sample_rate
-    signals = scene_time_signals(scene)
+    signals = scene.time_signals
+    if signals is None:
+        tensors = {"mixture": scene.mixture, "loudspeaker": scene.loudspeaker, **scene.images}
+        signals = {name: _stft.synthesize(x, scene.frame_spec) for name, x in tensors.items()}
     n_samples = int(round(scene.config.duration_s * sr))
     files = {name: f"{name}.wav" for name in signals}
     for name, sig in signals.items():
@@ -331,25 +287,40 @@ def save_scene(scene, out_dir):
     return path
 
 
+def _declared(values, names, where):
+    """values' entries for names, ignoring any others; one missing raises ValueError."""
+    if not isinstance(values, Mapping):
+        raise ValueError(f"{where} is not a mapping")
+    missing = [n for n in names if n not in values]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(missing)}")
+    return {n: values[n] for n in names}
+
+
 def load_scene(manifest_path):
-    """Load a scene saved by save_scene, re-analyzing the WAVs to STFT."""
+    """Load a scene saved by save_scene, re-analyzing the WAVs to STFT.
+
+    Each part is built from the fields it declares; other keys and arrays
+    are ignored, and a missing one raises ValueError naming its file.
+    """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    if manifest.get("schema") != "echosep-scene-v1":
+    if not isinstance(manifest, dict) or manifest.get("schema") != "echosep-scene-v1":
         raise ValueError(f"not a scene manifest: {manifest_path}")
-    missing = [k for k in ("config", "gains", "files", "sample_rate", "frame") if k not in manifest]
-    if missing:
-        raise ValueError(f"{manifest_path}: manifest lacks {', '.join(missing)}")
+    top = _declared(manifest, ("config", "gains", "files", "sample_rate", "frame"),
+                    f"{manifest_path}: manifest")
     base = manifest_path.parent
-    cfg = ScenarioConfig(**manifest["config"])
-    sr = manifest["sample_rate"]
-    spec = _stft.FrameSpec.default(
-        manifest["frame"]["frame_len"], manifest["frame"]["hop"], sr
-    )
+    cfg = ScenarioConfig(**_declared(top["config"], [f.name for f in fields(ScenarioConfig)],
+                                     f"{manifest_path}: config"))
+    sr = top["sample_rate"]
+    frame = _declared(top["frame"], ("frame_len", "hop"), f"{manifest_path}: frame")
+    spec = _stft.FrameSpec.default(frame["frame_len"], frame["hop"], sr)
     time_signals = {}
-    for name, fname in manifest["files"].items():
+    files = _declared(top["files"], ("mixture", "loudspeaker", *COMPONENTS),
+                      f"{manifest_path}: files")
+    for name, fname in files.items():
         data, rate = _stft.read_wav(base / fname)
         if rate != sr:
             raise ValueError(f"{fname}: sample rate {rate} != manifest {sr}")
@@ -357,8 +328,6 @@ def load_scene(manifest_path):
     truth = None
     if manifest.get("truth_file"):
         with np.load(base / manifest["truth_file"]) as npz:
-            missing = [f.name for f in fields(SceneTruth) if f.name not in npz.files]
-            if missing:
-                raise ValueError(f"{manifest['truth_file']}: truth lacks {', '.join(missing)}")
-            truth = SceneTruth(**npz)
-    return _analyzed_scene(time_signals, cfg, spec, manifest["gains"], truth)
+            truth = SceneTruth(**_declared(npz, [f.name for f in fields(SceneTruth)],
+                                           f"{manifest['truth_file']}: truth"))
+    return _analyzed_scene(time_signals, cfg, spec, top["gains"], truth)

@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ def test_simulate_writes_manifest_and_wavs(tmp_path):
     assert run_cli(simulate_args(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["schema"] == "echosep-scene-v1"
+    config_keys = {"mics", "ser_db", "ier_db", "enr_db", "seed", "duration_s"}
+    assert set(manifest["config"]) == config_keys
+    assert {f.name for f in fields(scenegen.ScenarioConfig)} == config_keys
     for name in ("mixture", "loudspeaker", "soi", "echo", "interference", "noise"):
         assert (out / f"{name}.wav").exists()
     data, rate = stft.read_wav(out / "mixture.wav")
@@ -55,7 +59,7 @@ def test_run_none_outputs_first_microphone(tmp_path):
     run_cli(simulate_args(scene_dir))
     out = tmp_path / "proc"
     assert run_cli(["run", "--scene", str(scene_dir), "--algo", "unprocessed",
-                    "--out", str(out), "--frame", "512", "--hop", "256"]) == 0
+                    "--out", str(out)]) == 0
     enhanced, _ = stft.read_wav(out / "enhanced.wav")
     mixture, _ = stft.read_wav(scene_dir / "mixture.wav")
     np.testing.assert_array_equal(enhanced[:, 0], mixture[:, 0])
@@ -68,8 +72,7 @@ def test_run_joint_writes_outputs_and_is_deterministic(tmp_path):
     for name in ("p1", "p2"):
         out = tmp_path / name
         code = run_cli(["run", "--scene", str(scene_dir), "--algo", "joint",
-                        "--out", str(out), "--frame", "512", "--hop", "256",
-                        "--iterations", "8"])
+                        "--out", str(out), "--iterations", "8"])
         assert code == 0
         outs.append(out)
     d1 = (outs[0] / "diagnostics.json").read_bytes()
@@ -89,7 +92,7 @@ def test_run_every_algorithm_writes_one_diagnostics_schema(tmp_path):
     for algo in cli.CLI_ALGORITHMS:
         out = tmp_path / algo
         assert run_cli(["run", "--scene", str(scene_dir), "--algo", algo, "--out", str(out),
-                        "--frame", "512", "--hop", "256", "--iterations", "3"]) == 0
+                        "--iterations", "3"]) == 0
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["algorithm"] == algo
         assert isinstance(diag["iterations"], list)
@@ -110,7 +113,7 @@ def test_run_reference_channel_beyond_scene_exits_one(tmp_path):
     for algo in cli.CLI_ALGORITHMS:
         assert run_cli(["run", "--scene", str(scene_dir), "--algo", algo,
                         "--config", str(cfg_path), "--out", str(tmp_path / algo),
-                        "--frame", "512", "--hop", "256", "--iterations", "1"]) == 1
+                        "--iterations", "1"]) == 1
 
 
 def test_bench_unprocessed_has_zero_erle(tmp_path):
@@ -178,23 +181,92 @@ def test_bench_rejects_unknown_algorithm_before_work(tmp_path):
 
 
 def test_every_flag_sets_the_spec_field_it_is_named_after():
-    """Each dest is an ExperimentSpec field, so from_args, which drops other names, reads it.
+    """Each subcommand takes exactly the flags it reads; every dest names what it sets.
 
-    The exceptions are the subcommand, the config file, run's scene and
-    run's algorithm, which main and from_args read by name.
+    A dest is an ExperimentSpec field, so from_args, which drops other names,
+    reads it; the exceptions are the config file, run's scene and run's
+    algorithm, which main and from_args read by name.
     """
-    fields = set(ExperimentSpec.__dataclass_fields__)
+    scene_flags = {"seed", "mode", "mics", "duration_s", "frame_len", "hop"}
+    expected = {
+        "simulate": {"config", "out"} | scene_flags,
+        "run": {"config", "out", "iterations", "scene", "algo"},
+        "bench": {"config", "out", "iterations", "runs", "algorithms"} | scene_flags,
+    }
+    spec_fields = set(ExperimentSpec.__dataclass_fields__)
     parser = cli._build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert subparsers.dest == "command"
+    assert set(subparsers.choices) == set(expected)
     for command, sub in subparsers.choices.items():
-        allowed = fields | {"config"} | ({"scene", "algo"} if command == "run" else set())
         dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
-        assert dests <= allowed, (command, dests - allowed)
+        assert dests == expected[command], command
+        assert dests - spec_fields <= {"config", "scene", "algo"}, command
     args = parser.parse_args(["bench", "--duration", "1.5", "--frame", "256",
                               "--algo", "joint, ive"])
     spec = ExperimentSpec.from_args(args)
     assert (spec.duration_s, spec.frame_len, spec.algorithms) == (1.5, 256, ("joint", "ive"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scene", "s", "--algo", "ls_aec", "--frame", "512"],
+    ["run", "--scene", "s", "--seed", "5", "--mics", "9", "--duration", "99", "--hop", "7"],
+    ["simulate", "--iterations", "5"],
+], ids=["run_frame", "run_scene_flags", "simulate_iterations"])
+def test_a_flag_the_subcommand_does_not_read_exits_one(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert "error: unrecognized arguments: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_deterministic():
+    spec = ExperimentSpec()
+    assert spec.scenario(42) == spec.scenario(42)
+
+
+def test_scenario_draw_order_is_pinned():
+    """Uniform SER, IER, ENR, then the scene seed: the draws every saved scene was made with."""
+    cfg = ExperimentSpec().scenario(0)
+    assert (cfg.ser_db, cfg.ier_db, cfg.enr_db, cfg.seed) == (
+        8.184808436607272, 1.3489335688193516, 25.409735239361947, 161576974)
+    assert (cfg.mics, cfg.duration_s) == (4, 5.0)
+
+
+def test_scenario_covers_ranges():
+    spec = ExperimentSpec()
+    draws = [spec.scenario(seed) for seed in range(10_000)]
+    ser = np.array([d.ser_db for d in draws])
+    ier = np.array([d.ier_db for d in draws])
+    enr = np.array([d.enr_db for d in draws])
+    assert 5.0 <= ser.min() and ser.max() <= 10.0
+    assert 0.0 <= ier.min() and ier.max() <= 5.0
+    assert 25.0 <= enr.min() and enr.max() <= 35.0
+    # draws actually spread over the ranges
+    assert ser.max() - ser.min() > 4.5
+    assert ier.max() - ier.min() > 4.5
+
+
+def test_scenario_collapsed_ranges():
+    spec = ExperimentSpec(ser_db=(7.0, 7.0), ier_db=(2.0, 2.0), enr_db=(30.0, 30.0))
+    d = spec.scenario(1)
+    assert (d.ser_db, d.ier_db, d.enr_db) == (7.0, 2.0, 30.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ser_db", 5), ("ser_db", [10, 5]), ("ier_db", [0, "5"]), ("enr_db", [25, 30, 35]),
+    ("ier_db", [None, 5]), ("enr_db", [25, float("inf")]),
+], ids=["scalar", "reversed", "string", "three", "null", "infinite"])
+def test_config_range_that_is_not_an_ordered_pair_exits_one(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    code = run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "scene")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be a pair [low, high] of finite numbers "
+                          "with low <= high, got ")
+    assert not (tmp_path / "scene").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -263,7 +335,7 @@ def test_run_numerical_failure_exits_two(tmp_path):
     silent = np.zeros((int(0.6 * 16000), 1), dtype=np.float32)
     stft.write_wav(scene_dir / "loudspeaker.wav", silent, 16000, dtype="float32")
     code = run_cli(["run", "--scene", str(scene_dir), "--algo", "ls_aec",
-                    "--out", str(tmp_path / "out"), "--frame", "512", "--hop", "256"])
+                    "--out", str(tmp_path / "out")])
     assert code == 2
 
 
@@ -283,7 +355,7 @@ def run_non_finite_mixture(tmp_path, algo):
     mixture[1000, 1] = np.nan
     stft.write_wav(scene_dir / "mixture.wav", mixture, rate, dtype="float32")
     return run_cli(["run", "--scene", str(scene_dir), "--algo", algo,
-                    "--out", str(tmp_path / "out"), "--frame", "512", "--hop", "256"])
+                    "--out", str(tmp_path / "out")])
 
 
 def test_convolutive_workflow_end_to_end(tmp_path):
@@ -291,7 +363,7 @@ def test_convolutive_workflow_end_to_end(tmp_path):
 
     rng = np.random.default_rng(31)
     sr, m = 16000, 2
-    src_paths, rir_paths = [], []
+    src_paths, rir_files = [], []
     for name in ("soi", "loud", "intf"):
         sig = (rng.standard_normal(sr) * 0.1).astype(np.float32)
         p = tmp_path / f"{name}.wav"
@@ -301,10 +373,10 @@ def test_convolutive_workflow_end_to_end(tmp_path):
         rir[0] = 1.0
         pr = tmp_path / f"{name}_rir.wav"
         wavfile.write(pr, sr, (0.5 * rir).astype(np.float32))
-        rir_paths.append(str(pr))
+        rir_files.append(str(pr))
     cfg = {"mode": "convolutive", "mics": m, "duration_s": 1.0,
            "frame_len": 512, "hop": 256, "iterations": 6, "seed": 2,
-           "source_wavs": src_paths, "rir_wavs": rir_paths}
+           "source_wavs": src_paths, "rir_wavs": rir_files}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
 
@@ -325,19 +397,19 @@ def test_convolutive_workflow_end_to_end(tmp_path):
 @pytest.mark.parametrize("silent, length", [("soi", 16000), ("intf", 16000), ("intf", 0)],
                          ids=["silent_target", "silent_interferer", "empty_interferer"])
 def test_simulate_convolutive_silent_or_empty_source_exits_one(tmp_path, capsys, silent, length):
-    src_paths, rir_paths = [], []
+    src_paths, rir_files = [], []
     for name in ("soi", "loud", "intf"):
         sig = np.random.default_rng(33).standard_normal(16000) * 0.1
         if name == silent:
             sig = np.zeros(length)
         src_paths.append(str(tmp_path / f"{name}.wav"))
         stft.write_wav(src_paths[-1], sig, 16000)
-        rir_paths.append(str(tmp_path / f"{name}_rir.wav"))
-        stft.write_wav(rir_paths[-1], np.eye(8, 2), 16000)
+        rir_files.append(str(tmp_path / f"{name}_rir.wav"))
+        stft.write_wav(rir_files[-1], np.eye(8, 2), 16000)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"mode": "convolutive", "mics": 2, "duration_s": 0.5,
                                     "frame_len": 512, "hop": 256,
-                                    "source_wavs": src_paths, "rir_wavs": rir_paths}))
+                                    "source_wavs": src_paths, "rir_wavs": rir_files}))
     code = run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "scene")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: source {tmp_path}")
@@ -353,7 +425,7 @@ def test_cli_never_imports_scipy(tmp_path):
         "assert echosep.cli.main(['simulate', '--out', scene, '--seed', '3', '--duration',"
         " '0.6', '--frame', '512', '--hop', '256', '--mics', '3']) == 0\n"
         "assert echosep.cli.main(['run', '--scene', scene, '--algo', 'joint', '--out', out,"
-        " '--frame', '512', '--hop', '256', '--iterations', '3']) == 0\n"
+        " '--iterations', '3']) == 0\n"
         "print(after_import, loaded())\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -376,19 +448,29 @@ def _truncate_truth(scene_dir):
     np.savez(scene_dir / "truth.npz", a_soi=a_soi)
 
 
-def _drop_gains(scene_dir):
-    path = scene_dir / "manifest.json"
-    manifest = json.loads(path.read_text())
-    del manifest["gains"]
-    path.write_text(json.dumps(manifest))
+def _edit_manifest(edit):
+    def broken(scene_dir):
+        path = scene_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+    return broken
 
 
-@pytest.mark.parametrize("break_scene, message",
-                         [(_truncate_truth, "truth.npz: truth lacks echo_atf, bg_mix"),
-                          (_drop_gains, "manifest.json: manifest lacks gains")],
-                         ids=["truth_without_every_array", "manifest_without_gains"])
+@pytest.mark.parametrize("break_scene, message", [
+    (_truncate_truth, "truth.npz: truth lacks echo_atf, bg_mix"),
+    (_edit_manifest(lambda m: m.pop("gains")), "manifest.json: manifest lacks gains"),
+    (_edit_manifest(lambda m: m["frame"].pop("frame_len")),
+     "manifest.json: frame lacks frame_len"),
+    (_edit_manifest(lambda m: m["frame"].pop("hop")), "manifest.json: frame lacks hop"),
+    (_edit_manifest(lambda m: m["config"].pop("ser_db")), "manifest.json: config lacks ser_db"),
+    (_edit_manifest(lambda m: m.update(config=7)), "manifest.json: config is not a mapping"),
+    (_edit_manifest(lambda m: m["files"].pop("soi")), "manifest.json: files lacks soi"),
+], ids=["truth_without_every_array", "manifest_without_gains", "frame_without_frame_len",
+        "frame_without_hop", "config_without_ser_db", "config_not_a_mapping",
+        "files_without_soi"])
 def test_run_malformed_scene_exits_one(tmp_path, capsys, break_scene, message):
-    """A saved scene missing a truth array or a manifest key is an error line, not a traceback."""
+    """A saved scene missing a truth array, a manifest key or a nested field is an error line."""
     scene_dir = tmp_path / "scene"
     run_cli(simulate_args(scene_dir))
     break_scene(scene_dir)
@@ -398,6 +480,27 @@ def test_run_malformed_scene_exits_one(tmp_path, capsys, break_scene, message):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
+def test_run_loads_a_manifest_with_keys_and_arrays_it_does_not_read(tmp_path):
+    """Older manifests carried two more config keys; extra keys and arrays are ignored."""
+    scene_dir, old_dir = tmp_path / "scene", tmp_path / "old"
+    run_cli(simulate_args(scene_dir))
+    run_cli(simulate_args(old_dir))
+    path = old_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"].update(mode="narrowband", rir_paths=None)
+    manifest["frame"]["window"] = "sqrt_hann"
+    manifest["has_truth"] = True
+    path.write_text(json.dumps(manifest))
+    with np.load(old_dir / "truth.npz") as npz:
+        np.savez(old_dir / "truth.npz", **npz, extra=np.zeros(3))
+    assert scenegen.load_scene(old_dir).config == scenegen.load_scene(scene_dir).config
+    for name, d in (("new", scene_dir), ("old", old_dir)):
+        assert run_cli(["run", "--scene", str(d), "--algo", "joint",
+                        "--out", str(tmp_path / f"run_{name}"), "--iterations", "2"]) == 0
+    assert ((tmp_path / "run_old" / "diagnostics.json").read_bytes()
+            == (tmp_path / "run_new" / "diagnostics.json").read_bytes())
 
 
 def test_run_missing_scene_exits_one(tmp_path):

@@ -38,7 +38,7 @@ def test_component_pass_superposition():
 
 def test_component_pass_perfect_filter_removes_echo():
     scene = small_scene(seed=1)
-    n_freqs, m = scene.mixture.shape[0], scene.n_channels
+    n_freqs, _, m = scene.mixture.shape
     un = run_unprocessed(scene.mixture)  # no beamformer: w is microphone 1, the scale 1
     un.state.h = scene.truth.echo_atf.copy()
     out = metrics.component_pass(un.state, scene.images, scene.loudspeaker,

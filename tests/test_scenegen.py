@@ -1,4 +1,4 @@
-"""Scene generation: sampling ranges, source statistics, rendering, file I/O."""
+"""Scene generation: source statistics, rendering, file I/O."""
 
 import numpy as np
 import pytest
@@ -6,42 +6,12 @@ import pytest
 from echosep import stft
 from echosep.scenegen import (
     ScenarioConfig,
-    ScenarioRanges,
     load_scene,
     render_convolutive,
     render_narrowband,
-    sample_scenario,
     save_scene,
     synth_sources,
 )
-
-
-def test_sample_scenario_deterministic():
-    ranges = ScenarioRanges()
-    a = sample_scenario(np.random.default_rng(42), ranges)
-    b = sample_scenario(np.random.default_rng(42), ranges)
-    assert a == b
-
-
-def test_sample_scenario_covers_ranges():
-    rng = np.random.default_rng(0)
-    ranges = ScenarioRanges()
-    draws = [sample_scenario(rng, ranges) for _ in range(10_000)]
-    ser = np.array([d.ser_db for d in draws])
-    ier = np.array([d.ier_db for d in draws])
-    enr = np.array([d.enr_db for d in draws])
-    assert 5.0 <= ser.min() and ser.max() <= 10.0
-    assert 0.0 <= ier.min() and ier.max() <= 5.0
-    assert 25.0 <= enr.min() and enr.max() <= 35.0
-    # draws actually spread over the ranges
-    assert ser.max() - ser.min() > 4.5
-    assert ier.max() - ier.min() > 4.5
-
-
-def test_sample_scenario_collapsed_ranges():
-    ranges = ScenarioRanges(ser_db=(7.0, 7.0), ier_db=(2.0, 2.0), enr_db=(30.0, 30.0))
-    d = sample_scenario(np.random.default_rng(1), ranges)
-    assert (d.ser_db, d.ier_db, d.enr_db) == (7.0, 2.0, 30.0)
 
 
 def test_synth_sources_statistics():
@@ -113,8 +83,6 @@ def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(duration_s=0.0)
     with pytest.raises(ValueError):
-        ScenarioConfig(mode="telepathic")
-    with pytest.raises(ValueError):
         ScenarioConfig(ser_db=np.inf)
 
 
@@ -140,7 +108,7 @@ def _write_sources_and_rirs(tmp_path, sr, m, delay=None):
 def test_convolutive_unit_impulse_rir(tmp_path):
     sr, m = 16000, 3
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
-    cfg = ScenarioConfig(mics=m, seed=9, duration_s=0.5, mode="convolutive")
+    cfg = ScenarioConfig(mics=m, seed=9, duration_s=0.5)
     spec = stft.FrameSpec.default(512, 256, sr)
     scene = render_convolutive(cfg, srcs, rirs, frame_spec=spec)
     # echo image is the (unscaled) loudspeaker signal on every channel
@@ -155,7 +123,7 @@ def test_convolutive_unit_impulse_rir(tmp_path):
 def test_convolutive_pure_delay_rir(tmp_path):
     sr, m, d = 16000, 2, 17
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m, delay=d)
-    cfg = ScenarioConfig(mics=m, seed=10, duration_s=0.5, mode="convolutive")
+    cfg = ScenarioConfig(mics=m, seed=10, duration_s=0.5)
     spec = stft.FrameSpec.default(512, 256, sr)
     scene = render_convolutive(cfg, srcs, rirs, frame_spec=spec)
     loud, _ = stft.read_wav(srcs[1])
@@ -172,7 +140,7 @@ def test_convolutive_echo_is_the_linear_convolution(tmp_path):
     rng = np.random.default_rng(21)
     rir = rng.standard_normal((400, m)) * np.exp(-np.arange(400) / 80.0)[:, None]
     stft.write_wav(rirs[1], rir, sr, dtype="float32")
-    cfg = ScenarioConfig(mics=m, seed=22, duration_s=0.5, mode="convolutive")
+    cfg = ScenarioConfig(mics=m, seed=22, duration_s=0.5)
     scene = render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
     loud, _ = stft.read_wav(srcs[1])
     rir, _ = stft.read_wav(rirs[1])  # the float32-rounded taps the render used
@@ -192,7 +160,7 @@ def test_convolutive_silent_or_empty_source_rejected(tmp_path, index, length, re
     sr, m = 16000, 2
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
     stft.write_wav(srcs[index], np.zeros(length), sr, dtype="float32")
-    cfg = ScenarioConfig(mics=m, seed=23, duration_s=0.5, mode="convolutive")
+    cfg = ScenarioConfig(mics=m, seed=23, duration_s=0.5)
     with pytest.raises(ValueError, match=reason):
         render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
 
@@ -200,7 +168,7 @@ def test_convolutive_silent_or_empty_source_rejected(tmp_path, index, length, re
 def test_convolutive_energy_additivity(tmp_path):
     sr, m = 16000, 2
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
-    cfg = ScenarioConfig(mics=m, seed=11, duration_s=5.0, mode="convolutive")
+    cfg = ScenarioConfig(mics=m, seed=11, duration_s=5.0)
     spec = stft.FrameSpec.default(1024, 512, sr)
     scene = render_convolutive(cfg, srcs, rirs, frame_spec=spec)
     mix_p = np.sum(scene.time_signals["mixture"] ** 2)
@@ -210,9 +178,10 @@ def test_convolutive_energy_additivity(tmp_path):
 
 
 def test_convolutive_missing_rir_rejected(tmp_path):
-    cfg = ScenarioConfig(mics=2, seed=12, duration_s=0.5, mode="convolutive")
+    cfg = ScenarioConfig(mics=2, seed=12, duration_s=0.5)
     with pytest.raises(FileNotFoundError):
-        render_convolutive(cfg, [tmp_path / "a.wav"] * 3, [tmp_path / "b.wav"] * 3)
+        render_convolutive(cfg, [tmp_path / "a.wav"] * 3, [tmp_path / "b.wav"] * 3,
+                           frame_spec=stft.FrameSpec.default(512, 256, 16000))
 
 
 def test_convolutive_sample_rate_mismatch_rejected(tmp_path):
@@ -220,7 +189,7 @@ def test_convolutive_sample_rate_mismatch_rejected(tmp_path):
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
     bad = tmp_path / "bad_rir.wav"
     stft.write_wav(bad, np.zeros((64, m)), 8000, dtype="float32")
-    cfg = ScenarioConfig(mics=m, seed=13, duration_s=0.5, mode="convolutive")
+    cfg = ScenarioConfig(mics=m, seed=13, duration_s=0.5)
     spec = stft.FrameSpec.default(512, 256, sr)
     with pytest.raises(ValueError):
         render_convolutive(cfg, srcs, [rirs[0], bad, rirs[2]], frame_spec=spec)
