@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import numpy as np
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import metrics as _metrics
@@ -69,6 +69,18 @@ class ExperimentSpec:
     out: str = "."
 
     def __post_init__(self):
+        for name in ("ser_db", "ier_db", "enr_db"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(v, (int, float)) and np.isfinite(v) for v in pair)
+                    and pair[0] <= pair[1]):
+                raise ConfigError(f"{name} must be a pair [low, high] of finite numbers "
+                                  f"with low <= high, got {pair!r}")
+        for f in fields(self):  # JSON has no tuples; bool is an int that no field takes
+            value = getattr(self, f.name)
+            accepted = {float: (int, float), tuple: (list, tuple), list: (list, tuple)}
+            if isinstance(value, bool) or not isinstance(value, accepted.get(f.type, f.type)):
+                raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if not self.algorithms:
@@ -82,13 +94,6 @@ class ExperimentSpec:
                 )
         if self.mode == "convolutive" and (not self.source_wavs or not self.rir_wavs):
             raise ConfigError("convolutive mode needs source_wavs and rir_wavs")
-        for name in ("ser_db", "ier_db", "enr_db"):
-            pair = getattr(self, name)
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(isinstance(v, (int, float)) and np.isfinite(v) for v in pair)
-                    and pair[0] <= pair[1]):
-                raise ConfigError(f"{name} must be a pair [low, high] of finite numbers "
-                                  f"with low <= high, got {pair!r}")
 
     def frame_spec(self):
         return _stft.FrameSpec.default(self.frame_len, self.hop, self.sample_rate)
@@ -167,6 +172,7 @@ def run_bench(spec):
                 reference_channel=spec.reference_channel,
             )
             reports.append(rep)
+        del scene, res  # rendering the next scene needs neither
     return reports
 
 

@@ -42,24 +42,19 @@ class MetricsReport:
         return {c: getattr(self, c) for c in CSV_COLUMNS}
 
 
-def component_pass(state, images, u, bp_scale):
-    """Pass each component image through the estimated pipeline to the output.
+def component_pass(state, name, image, u, bp_scale):
+    """Pass one component image through the estimated pipeline to the output, (F, T).
 
     The pipeline is linear: echo subtraction e = x - h u, then w^H and the
     backprojection scale. Only the echo component has a loudspeaker part, so
     its output alone subtracts (w^H h) u. A run without a beamformer has w
     the reference channel's unit vector and a scale of 1.
-
-    Returns a dict of each component's (F, T) output.
     """
-    w_col = state.w.conj()[:, :, None]
-    out = {}
-    for name, img in images.items():
-        y = (img @ w_col)[:, :, 0]
-        if name == "echo":
-            y -= np.sum(state.w.conj() * state.h, axis=1)[:, None] * u
-        out[name] = bp_scale[:, None] * y
-    return out
+    y = (image @ state.w.conj()[:, :, None])[:, :, 0]
+    if name == "echo":
+        y -= np.sum(state.w.conj() * state.h, axis=1)[:, None] * u
+    y *= bp_scale[:, None]
+    return y
 
 
 def _db_ratio(num, den):
@@ -70,30 +65,24 @@ def _db_ratio(num, den):
     return float(np.clip(10.0 * np.log10(num / den), -DB_CAP, DB_CAP))
 
 
-def erle(echo_image, echo_residual):
-    """Echo attenuation in dB: input echo power over residual echo power."""
-    p_in = float(np.sum(np.abs(echo_image) ** 2))
-    p_res = float(np.sum(np.abs(echo_residual) ** 2))
-    return _db_ratio(p_in, p_res)
+def erle(p_echo, p_residual):
+    """Echo attenuation in dB from the input echo's energy and the residual echo's."""
+    return _db_ratio(p_echo, p_residual)
 
 
-def ratios(soi_out, echo_out, intf_out, noise_out):
-    """(SIR, SER, SIER) in dB from per-component output contributions."""
-    p_s = float(np.sum(np.abs(soi_out) ** 2))
-    p_e = float(np.sum(np.abs(echo_out) ** 2))
-    p_i = float(np.sum(np.abs(intf_out) ** 2))
-    p_n = float(np.sum(np.abs(noise_out) ** 2))
-    return (
-        _db_ratio(p_s, p_i),
-        _db_ratio(p_s, p_e),
-        _db_ratio(p_s, p_i + p_e + p_n),
-    )
+def ratios(p_soi, p_echo, p_intf, p_noise):
+    """(SIR, SER, SIER) in dB from the energies of the components' outputs."""
+    return (_db_ratio(p_soi, p_intf), _db_ratio(p_soi, p_echo),
+            _db_ratio(p_soi, p_intf + p_echo + p_noise))
 
 
-def _to_time(tf_signal, frame_spec):
-    out = _stft.synthesize(tf_signal, frame_spec)
-    trim = min(frame_spec.frame_len, out.shape[0] // 4)
-    return out[trim:out.shape[0] - trim]
+def _energy(tf_signal, frame_spec=None):
+    """Energy of an (F, T) signal; given a frame spec, of its synthesis without edge frames."""
+    if frame_spec is not None:
+        out = _stft.synthesize(tf_signal, frame_spec)
+        trim = min(frame_spec.frame_len, out.shape[0] // 4)
+        tf_signal = out[trim:out.shape[0] - trim]
+    return float(np.sum(np.abs(tf_signal) ** 2))
 
 
 def evaluate_run(scene, state, bp_scale,
@@ -102,26 +91,22 @@ def evaluate_run(scene, state, bp_scale,
 
     Without a beamformer (unprocessed and LS AEC conditions) the state's w
     is the reference channel's unit vector, so the echo-cancellation stage
-    at the reference channel is the final output.
+    at the reference channel is the final output. Each signal is formed
+    and reduced to its energy before the next.
     """
-    ref = reference_channel - 1
-    out = component_pass(state, scene.images, scene.loudspeaker, bp_scale)
-    echo_ref_in = scene.images["echo"][:, :, ref]
-    echo_ref_res = echo_ref_in - state.h[:, ref, None] * scene.loudspeaker
-
-    if scene.frame_spec is not None:
-        spec = scene.frame_spec
-        echo_ref_in = _to_time(echo_ref_in, spec)
-        echo_ref_res = _to_time(echo_ref_res, spec)
-        out = {name: _to_time(sig, spec) for name, sig in out.items()}
-
-    sir, ser, sier = ratios(out["soi"], out["echo"], out["interference"], out["noise"])
+    u, spec = scene.loudspeaker, scene.frame_spec
+    p = {name: _energy(component_pass(state, name, img, u, bp_scale), spec)
+         for name, img in scene.images.items()}
+    echo_ref = scene.images["echo"][:, :, reference_channel - 1]
+    p_echo = _energy(echo_ref, spec)
+    p_residual = _energy(echo_ref - state.h[:, reference_channel - 1, None] * u, spec)
+    sir, ser, sier = ratios(p["soi"], p["echo"], p["interference"], p["noise"])
     return MetricsReport(
         sir_db=sir,
         ser_db=ser,
         sier_db=sier,
-        erle_aec_db=erle(echo_ref_in, echo_ref_res),
-        erle_bf_db=erle(echo_ref_in, out["echo"]),
+        erle_aec_db=erle(p_echo, p_residual),
+        erle_bf_db=erle(p_echo, p["echo"]),
         algorithm=algorithm,
         seed=seed,
         iterations=iterations,

@@ -8,9 +8,9 @@ power. The iteration runs on sufficient statistics: the data enter through
 C_xx = E[x x^H], E[x u*] and E[|u|^2], computed once per run, and through one
 pass of score-weighted moments per half-step at the current filters. The
 error covariance C_ee and the moments of the error signal e = x - h u follow
-in closed form, so e is formed only once, at the end, where the scale
-ambiguity of the extracted source is resolved by projecting onto a reference
-error channel.
+in closed form, so no run forms e: at the end the scale ambiguity of the
+extracted source w^H x - (w^H h) u is resolved by projecting onto e's
+reference channel, the one channel formed (RunResult.e forms e when read).
 
 Each quantity is formed when its inputs move. C_ee(h) = C_LS + P_u d d^H,
 with d = h - h_LS, is a rank-one update of the least-squares residual
@@ -133,9 +133,15 @@ class RunResult:
 
     s_hat: np.ndarray  # (F, T) output: backprojected source estimate, or the
                        # reference channel of e when there is no beamformer
-    e: np.ndarray      # (F, T, M) echo-cancelled error signal
     state: DemixState
     diagnostics: RunDiagnostics
+    x: np.ndarray      # (F, T, M) the microphone spectra the run read (not a copy)
+    u: np.ndarray      # (F, T) the loudspeaker spectra, zeros for a run without one
+
+    @property
+    def e(self):  # (F, T, M) echo-cancelled error signal x - h u, formed on each read
+        e = self.state.h[:, None, :] * self.u[:, :, None]
+        return np.subtract(self.x, e, out=e)
 
 
 @dataclass
@@ -211,11 +217,7 @@ def moments(x, u, state, score=score_spherical, y=None, e_phi=True):
     instead of making the pass again. y holds while w does; when given, as
     after an echo step that moved only h, it is not formed again.
     """
-    if y is None:
-        y = (x @ state.w.conj()[:, :, None])[:, :, 0]
-    c = np.sum(state.w.conj() * state.h, axis=1)
-    s = c[:, None] * u
-    np.subtract(y, s, out=s)
+    y, s = _extract(x, u, state, y)
     phi, rho = score(s)
     phi_col = phi[:, :, None]
     n_frames = s.shape[1]
@@ -226,6 +228,13 @@ def moments(x, u, state, score=score_spherical, y=None, e_phi=True):
         x_phi = (np.swapaxes(x, 1, 2) @ phi_col)[:, :, 0] / n_frames
         mom.e_phi = x_phi - state.h * u_phi[:, None]
     return mom
+
+
+def _extract(x, u, state, y=None):
+    """(y, s): y = w^H x unless given, and s = y - (w^H h) u in a buffer of its own."""
+    y = (x @ state.w.conj()[:, :, None])[:, :, 0] if y is None else y
+    s = np.sum(state.w.conj() * state.h, axis=1)[:, None] * u
+    return y, np.subtract(y, s, out=s)
 
 
 def _score_weight(nu, normalize):
@@ -334,13 +343,12 @@ def normalize_w(state):
     return state
 
 
-def backprojection_scale(s_hat, e, reference_channel=1):
-    """Per-bin scale minimizing E[|alpha s_hat - e_ref|^2].
+def backprojection_scale(s_hat, ref):
+    """Per-bin scale minimizing E[|alpha s_hat - ref|^2], ref the reference error channel.
 
     Bins whose source estimate is identically zero get scale 0 (nothing to
     project); an all-zero estimate is an error.
     """
-    ref = e[:, :, reference_channel - 1]
     power = np.mean(np.abs(s_hat) ** 2, axis=1)
     if not np.any(power > 0.0):
         raise NumericsError("cannot backproject: source estimate has zero power")
@@ -423,6 +431,7 @@ def _run(x, u, cfg=None, joint=True, truth=None):
             frozen = max(frozen, int(np.sum(~ok)))
         normalize_w(state)
         _refresh_beamformer(state)  # w moved, h and C_ee did not
+        mom = y = None  # both read the old w
 
         if cfg.records or it + 1 < cfg.iterations:
             # the next echo step (joint) or BSE step, and the record; the next
@@ -448,11 +457,11 @@ def _run(x, u, cfg=None, joint=True, truth=None):
             record.off_block_db = off_block_energy_db(v)
         diag.records.append(record)
 
-    e = state.h[:, None, :] * u[:, :, None]
-    np.subtract(x, e, out=e)  # e = x - h u in one (F, T, M) buffer
-    s = (e @ state.w.conj()[:, :, None])[:, :, 0]
-    diag.bp_scale = backprojection_scale(s, e, cfg.reference_channel)
-    return RunResult(s_hat=diag.bp_scale[:, None] * s, e=e, state=state, diagnostics=diag)
+    s = _extract(x, u, state)[1]  # w^H e, and no (F, T, M) e
+    ref = cfg.reference_channel - 1
+    diag.bp_scale = backprojection_scale(s, x[:, :, ref] - state.h[:, ref, None] * u)
+    s *= diag.bp_scale[:, None]
+    return RunResult(s_hat=s, state=state, diagnostics=diag, x=x, u=u)
 
 
 def run_joint(x, u, cfg=None, truth=None):
@@ -506,7 +515,7 @@ def _least_squares(r_xu, P_u):
     return np.where(ok[:, None], r_xu / np.where(ok, P_u, 1.0)[:, None], 0.0)
 
 
-def _reference_output(e, h, cfg):
+def _reference_output(x, u, h, cfg):
     """Result of a condition without a beamformer: the reference channel of e.
 
     w = a = that channel's unit vector, so s_hat = w^H e, the backprojection
@@ -515,8 +524,9 @@ def _reference_output(e, h, cfg):
     ref = cfg.reference_channel - 1
     w = np.zeros_like(h)
     w[:, ref] = 1.0
-    return RunResult(s_hat=e[:, :, ref], e=e, state=DemixState(h=h, w=w, a=w.copy()),
-                     diagnostics=RunDiagnostics(bp_scale=np.ones(len(h))))
+    return RunResult(s_hat=x[:, :, ref] - h[:, ref, None] * u,
+                     state=DemixState(h=h, w=w, a=w.copy()),
+                     diagnostics=RunDiagnostics(bp_scale=np.ones(len(h))), x=x, u=u)
 
 
 def run_ls_aec(x, u, cfg=None):
@@ -530,11 +540,11 @@ def run_ls_aec(x, u, cfg=None):
     if not np.any(P_u > 0):
         raise NumericsError("least-squares echo canceller needs a nonzero loudspeaker signal")
     h = _least_squares(r_xu, P_u)
-    return _reference_output(x - h[:, None, :] * u[:, :, None], h, cfg)
+    return _reference_output(x, u, h, cfg)
 
 
 def run_unprocessed(x, cfg=None):
     """The unprocessed condition: h = 0 and no beamformer; the output is x's reference channel."""
     cfg = cfg or RunConfig()
-    x, _ = _inputs(x, None, cfg)
-    return _reference_output(x, np.zeros_like(x[:, 0, :]), cfg)
+    x, u = _inputs(x, None, cfg)
+    return _reference_output(x, u, np.zeros_like(x[:, 0, :]), cfg)

@@ -70,7 +70,9 @@ class Scene:
 
     mixture = sum of images (exact); frame_spec is None for scenes generated
     directly on an abstract frequency grid. time_signals holds time-domain
-    renditions keyed like images plus "mixture"/"loudspeaker" when available.
+    renditions keyed like images plus "mixture"/"loudspeaker" for a scene
+    rendered in the time domain, but only "mixture", the one a run reads, for
+    a loaded scene.
     """
 
     mixture: np.ndarray      # (F, T, M)
@@ -155,13 +157,12 @@ def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None):
     a_soi = _circular_gauss(rng, (n_freqs, m))
     echo_atf = _circular_gauss(rng, (n_freqs, m))
     bg_mix = _circular_gauss(rng, (n_freqs, m, m - 1))
-    raw = (
-        a_soi[:, None, :] * s[:, :, None],
-        echo_atf[:, None, :] * u[:, :, None],
-        np.einsum("fmk,ftk->ftm", bg_mix, q),
-        _circular_gauss(rng, (n_freqs, n_frames, m)),
-    )
-    images, mixture, gains = _mix(raw, cfg)
+    soi = a_soi[:, None, :] * s[:, :, None]
+    echo = echo_atf[:, None, :] * u[:, :, None]
+    interference = np.einsum("fmk,ftk->ftm", bg_mix, q)
+    del s, q  # only the images read the sources
+    noise = _circular_gauss(rng, (n_freqs, n_frames, m))
+    images, mixture, gains = _mix((soi, echo, interference, noise), cfg)
     return Scene(
         mixture=mixture,
         loudspeaker=u,
@@ -173,17 +174,22 @@ def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None):
     )
 
 
-def _analyzed_scene(time_signals, cfg, frame_spec, gains, truth=None):
-    """A Scene whose STFT tensors are the analyses of its time signals."""
+def _analyzed_scene(signals, cfg, frame_spec, gains, truth=None, keep=()):
+    """A Scene analyzing (name, samples) pairs one at a time; keeps the samples named in keep."""
+    tensors, kept = {}, {}
+    for name, sig in signals:
+        tensors[name] = _stft.analyze(sig, frame_spec)
+        if name in keep:
+            kept[name] = sig
     return Scene(
-        mixture=_stft.analyze(time_signals["mixture"], frame_spec),
-        loudspeaker=_stft.analyze(time_signals["loudspeaker"], frame_spec)[:, :, 0],
-        images={k: _stft.analyze(time_signals[k], frame_spec) for k in COMPONENTS},
+        mixture=tensors.pop("mixture"),
+        loudspeaker=tensors.pop("loudspeaker")[:, :, 0],
+        images={k: tensors[k] for k in COMPONENTS},
         config=cfg,
         truth=truth,
         frame_spec=frame_spec,
         gains=gains,
-        time_signals=time_signals,
+        time_signals=kept,
     )
 
 
@@ -249,28 +255,29 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec):
     noise = np.random.default_rng(cfg.seed).standard_normal((n_samples, m))
     images, mixture, gains = _mix((*raw, noise), cfg)
     time_signals = {**images, "loudspeaker": dry[1][:, None], "mixture": mixture}
-    return _analyzed_scene(time_signals, cfg, frame_spec, gains)
+    return _analyzed_scene(time_signals.items(), cfg, frame_spec, gains, keep=time_signals)
 
 
 def save_scene(scene, out_dir):
     """Write a scene as a WAV set plus a JSON manifest; returns manifest path.
 
     The WAVs hold the stored time signals of a scene rendered in the time
-    domain, otherwise the syntheses of its STFT tensors.
+    domain, otherwise the syntheses of its STFT tensors, each synthesized
+    and written before the next.
     """
     if scene.frame_spec is None:
         raise ValueError("cannot save a scene without a frame spec")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sr = scene.frame_spec.sample_rate
-    signals = scene.time_signals
-    if signals is None:
-        tensors = {"mixture": scene.mixture, "loudspeaker": scene.loudspeaker, **scene.images}
-        signals = {name: _stft.synthesize(x, scene.frame_spec) for name, x in tensors.items()}
+    tensors = {"mixture": scene.mixture, "loudspeaker": scene.loudspeaker, **scene.images}
     n_samples = int(round(scene.config.duration_s * sr))
-    files = {name: f"{name}.wav" for name in signals}
-    for name, sig in signals.items():
+    files = {name: f"{name}.wav" for name in tensors}
+    stored = scene.time_signals or {}
+    for name, x in tensors.items():  # no signal outlives its file
+        sig = stored[name] if name in stored else _stft.synthesize(x, scene.frame_spec)
         _stft.write_wav(out / files[name], sig[:n_samples], sr, dtype="float32")
+        del sig
     manifest = {
         "schema": "echosep-scene-v1",
         "config": asdict(scene.config),
@@ -298,10 +305,12 @@ def _declared(values, names, where):
 
 
 def load_scene(manifest_path):
-    """Load a scene saved by save_scene, re-analyzing the WAVs to STFT.
+    """Load a scene saved by save_scene, analyzing each WAV to STFT as it is read.
 
     Each part is built from the fields it declares; other keys and arrays
-    are ignored, and a missing one raises ValueError naming its file.
+    are ignored, and a missing one raises ValueError naming its file, as does
+    a WAV of another shape or rate than save_scene writes. time_signals keeps
+    the mixture's samples alone.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -317,17 +326,21 @@ def load_scene(manifest_path):
     sr = top["sample_rate"]
     frame = _declared(top["frame"], ("frame_len", "hop"), f"{manifest_path}: frame")
     spec = _stft.FrameSpec.default(frame["frame_len"], frame["hop"], sr)
-    time_signals = {}
     files = _declared(top["files"], ("mixture", "loudspeaker", *COMPONENTS),
                       f"{manifest_path}: files")
-    for name, fname in files.items():
-        data, rate = _stft.read_wav(base / fname)
-        if rate != sr:
-            raise ValueError(f"{fname}: sample rate {rate} != manifest {sr}")
-        time_signals[name] = data
+
+    def read(name):  # the samples, channels and rate save_scene writes, or ValueError
+        data, rate = _stft.read_wav(base / files[name])
+        shape = (int(round(cfg.duration_s * sr)), 1 if name == "loudspeaker" else cfg.mics)
+        if data.shape != shape or rate != sr:
+            raise ValueError(f"{files[name]}: {data.shape} samples x channels at {rate} Hz, "
+                             f"expected {shape} at {sr} Hz")
+        return data
+
     truth = None
     if manifest.get("truth_file"):
         with np.load(base / manifest["truth_file"]) as npz:
             truth = SceneTruth(**_declared(npz, [f.name for f in fields(SceneTruth)],
                                            f"{manifest['truth_file']}: truth"))
-    return _analyzed_scene(time_signals, cfg, spec, top["gains"], truth)
+    return _analyzed_scene(((name, read(name)) for name in files), cfg, spec, top["gains"],
+                           truth, keep=("mixture",))

@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -269,6 +270,33 @@ def test_config_range_that_is_not_an_ordered_pair_exits_one(tmp_path, capsys, fi
     assert not (tmp_path / "scene").exists()
 
 
+# One value of the wrong type for each ExperimentSpec field: a bool where an
+# int is declared, a string for a number, a number or string for a list.
+WRONG_TYPES = {
+    "seed": 1.5, "mode": 3, "runs": "2", "mics": "4", "duration_s": "2", "sample_rate": 16e3,
+    "frame_len": "512", "hop": True, "iterations": 2.5, "reference_channel": False,
+    "ser_db": 5, "ier_db": "0, 5", "enr_db": None, "algorithms": "joint",
+    "source_wavs": "a.wav", "rir_wavs": 7, "out": 5,
+}
+
+
+def test_wrong_types_cover_every_spec_field():
+    assert set(WRONG_TYPES) == {f.name for f in fields(ExperimentSpec)}
+
+
+@pytest.mark.parametrize("field, value", WRONG_TYPES.items(), ids=list(WRONG_TYPES))
+def test_config_field_of_the_wrong_type_exits_one(tmp_path, capsys, field, value):
+    """The config error names the field; no traceback, and nothing is written."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    argv = ["simulate", "--config", str(cfg_path)]
+    if field != "out":
+        argv += ["--out", str(tmp_path / "scene")]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+    assert not (tmp_path / "scene").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = {"seed": 11, "mics": 3, "duration_s": 0.6, "frame_len": 512, "hop": 256,
            "iterations": 4, "algorithms": ["unprocessed", "joint"]}
@@ -326,6 +354,64 @@ def test_every_registered_algorithm_returns_a_run_result(ref):
             assert res.diagnostics.records == []
         else:
             assert len(res.diagnostics.records) == 3
+
+
+@pytest.mark.parametrize("ref", [1, 2])
+def test_every_algorithm_forms_its_error_signal_and_output_from_the_inputs(ref):
+    """RunResult.e is x - h u to the bit, and s_hat is e's extraction times the scale.
+
+    The runs hold no e; they form s_hat as w^H x - (w^H h) u, so it matches
+    w^H e at rounding level only.
+    """
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
+                                       n_freqs=16, n_frames=40)
+    run_cfg = optimizer.RunConfig(iterations=3, reference_channel=ref)
+    for name in cli.CLI_ALGORITHMS:
+        res = cli.run_algorithm(name, scene, run_cfg)
+        # the runs without a loudspeaker take u = 0
+        u = (np.zeros_like(scene.loudspeaker) if name in ("unprocessed", "ive")
+             else scene.loudspeaker)
+        e = scene.mixture - res.state.h[:, None, :] * u[:, :, None]
+        assert np.array_equal(res.e, e), name
+        s = (e @ res.state.w.conj()[:, :, None])[:, :, 0]
+        np.testing.assert_allclose(res.s_hat, res.diagnostics.bp_scale[:, None] * s,
+                                   rtol=1e-12, err_msg=name)
+
+
+def _traced_peak(argv):
+    """The tracemalloc peak, in bytes, of one echosep command run in this process."""
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_and_run_hold_each_signal_once(tmp_path):
+    """Peak memory of simulate and of a joint run, relative to the scene's STFT tensors.
+
+    The scene's five STFT tensors (mixture and four component images, plus
+    the loudspeaker's) are held by both commands. simulate synthesizes and
+    writes one WAV at a time; run analyzes one WAV at a time, keeps only the
+    mixture's samples, forms no (F, T, M) error signal and reduces each
+    evaluated component to its energy before the next. That measured 1.40
+    and 1.51 times the tensors' bytes; holding all six time signals, e and
+    every evaluated output measured 1.81 and 2.36.
+    """
+    warm = tmp_path / "warm"  # first calls import what numpy loads lazily
+    run_cli(simulate_args(warm, duration=1.0))
+    run_cli(["run", "--scene", str(warm), "--algo", "joint", "--out", str(tmp_path / "w"),
+             "--iterations", "2"])
+    scene_dir = tmp_path / "scene"
+    simulate_peak = _traced_peak(simulate_args(scene_dir, duration=1.0))
+    run_peak = _traced_peak(["run", "--scene", str(scene_dir), "--algo", "joint",
+                             "--out", str(tmp_path / "run"), "--iterations", "3"])
+    scene = scenegen.load_scene(scene_dir)
+    tensors = (scene.mixture.nbytes + scene.loudspeaker.nbytes
+               + sum(img.nbytes for img in scene.images.values()))
+    assert simulate_peak <= 1.55 * tensors, simulate_peak / tensors
+    assert run_peak <= 1.75 * tensors, run_peak / tensors
 
 
 def test_run_numerical_failure_exits_two(tmp_path):
@@ -448,6 +534,13 @@ def _truncate_truth(scene_dir):
     np.savez(scene_dir / "truth.npz", a_soi=a_soi)
 
 
+def _rewrite_wav(name, edit, rate=16000):
+    def broken(scene_dir):
+        data, _ = stft.read_wav(scene_dir / f"{name}.wav")
+        stft.write_wav(scene_dir / f"{name}.wav", edit(data), rate, dtype="float32")
+    return broken
+
+
 def _edit_manifest(edit):
     def broken(scene_dir):
         path = scene_dir / "manifest.json"
@@ -466,11 +559,25 @@ def _edit_manifest(edit):
     (_edit_manifest(lambda m: m["config"].pop("ser_db")), "manifest.json: config lacks ser_db"),
     (_edit_manifest(lambda m: m.update(config=7)), "manifest.json: config is not a mapping"),
     (_edit_manifest(lambda m: m["files"].pop("soi")), "manifest.json: files lacks soi"),
+    (_rewrite_wav("soi", lambda d: d[:-5000]),
+     "soi.wav: (4600, 3) samples x channels at 16000 Hz, expected (9600, 3) at 16000 Hz"),
+    (_rewrite_wav("noise", lambda d: d[:, :2]),
+     "noise.wav: (9600, 2) samples x channels at 16000 Hz, expected (9600, 3) at 16000 Hz"),
+    (_rewrite_wav("loudspeaker", lambda d: np.tile(d, 3)),
+     "loudspeaker.wav: (9600, 3) samples x channels at 16000 Hz, "
+     "expected (9600, 1) at 16000 Hz"),
+    (_rewrite_wav("mixture", lambda d: d, rate=8000),
+     "mixture.wav: (9600, 3) samples x channels at 8000 Hz, expected (9600, 3) at 16000 Hz"),
 ], ids=["truth_without_every_array", "manifest_without_gains", "frame_without_frame_len",
         "frame_without_hop", "config_without_ser_db", "config_not_a_mapping",
-        "files_without_soi"])
+        "files_without_soi", "short_component", "component_missing_channels",
+        "loudspeaker_with_three_channels", "mixture_at_another_rate"])
 def test_run_malformed_scene_exits_one(tmp_path, capsys, break_scene, message):
-    """A saved scene missing a truth array, a manifest key or a nested field is an error line."""
+    """A malformed saved scene is an error line that names the file at fault.
+
+    Malformed: a truth array, a manifest key or a nested field is missing, or
+    a WAV has another length, channel count or rate than the manifest declares.
+    """
     scene_dir = tmp_path / "scene"
     run_cli(simulate_args(scene_dir))
     break_scene(scene_dir)

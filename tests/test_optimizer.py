@@ -447,7 +447,7 @@ def test_backproject_identity_scale():
     rng = np.random.default_rng(12)
     e = crandn(rng, (4, 50, 3))
     s = e[:, :, 0].copy()
-    scale = backprojection_scale(s, e, reference_channel=1)
+    scale = backprojection_scale(s, e[:, :, 0])
     np.testing.assert_allclose(scale, np.ones(4), rtol=1e-12)
 
 
@@ -455,7 +455,7 @@ def test_backproject_removes_scale_ambiguity():
     rng = np.random.default_rng(13)
     e = crandn(rng, (4, 50, 2))
     s = 2.0 * e[:, :, 0]
-    out = backprojection_scale(s, e, reference_channel=1)[:, None] * s
+    out = backprojection_scale(s, e[:, :, 0])[:, None] * s
     np.testing.assert_allclose(out, e[:, :, 0], rtol=1e-12)
 
 
@@ -465,7 +465,7 @@ def test_backproject_scale_beats_grid_search():
     e = crandn(rng, (1, 200, 2))
     s = crandn(rng, (1, 200))
     ref = e[0, :, 0]
-    alpha = backprojection_scale(s, e, reference_channel=1)[0]
+    alpha = backprojection_scale(s, e[:, :, 0])[0]
 
     def objective(a):
         return np.mean(np.abs(a * s[0] - ref) ** 2)
