@@ -129,15 +129,15 @@ def background_power(a, C_ee):
             - 2.0 * (gamma * g_c1).real)
 
 
-def orthogonal_constraint_atf(C_ee, w):
+def orthogonal_constraint_atf(C_ee, w, cw=None):
     """Steering-vector estimate a = C_ee w / (w^H C_ee w) per bin, with its mask.
 
     Enforces the decorrelation of background and source estimates; by
-    construction w^H a = 1. Takes (F, M, M) and (F, M) stacks and returns
-    (a, ok); bins whose w^H C_ee w is not finite or not above tiny in
-    magnitude get a = 0 and ok False.
+    construction w^H a = 1. Takes (F, M, M) and (F, M) stacks (and C_ee w,
+    if formed) and returns (a, ok); bins whose w^H C_ee w is not finite or
+    not above tiny in magnitude get a = 0 and ok False.
     """
-    cw = (C_ee @ w[:, :, None])[:, :, 0]
+    cw = (C_ee @ w[:, :, None])[:, :, 0] if cw is None else cw
     denom = np.sum(w.conj() * cw, axis=1)
     ok = np.isfinite(denom) & (np.abs(denom) > np.finfo(float).tiny)
     return np.where(ok[:, None], cw / np.where(ok, denom, 1.0)[:, None], 0.0), ok
@@ -208,28 +208,45 @@ def load_diagonal(c, loading=DEFAULT_LOADING):
     return c
 
 
+def _gauss_jordan(a):
+    """Invert each (K, K) slice of a contiguous (K, K, F) stack in place, without pivoting.
+
+    Each step is a few elementwise operations over length-F rows. A pivot
+    that is not finite or has no positive real part, which a Hermitian
+    positive definite matrix never has, turns its bin's slice into NaN.
+    """
+    with np.errstate(all="ignore"):  # such a bin may overflow before it turns NaN
+        for k in range(a.shape[0]):
+            pivot = np.where(np.isfinite(a[k, k]) & (a[k, k].real > 0.0), a[k, k], np.nan)
+            a[k, k] = 1.0
+            a[k] /= pivot  # row k, with 1 / pivot in column k
+            col = a[:, k].copy()
+            col[k] = 0.0
+            a[:, k] -= col  # exactly 0 off row k, so that the update below
+            a -= col[:, None] * a[k]  # leaves -a_ik / pivot there
+    return a
+
+
 def loaded_inverse(c, loading=DEFAULT_LOADING):
     """(inverse, ok) of load_diagonal(c, loading) for a (F, K, K) stack.
 
-    Non-finite or zero-trace bins take the identity in the one batched
-    inversion and drop out, so one dead bin does not send the whole batch
-    down the per-bin path. A bin whose batched inversion fails or is not
-    finite gets a plain inversion and one loaded retry on its own, then drops
-    out. Bins that drop out get a zero inverse and ok False. The driver's
-    BSE step, grad_h and interference_whitener all use it.
+    A loaded covariance is Hermitian positive definite, so one elimination
+    without pivoting (_gauss_jordan) on a contiguous (K, K, F) copy inverts
+    every bin. A bin whose inverse is not finite (an unhealthy pivot) gets a
+    LAPACK inversion and one loaded retry on its own. Non-finite or zero-trace
+    bins, and bins the retry fails, get a zero inverse and ok False. The
+    driver's BSE step, grad_h and interference_whitener all use it.
     """
-    loaded = load_diagonal(c, loading)
-    eye = np.eye(loaded.shape[-1])
-    ok = (np.all(np.isfinite(loaded), axis=(1, 2))
-          & (np.einsum("fkk->f", loaded).real > np.finfo(float).tiny))
-    try:
-        inverse = np.linalg.inv(np.where(ok[:, None, None], loaded, eye))
-        bad = ok & ~np.all(np.isfinite(inverse), axis=(1, 2))
-    except np.linalg.LinAlgError:
-        inverse, bad = np.zeros_like(loaded), ok.copy()
+    a = np.ascontiguousarray(np.moveaxis(load_diagonal(c, loading), 0, -1))
+    ok = (np.all(np.isfinite(a), axis=(0, 1))
+          & (np.einsum("kkf->f", a).real > np.finfo(float).tiny))
+    a[:, :, ~ok] = np.eye(a.shape[0])[:, :, None]
+    bad = ok & ~np.all(np.isfinite(_gauss_jordan(a)), axis=(0, 1))
+    inverse = np.ascontiguousarray(np.moveaxis(a, -1, 0))
     for f in np.nonzero(bad)[0]:
         ok[f] = False
-        for mat in (loaded[f], load_diagonal(loaded[f], loading)):  # plain, then loaded
+        loaded = load_diagonal(c[f], loading)
+        for mat in (loaded, load_diagonal(loaded, loading)):  # plain, then loaded
             try:
                 candidate = np.linalg.inv(mat)
             except np.linalg.LinAlgError:
@@ -272,13 +289,16 @@ def log_det_terms(state, C_ee):
     """J's terms beyond E[-log p(s_hat)]: sum_f [log det C_ee - log sigma_f^2].
 
     sigma_f^2 = w^H C_ee w, and the sum runs over the state's active bins. An
-    active bin whose C_ee has no positive determinant, or whose sigma^2 is
-    not positive, raises NumericsError.
+    active bin whose C_ee is not positive definite, or whose sigma^2 is not
+    positive, raises NumericsError.
     """
     c, w = C_ee[state.active], state.w[state.active]
-    sign, logdet = np.linalg.slogdet(c)
     sigma2 = np.einsum("fm,fmn,fn->f", w.conj(), c, w).real
-    if not (np.all(sign.real > 0.0) and np.all(sigma2 > 0.0)):
+    try:  # log det C_ee = 2 sum_k log L_kk for the Cholesky factor L
+        logdet = 2.0 * np.sum(np.log(np.einsum("fkk->fk", np.linalg.cholesky(c)).real), axis=1)
+    except np.linalg.LinAlgError:  # not positive definite
+        logdet = np.nan
+    if not (np.all(np.isfinite(logdet)) and np.all(sigma2 > 0.0)):
         raise NumericsError("degenerate error covariance or source power on an active bin")
     return float(np.sum(logdet - np.log(sigma2)))
 

@@ -14,18 +14,18 @@ reference channel, the one channel formed (RunResult.e forms e when read).
 
 Each quantity is formed when its inputs move. C_ee(h) = C_LS + P_u d d^H,
 with d = h - h_LS, is a rank-one update of the least-squares residual
-covariance, formed in closed form at the start and after each echo step
-that moved h (only joint moves h). The BSE step applies the loaded inverse
-of the held C_ee, one batched inversion (model.loaded_inverse) per echo
-path: n in n joint iterations, one under BNLMS-IVE and IVE. a and the
-active mask follow w, and are refreshed from the held C_ee after every BSE
-step; the mask reads the trace of the background covariance B C_ee B^H in
-closed form, and no run forms the covariance itself. Only a BSE step reads
-E[e phi], so a pass that serves an echo step and a record alone (joint's
-pass after its BSE step) does not form E[x phi]: joint forms it n times in
-n iterations. An iteration whose echo step left h in place forms it in that
-pass too, since the next BSE step is likely to read the pass unchanged (a
-silent loudspeaker holds h throughout).
+covariance, formed in closed form at the start and after each echo step that
+moved h (only joint moves h). The BSE step applies the loaded inverse of the
+held C_ee (model.loaded_inverse), formed once per echo path: n times in n
+joint iterations, once under BNLMS-IVE and IVE. a and the active mask follow
+w, and are refreshed after every BSE step from the held C_ee and the C_ee w
+that normalize_w forms; the mask reads the trace of the background covariance
+B C_ee B^H in closed form, and no run forms the covariance itself. Only a BSE
+step reads E[e phi], so a pass that serves an echo step and a record alone
+(joint's pass after its BSE step) does not form E[x phi]: joint forms it n
+times in n iterations. An iteration whose echo step left h in place forms it
+in that pass too, since the next BSE step is likely to read the pass
+unchanged (a silent loudspeaker holds h throughout).
 
 With RunConfig.records set (the default) each iteration also writes an
 IterationRecord: the profile likelihood J of model.cost, from the held C_ee
@@ -330,17 +330,18 @@ def update_bse(state, mom, inv):
 
 
 def normalize_w(state):
-    """Rescale w per bin so the source estimate has unit power.
+    """Rescale w per bin so the source estimate has unit power; return C_ee w at the new w.
 
     Divides by sqrt(w^H C_ee w); raises if that power is not positive on an
-    active bin. Frozen bins are left untouched.
+    active bin. Frozen bins are left untouched. _refresh_beamformer reads C_ee w.
     """
-    power = np.einsum("fm,fmn,fn->f", state.w.conj(), state.C_ee, state.w).real
+    cw = (state.C_ee @ state.w[:, :, None])[:, :, 0]
+    power = np.sum(state.w.conj() * cw, axis=1).real
     if np.any(state.active & ~(power > 0.0)):
         raise NumericsError("cannot normalize: estimated source power is not positive")
     scale = np.where(state.active, 1.0 / np.sqrt(np.where(power > 0, power, 1.0)), 1.0)
     state.w = state.w * scale[:, None]
-    return state
+    return cw * scale[:, None]
 
 
 def backprojection_scale(s_hat, ref):
@@ -366,15 +367,15 @@ def _update_statistics(state, data):
     _refresh_beamformer(state)
 
 
-def _refresh_beamformer(state):
+def _refresh_beamformer(state, cw=None):
     """Form a and the active-bin mask at the current w from the held C_ee.
 
-    No linear solve. Bins with a degenerate w^H C_ee w keep their a and are
-    frozen, and so are bins whose floored background trace
-    tr(B C_ee B^H), taken in closed form (background_power), is not
-    positive; that test is what freezes noise-free echo-only bins.
+    No linear solve; cw is C_ee w if formed. Bins with a degenerate w^H C_ee w
+    keep their a and are frozen, and so are bins whose floored background trace
+    tr(B C_ee B^H), taken in closed form (background_power), is not positive;
+    that test is what freezes noise-free echo-only bins.
     """
-    a, ok = orthogonal_constraint_atf(state.C_ee, state.w)
+    a, ok = orthogonal_constraint_atf(state.C_ee, state.w, cw)
     state.a = np.where(ok[:, None], a, state.a)
     m = state.n_channels
     if m >= 2:
@@ -429,8 +430,7 @@ def _run(x, u, cfg=None, joint=True, truth=None):
                 inv = loaded_inverse(state.C_ee, DEFAULT_LOADING)
             state.w, ok = update_bse(state, mom, inv)
             frozen = max(frozen, int(np.sum(~ok)))
-        normalize_w(state)
-        _refresh_beamformer(state)  # w moved, h and C_ee did not
+        _refresh_beamformer(state, normalize_w(state))  # w moved, h and C_ee did not
         mom = y = None  # both read the old w
 
         if cfg.records or it + 1 < cfg.iterations:

@@ -2,13 +2,14 @@
 
 The package takes these in closed form, or has no use for them outside the
 tests: the demixing cascade applied frame by frame, the background
-covariance B C_ee B^H, the h-gradient matrix R of the cost J and the Newton
-curvature of the echo-path step.
+covariance B C_ee B^H, the h-gradient matrix R of the cost J, the Newton
+curvature of the echo-path step and the LAPACK loaded inverse that the
+package's elimination replaces.
 """
 
 import numpy as np
 
-from echosep.model import blocking_matrix
+from echosep.model import DEFAULT_LOADING, blocking_matrix, load_diagonal
 from echosep.optimizer import _score_weight
 
 
@@ -61,3 +62,34 @@ def hessian_h(state, data, mom, normalize=True):
     outer = state.w[:, :, None] * state.w.conj()[:, None, :]
     r = cost_whitener(state.C_ee, state.w)
     return (r + weight[:, None, None] * outer) * data.P_u[:, None, None]
+
+
+def lapack_loaded_inverse(c, loading=DEFAULT_LOADING):
+    """(inverse, ok) of load_diagonal(c, loading) by one batched np.linalg.inv.
+
+    The reference for model.loaded_inverse. Non-finite or zero-trace bins take
+    the identity in the batch and drop out. A bin whose batched inversion
+    fails or is not finite gets a plain inversion and one loaded retry on its
+    own, then drops out. Bins that drop out get a zero inverse and ok False.
+    """
+    loaded = load_diagonal(c, loading)
+    eye = np.eye(loaded.shape[-1])
+    ok = (np.all(np.isfinite(loaded), axis=(1, 2))
+          & (np.einsum("fkk->f", loaded).real > np.finfo(float).tiny))
+    try:
+        inverse = np.linalg.inv(np.where(ok[:, None, None], loaded, eye))
+        bad = ok & ~np.all(np.isfinite(inverse), axis=(1, 2))
+    except np.linalg.LinAlgError:
+        inverse, bad = np.zeros_like(loaded), ok.copy()
+    for f in np.nonzero(bad)[0]:
+        ok[f] = False
+        for mat in (loaded[f], load_diagonal(loaded[f], loading)):  # plain, then loaded
+            try:
+                candidate = np.linalg.inv(mat)
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(np.isfinite(candidate)):
+                inverse[f], ok[f] = candidate, True
+                break
+    inverse[~ok] = 0.0
+    return inverse, ok

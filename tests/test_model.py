@@ -4,6 +4,8 @@ The score derivatives and cost gradients are checked against central finite
 differences computed here, independently of the closed forms under test.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +26,8 @@ from echosep.model import (
     score_stats,
     transmission_matrix,
 )
-from formulas import apply_demixer, background_covariance, cost_whitener
+from formulas import (apply_demixer, background_covariance, cost_whitener,
+                      lapack_loaded_inverse)
 
 
 def crandn(rng, shape):
@@ -325,6 +328,62 @@ def test_interference_whitener_equals_the_loaded_solve_and_drops_dead_bins():
     np.testing.assert_array_equal(r_dead[[0, 2, 3, 5]], r[[0, 2, 3, 5]])
 
 
+def random_hermitian(rng, eigenvalues):
+    """Q diag(eigenvalues) Q^H for a random unitary Q, exactly Hermitian."""
+    k = len(eigenvalues)
+    q, _ = np.linalg.qr(crandn(rng, (k, k)))
+    c = (q * eigenvalues) @ q.conj().T
+    return 0.5 * (c + c.conj().T)
+
+
+@given(k=st.integers(1, 6), n_freqs=st.integers(1, 64), log_spread=st.floats(0.0, 8.0),
+       loading=st.sampled_from([0.0, 1e-6]), seed=st.integers(0, 2**16))
+def test_loaded_inverse_inverts_hermitian_positive_definite_stacks(k, n_freqs, log_spread,
+                                                                   loading, seed):
+    """The elimination inverts a loaded Hermitian PD stack to |L X - I| <= 100 eps cond(L).
+
+    Eigenvalues are spread up to 1e8 apart; every bin is ok and none takes
+    the per-bin LAPACK retry.
+    """
+    rng = np.random.default_rng(seed)
+    c = np.stack([random_hermitian(rng, 10.0 ** rng.uniform(0.0, log_spread, k))
+                  for _ in range(n_freqs)])
+    with mock.patch.object(np.linalg, "inv", side_effect=AssertionError("LAPACK retry")):
+        inverse, ok = model.loaded_inverse(c, loading)
+    loaded = load_diagonal(c, loading)
+    assert ok.all()
+    residual = np.linalg.norm(loaded @ inverse - np.eye(k), axis=(1, 2))
+    assert np.all(residual <= 100 * np.finfo(float).eps * np.linalg.cond(loaded))
+
+
+@given(k=st.integers(1, 6), n_freqs=st.integers(4, 64), seed=st.integers(0, 2**16))
+def test_loaded_inverse_keeps_the_lapack_contract_on_unhealthy_bins(k, n_freqs, seed):
+    """On zero, NaN, off-diagonal-inf and indefinite bins (inverse, ok) is the LAPACK reference's.
+
+    Zero, NaN and inf bins take the identity and drop out with a zero
+    inverse; an indefinite bin has a pivot without a positive real part, so
+    it takes the per-bin LAPACK inversion. The healthy bins around them are
+    ok and agree with the reference to rounding.
+    """
+    rng = np.random.default_rng(seed)
+    c = np.stack([random_hermitian(rng, 10.0 ** rng.uniform(0.0, 4.0, k))
+                  for _ in range(n_freqs)])
+    zero, nan, inf, indefinite = rng.choice(n_freqs, 4, replace=False)
+    c[zero] = 0.0
+    c[nan, 0, 0] = np.nan
+    c[inf, 0, -1] = np.inf  # the trace stays finite for k > 1
+    c[indefinite] = random_hermitian(rng, np.r_[-1.0, 2.0:k + 1.0])  # trace > 0 for k > 1
+    inverse, ok = model.loaded_inverse(c)
+    expected, expected_ok = lapack_loaded_inverse(c)
+    np.testing.assert_array_equal(ok, expected_ok)
+    unhealthy = [zero, nan, inf, indefinite]
+    np.testing.assert_array_equal(inverse[unhealthy], expected[unhealthy])
+    healthy = np.ones(n_freqs, dtype=bool)
+    healthy[unhealthy] = False
+    assert ok[healthy].all()
+    np.testing.assert_allclose(inverse[healthy], expected[healthy], rtol=1e-9, atol=0)
+
+
 def test_covariance_needs_frames():
     with pytest.raises(ValueError):
         covariance(np.zeros((3, 0, 2), dtype=complex))
@@ -341,6 +400,24 @@ def test_cost_zero_signals():
         cost(state, covariance(e), s)
     state.active[:] = False
     assert cost(state, covariance(e), s) == 0.0
+
+
+def test_cost_indefinite_bin_with_a_positive_determinant():
+    """Two negative eigenvalues give det C_ee > 0, yet C_ee is not a covariance: NumericsError.
+
+    The Cholesky factor that gives log det C_ee fails on the bin, so the
+    driver records that iteration's cost as NaN. Frozen, the bin adds nothing.
+    """
+    state = DemixState.initial(2, 3)
+    state.w = np.zeros((2, 3), dtype=complex)
+    state.w[:, 2] = 1.0  # sigma^2 = 3 on both bins
+    c_ee = np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([-1.0, -2.0, 3.0])]).astype(complex)
+    assert np.linalg.slogdet(c_ee[1])[0] == 1.0
+    with pytest.raises(NumericsError):
+        model.log_det_terms(state, c_ee)
+    state.active[1] = False
+    assert model.log_det_terms(state, c_ee) == pytest.approx(np.log(6.0) - np.log(3.0),
+                                                             rel=1e-14)
 
 
 def test_cost_single_frame_single_bin():
