@@ -53,7 +53,7 @@ class DemixState:
     w : (F, M) extraction beamformer
     a : (F, M) steering-vector estimate tied to w by the orthogonal constraint
     C_ee : (F, M, M) sample covariance of the error signal e; depends on h
-        alone, so the driver forms it at the start and whenever h moves
+        alone, so the driver forms it at the start and after each echo step
     active : (F,) bool, bins currently updated (False = frozen/degenerate)
     """
 

@@ -12,20 +12,21 @@ in closed form, so no run forms e: at the end the scale ambiguity of the
 extracted source w^H x - (w^H h) u is resolved by projecting onto e's
 reference channel, the one channel formed (RunResult.e forms e when read).
 
-Each quantity is formed when its inputs move. C_ee(h) = C_LS + P_u d d^H,
-with d = h - h_LS, is a rank-one update of the least-squares residual
-covariance, formed in closed form at the start and after each echo step that
-moved h (only joint moves h). The BSE step applies the loaded inverse of the
-held C_ee (model.loaded_inverse), formed once per echo path: n times in n
-joint iterations, once under BNLMS-IVE and IVE. a and the active mask follow
-w, and are refreshed after every BSE step from the held C_ee and the C_ee w
-that normalize_w forms; the mask reads the trace of the background covariance
-B C_ee B^H in closed form, and no run forms the covariance itself. Only a BSE
-step reads E[e phi], so a pass that serves an echo step and a record alone
-(joint's pass after its BSE step) does not form E[x phi]: joint forms it n
-times in n iterations. An iteration whose echo step left h in place forms it
-in that pass too, since the next BSE step is likely to read the pass
-unchanged (a silent loudspeaker holds h throughout).
+The schedule is fixed per algorithm. Before the first iteration the driver
+forms C_ee(h) = C_LS + P_u d d^H, with d = h - h_LS, in closed form (a
+rank-one update of the least-squares residual covariance), a and the active
+mask, and makes one moment pass; BNLMS-IVE and IVE, which hold h, also form
+the loaded inverse of C_ee (model.loaded_inverse) there, once per run. A
+joint iteration takes the echo step on the pass it is given, then forms C_ee
+at the new h, its loaded inverse and the BSE step's pass. Every iteration
+then takes the BSE step, rescales w, refreshes a and the mask from the held
+C_ee and the C_ee w that normalize_w forms, and makes the pass that its
+record and the next iteration's first step read. The mask reads the trace of
+the background covariance B C_ee B^H in closed form, and no run forms the
+covariance itself. Only a BSE step reads E[e phi], so joint forms E[x phi]
+in its BSE step's pass alone, n times in n iterations, and the others in
+every pass. A loudspeaker without excitation in any bin leaves the echo step
+nothing to move, so joint then runs as IVE.
 
 With RunConfig.records set (the default) each iteration also writes an
 IterationRecord: the profile likelihood J of model.cost, from the held C_ee
@@ -314,9 +315,8 @@ def update_bse(state, mom, inv):
     the extraction contrast, with the moments taken at the state's h and w;
     the sign of the curvature denominator is the one that contracts toward
     the fixed point (the same structure as one-unit FastICA). inv is the
-    (inverse, ok) pair of the loaded C_ee at the state's h, as
-    model.loaded_inverse gives it; the driver forms it once per echo path
-    and hands it on. Bins where the curvature nu - rho vanishes, the loaded
+    (inverse, ok) pair model.loaded_inverse gives for the loaded C_ee at the
+    state's h. Bins where the curvature nu - rho vanishes, the loaded
     C_ee has no inverse or the step is not finite are skipped. Returns
     (w_new, active_mask); the caller is expected to renormalize.
     """
@@ -360,8 +360,7 @@ def backprojection_scale(s_hat, ref):
 def _update_statistics(state, data):
     """Form C_ee at the current h in closed form, then a and the active-bin mask.
 
-    C_ee depends on h alone: the driver calls this at the start and whenever
-    h moves, and _refresh_beamformer alone after a step that moved only w.
+    The driver calls it before the first iteration and after each echo step.
     """
     state.C_ee = data.error_covariance(state.h)
     _refresh_beamformer(state)
@@ -377,11 +376,9 @@ def _refresh_beamformer(state, cw=None):
     """
     a, ok = orthogonal_constraint_atf(state.C_ee, state.w, cw)
     state.a = np.where(ok[:, None], a, state.a)
-    m = state.n_channels
-    if m >= 2:
-        tr = background_power(state.a, state.C_ee) + (m - 1) * _background_floor(state)
-        ok &= np.isfinite(tr) & (tr > np.finfo(float).tiny)
-    state.active = ok
+    tr = (background_power(state.a, state.C_ee)
+          + (state.n_channels - 1) * _background_floor(state))
+    state.active = ok & np.isfinite(tr) & (tr > np.finfo(float).tiny)
 
 
 def _background_floor(state):
@@ -400,43 +397,34 @@ def _run(x, u, cfg=None, joint=True, truth=None):
     n_freqs, n_frames, m = x.shape
     if n_frames < 2:
         raise ValueError("score statistics need at least 2 frames")
+    if m < 2:
+        raise ValueError(f"extraction needs at least 2 microphones, got {m}")
     state = DemixState.initial(n_freqs, m)
     data = DataStats.of(x, u)
+    joint &= bool(np.any(data.P_u > np.finfo(float).tiny))  # else no echo step moves h
     if not joint:
         state.h = data.h_ls
     diag = RunDiagnostics()
 
     _update_statistics(state, data)
-    mom = None  # the moments at the state's h and w, once a pass has made them
-    inv = None  # the loaded inverse of C_ee at the state's h, once a BSE step needed it
+    if not joint:
+        inv = loaded_inverse(state.C_ee, DEFAULT_LOADING)
+    mom = moments(x, u, state, e_phi=not joint)
     for it in range(cfg.iterations):
         frozen = int(np.sum(~state.active))
-        h_old = state.h
-        h_moved = False
+        h_old, w_old = state.h, state.w
         if joint:
             state.h, ok = update_aec(state, x, u, data, mom=mom)
             frozen = max(frozen, int(np.sum(~ok)))
-            h_moved = not np.array_equal(state.h, h_old)
-        # while h stays put, C_ee, its inverse and the last iteration's moments still hold
-        y = None if mom is None else mom.y  # w^H x: w has not moved since
-        if h_moved:
             _update_statistics(state, data)
-            mom = inv = None
-        w_old = state.w
-        if m >= 2:
-            if mom is None or mom.e_phi is None:  # joint's record pass formed no E[e phi]
-                mom = moments(x, u, state, y=y)
-            if inv is None:
-                inv = loaded_inverse(state.C_ee, DEFAULT_LOADING)
-            state.w, ok = update_bse(state, mom, inv)
-            frozen = max(frozen, int(np.sum(~ok)))
-        _refresh_beamformer(state, normalize_w(state))  # w moved, h and C_ee did not
-        mom = y = None  # both read the old w
+            inv = loaded_inverse(state.C_ee, DEFAULT_LOADING)
+            mom = moments(x, u, state, y=mom.y)  # w, and so w^H x, has not moved
+        state.w, ok = update_bse(state, mom, inv)
+        frozen = max(frozen, int(np.sum(~ok)))
+        _refresh_beamformer(state, normalize_w(state))
 
-        if cfg.records or it + 1 < cfg.iterations:
-            # the next echo step (joint) or BSE step, and the record; the next
-            # BSE step reads it too if h held in this iteration
-            mom = moments(x, u, state, e_phi=not h_moved)
+        if cfg.records or it + 1 < cfg.iterations:  # the record's and the next step's
+            mom = moments(x, u, state, e_phi=not joint)
         if not cfg.records:
             continue
         try:  # E[-log p(s)] = mean_t 2 r_t = 2 sum_f nu_f for the spherical score

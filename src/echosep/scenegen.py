@@ -45,8 +45,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mics < 2:
             raise ValueError("scenes need at least 2 microphones")
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if not (np.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration must be finite and positive, got {self.duration_s} s")
         for name in ("ser_db", "ier_db"):
             v = getattr(self, name)
             if np.isnan(v) or v == np.inf:

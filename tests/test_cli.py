@@ -270,6 +270,24 @@ def test_config_range_that_is_not_an_ordered_pair_exits_one(tmp_path, capsys, fi
     assert not (tmp_path / "scene").exists()
 
 
+@pytest.mark.parametrize("command, value", [
+    ("simulate", "inf"), ("simulate", "nan"), ("bench", float("inf")),
+], ids=["simulate_inf", "simulate_nan", "bench_config_infinity"])
+def test_a_duration_that_is_not_finite_exits_one(tmp_path, capsys, command, value):
+    """A duration given as a flag or in the config file must be finite; no traceback."""
+    argv = [command, "--out", str(tmp_path / "out")]
+    if isinstance(value, str):
+        argv += ["--duration", value]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"duration_s": value}))  # writes Infinity
+        argv += ["--config", str(cfg_path)]
+    assert run_cli(argv) == 1
+    message = f"error: duration must be finite and positive, got {value} s\n"
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
 # One value of the wrong type for each ExperimentSpec field: a bool where an
 # int is declared, a string for a number, a number or string for a list.
 WRONG_TYPES = {
@@ -559,6 +577,8 @@ def _edit_manifest(edit):
     (_edit_manifest(lambda m: m["config"].pop("ser_db")), "manifest.json: config lacks ser_db"),
     (_edit_manifest(lambda m: m.update(config=7)), "manifest.json: config is not a mapping"),
     (_edit_manifest(lambda m: m["files"].pop("soi")), "manifest.json: files lacks soi"),
+    (_edit_manifest(lambda m: m["config"].update(duration_s=float("inf"))),
+     "duration must be finite and positive, got inf s"),
     (_rewrite_wav("soi", lambda d: d[:-5000]),
      "soi.wav: (4600, 3) samples x channels at 16000 Hz, expected (9600, 3) at 16000 Hz"),
     (_rewrite_wav("noise", lambda d: d[:, :2]),
@@ -570,7 +590,7 @@ def _edit_manifest(edit):
      "mixture.wav: (9600, 3) samples x channels at 8000 Hz, expected (9600, 3) at 16000 Hz"),
 ], ids=["truth_without_every_array", "manifest_without_gains", "frame_without_frame_len",
         "frame_without_hop", "config_without_ser_db", "config_not_a_mapping",
-        "files_without_soi", "short_component", "component_missing_channels",
+        "files_without_soi", "infinite_duration", "short_component", "component_missing_channels",
         "loudspeaker_with_three_channels", "mixture_at_another_rate"])
 def test_run_malformed_scene_exits_one(tmp_path, capsys, break_scene, message):
     """A malformed saved scene is an error line that names the file at fault.

@@ -32,6 +32,7 @@ from echosep.optimizer import (
     run_ive_only,
     run_joint,
     run_ls_aec,
+    run_unprocessed,
     update_aec,
     update_bse,
     _least_squares,
@@ -650,12 +651,10 @@ def test_ive_only_keeps_h_zero_and_matches_joint_when_echo_free():
 
 
 def test_joint_with_a_silent_loudspeaker_equals_ive_only(monkeypatch):
-    """With u = 0 no echo step moves h, and joint's filters are ive's, bit for bit.
+    """With u = 0 no echo step can move h, so joint runs as ive, bit for bit.
 
-    Past the lean pass its first echo step makes, joint then makes ive's n + 1
-    passes, each forming E[e phi]: a record pass after an echo step that held
-    h forms it for the next BSE step, which reads that pass instead of making
-    its own. BNLMS-IVE on a silent loudspeaker holds h at h_LS = 0: it is ive.
+    It makes ive's n + 1 passes, each forming E[e phi], and ive's records.
+    BNLMS-IVE on a silent loudspeaker holds h at h_LS = 0: it is ive too.
     """
     passes = []
 
@@ -669,9 +668,10 @@ def test_joint_with_a_silent_loudspeaker_equals_ive_only(monkeypatch):
                                        n_freqs=16, n_frames=40)
     cfg = RunConfig(iterations=7)
     joint = run_joint(scene.mixture, np.zeros_like(scene.loudspeaker), cfg)
-    assert passes == [False] + [True] * 8
+    assert passes == [True] * 8
     ive = run_ive_only(scene.mixture, cfg)
     bnlms = run_bnlms_ive(scene.mixture, np.zeros_like(scene.loudspeaker), cfg)
+    assert joint.diagnostics.records == ive.diagnostics.records
     for res in (joint, bnlms):
         for name in ("h", "w", "a"):
             np.testing.assert_array_equal(getattr(res.state, name), getattr(ive.state, name))
@@ -736,140 +736,76 @@ def test_circularity_needs_two_frames():
         circularity_check(np.ones((4, 1), dtype=complex))
 
 
-@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
-def test_runs_make_one_dense_covariance_pass(run, monkeypatch):
-    calls = []
-
-    def counting_covariance(*args, **kwargs):
-        calls.append(1)
-        return covariance(*args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "covariance", counting_covariance)
-    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
-                                       n_freqs=16, n_frames=40)
-    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
-    for iterations in (1, 7):
-        calls.clear()
-        run(*inputs, RunConfig(iterations=iterations))
-        assert len(calls) == 1
+# The calls each iterating run makes, in order: before the first iteration,
+# in each iteration up to its closing pass, and that pass, which the record
+# and the next iteration's first step read. "moments(e_phi)" is a pass that
+# forms E[e phi], "moments" one that does not.
+SCHEDULES = {
+    "run_joint": (["covariance", "error_covariance", "moments"],
+                  ["error_covariance", "loaded_inverse", "moments(e_phi)"],
+                  "moments"),
+    "run_bnlms_ive": (["covariance", "error_covariance", "loaded_inverse", "moments(e_phi)"],
+                      [],
+                      "moments(e_phi)"),
+}
+SCHEDULES["run_ive_only"] = SCHEDULES["run_bnlms_ive"]
 
 
-@pytest.mark.parametrize("run, per_iteration", [(run_joint, 2), (run_bnlms_ive, 1),
-                                                  (run_ive_only, 1)])
-def test_runs_make_one_score_pass_per_half_step(run, per_iteration, monkeypatch):
-    """n iterations make 2n + 1 moment passes (joint) or n + 1 (BNLMS, ive).
-
-    Every iteration makes one pass for its diagnostics record, and joint one
-    more for its BSE step, after the echo step moved h. The record's pass
-    serves the next iteration's echo step (joint) or, when h does not move
-    (BNLMS and ive), its BSE step. The first iteration
-    makes the one pass that nothing before it could supply.
-    """
-    calls = []
-
-    def counting_moments(*args, **kwargs):
-        calls.append(1)
-        return moments(*args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "moments", counting_moments)
-    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
-                                       n_freqs=16, n_frames=40)
-    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
-    for iterations in (1, 7):
-        calls.clear()
-        run(*inputs, RunConfig(iterations=iterations))
-        assert len(calls) == per_iteration * iterations + 1
-
-
-@pytest.mark.parametrize("run, covariances, inversions",
-                         [(run_joint, lambda n: n + 1, lambda n: n),
-                          (run_bnlms_ive, lambda n: 1, lambda n: 1),
-                          (run_ive_only, lambda n: 1, lambda n: 1)],
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("records", [False, True], ids=["no_records", "records"])
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only],
                          ids=["run_joint", "run_bnlms_ive", "run_ive_only"])
-def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inversions,
-                                                           monkeypatch):
-    """C_ee and its loaded inverse once per echo path, and no eigendecomposition.
+def test_runs_follow_their_fixed_schedule(run, records, n, monkeypatch):
+    """A run of n iterations makes the calls of its schedule, in order.
 
-    C_ee is formed at the start and after every echo step that moved h: each
-    iteration under joint, never under BNLMS and ive, which hold h at h_LS.
-    The first BSE step on each echo path inverts the held C_ee with
-    model.loaded_inverse and the later ones reuse it: n inverses in n joint
-    iterations, one otherwise. The record's cost J inverts nothing.
+    A record adds J's log-det terms and the transmission matrix after its
+    pass; without records the last closing pass, which only its record
+    reads, is skipped. So n iterations make one dense covariance pass; 2n + 1
+    moment passes (2n without records) under joint, n of them forming
+    E[e phi], and n + 1 (n) under BNLMS and ive, all forming it; C_ee n + 1
+    times and its loaded inverse n times under joint, once each otherwise.
+    No run forms an eigendecomposition, a LAPACK inverse (on a healthy
+    scene, where every bin stays active), a whitener or a blocking matrix.
     """
-    calls = dict.fromkeys(["eigh", "error_covariance", "loaded_inverse"], 0)
+    trace = []
 
-    def counting(original, name):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return counted
+    def traced(original, name):
+        def call(*args, **kwargs):
+            out = original(*args, **kwargs)
+            trace.append(name + "(e_phi)" if name == "moments" and out.e_phi is not None
+                         else name)
+            return out
+        return call
 
-    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eigh"))
+    for module, name in ((optimizer, "covariance"), (optimizer, "loaded_inverse"),
+                         (model, "loaded_inverse"), (optimizer, "moments"),
+                         (optimizer, "log_det_terms"), (optimizer, "transmission_matrix"),
+                         (model, "interference_whitener"), (model, "blocking_matrix"),
+                         (np.linalg, "eigh"), (np.linalg, "inv")):
+        monkeypatch.setattr(module, name, traced(getattr(module, name), name))
     monkeypatch.setattr(DataStats, "error_covariance",
-                        counting(DataStats.error_covariance, "error_covariance"))
-    for module in (model, optimizer):
-        monkeypatch.setattr(module, "loaded_inverse",
-                            counting(module.loaded_inverse, "loaded_inverse"))
+                        traced(DataStats.error_covariance, "error_covariance"))
     scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
                                        n_freqs=16, n_frames=40)
     inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
-    for records in (False, True):
-        for iterations in (1, 7):
-            calls.update(dict.fromkeys(calls, 0))
-            run(*inputs, RunConfig(iterations=iterations, records=records))
-            assert calls == {"eigh": 0, "error_covariance": covariances(iterations),
-                             "loaded_inverse": inversions(iterations)}
-
-
-@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
-def test_runs_on_a_healthy_scene_make_no_lapack_inversion(run, monkeypatch):
-    """The loaded inverse of a healthy C_ee is the elimination's: no np.linalg.inv call.
-
-    LAPACK's inversion is left to loaded_inverse's per-bin retry, which no
-    bin of a healthy scene takes, with or without records.
-    """
-    inversions = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda *args: inversions.append(1) or inv(*args))
-    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
-                                       n_freqs=16, n_frames=40)
-    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
-    for records in (False, True):
-        result = run(*inputs, RunConfig(iterations=7, records=records))
-        assert result.state.active.all()
-    assert inversions == []
-
-
-@pytest.mark.parametrize("run, e_phi_passes",
-                         [(run_joint, lambda n, records: n),
-                          (run_bnlms_ive, lambda n, records: n + records),
-                          (run_ive_only, lambda n, records: n + records)],
-                         ids=["run_joint", "run_bnlms_ive", "run_ive_only"])
-def test_only_the_passes_a_bse_step_reads_form_e_phi(run, e_phi_passes, monkeypatch):
-    """Joint forms E[x phi] once per iteration, in its BSE step's pass; the others in every pass.
-
-    Joint's other passes serve an echo step and a record, which read no
-    E[e phi]. BNLMS and ive make n + 1 passes (n without records), each of
-    which a BSE step may read.
-    """
-    passes = []
-
-    def counting_moments(*args, **kwargs):
-        mom = moments(*args, **kwargs)
-        passes.append(mom.e_phi is not None)
-        return mom
-
-    monkeypatch.setattr(optimizer, "moments", counting_moments)
-    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
-                                       n_freqs=16, n_frames=40)
-    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
-    for records in (False, True):
-        for iterations in (1, 7):
-            passes.clear()
-            run(*inputs, RunConfig(iterations=iterations, records=records))
-            assert sum(passes) == e_phi_passes(iterations, records)
-            if run is not run_joint:
-                assert all(passes)
+    result = run(*inputs, RunConfig(iterations=n, records=records), truth=scene.truth)
+    start, step, closing = SCHEDULES[run.__name__]
+    expected = list(start)
+    for it in range(n):
+        expected += step
+        if records or it + 1 < n:
+            expected.append(closing)
+        if records:
+            expected += ["log_det_terms", "transmission_matrix"]
+    assert trace == expected
+    assert result.state.active.all()
+    joint = run is run_joint
+    passes = [name for name in trace if name.startswith("moments")]
+    assert len(passes) == (2 * n if joint else n) + records
+    assert passes.count("moments(e_phi)") == (n if joint else len(passes))
+    assert trace.count("error_covariance") == (n + 1 if joint else 1)
+    assert trace.count("loaded_inverse") == (n if joint else 1)
+    assert trace.count("log_det_terms") == (n if records else 0)
 
 
 @pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
@@ -900,33 +836,6 @@ def test_the_records_cost_is_the_cost_at_its_pass(run, monkeypatch):
     np.testing.assert_allclose([r.cost for r in records], expected, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
-def test_runs_form_the_cost_once_per_iteration_and_no_whitener(run, monkeypatch):
-    """Each record forms J's log-det terms once, from C_ee; no run forms a whitener or a B."""
-    calls = {"log_det_terms": 0, "interference_whitener": 0, "blocking_matrix": 0}
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return counted
-
-    monkeypatch.setattr(optimizer, "log_det_terms", counting(optimizer, "log_det_terms"))
-    for name in ("interference_whitener", "blocking_matrix"):
-        monkeypatch.setattr(model, name, counting(model, name))
-    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
-                                       n_freqs=16, n_frames=40)
-    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
-    for records in (False, True):
-        for iterations in (1, 7):
-            calls.update(dict.fromkeys(calls, 0))
-            run(*inputs, RunConfig(iterations=iterations, records=records))
-            assert calls == {"log_det_terms": iterations if records else 0,
-                             "interference_whitener": 0, "blocking_matrix": 0}
-
-
 @pytest.mark.parametrize("run", [run_joint, run_bnlms_ive])
 def test_the_last_record_is_the_cost_at_the_returned_filters(run):
     """records[-1].cost, from the closed-form C_ee, is J over a dense pass at the returned h, w."""
@@ -954,36 +863,6 @@ def test_runs_without_records_match_runs_with_records(run):
     assert np.array_equal(full.e, bare.e)
     assert np.array_equal(full.s_hat, bare.s_hat)
     assert np.array_equal(full.diagnostics.bp_scale, bare.diagnostics.bp_scale)
-
-
-@pytest.mark.parametrize("run, per_iteration", [(run_joint, 2), (run_bnlms_ive, 1),
-                                                  (run_ive_only, 1)])
-def test_runs_without_records_skip_the_diagnostics(run, per_iteration, monkeypatch):
-    """Without records, n iterations make 2n moment passes (joint) or n (BNLMS, ive).
-
-    The last iteration's pass, which only its record reads, is skipped, and
-    no cost or transmission matrix is formed.
-    """
-    calls = {"moments": 0, "log_det_terms": 0, "transmission_matrix": 0}
-
-    def counting(name):
-        original = getattr(optimizer, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(optimizer, name, counting(name))
-    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
-                                       n_freqs=16, n_frames=40)
-    inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
-    for iterations in (1, 7):
-        calls.update(dict.fromkeys(calls, 0))
-        run(*inputs, RunConfig(iterations=iterations, records=False), truth=scene.truth)
-        assert calls == {"moments": per_iteration * iterations,
-                         "log_det_terms": 0, "transmission_matrix": 0}
 
 
 @settings(max_examples=5)
@@ -1054,6 +933,15 @@ def test_run_joint_shape_and_reference_validation():
     with pytest.raises(ValueError):
         run_joint(x, np.zeros((4, 10), dtype=complex),
                   RunConfig(iterations=1, reference_channel=3))
+    # the extraction model needs a blocking matrix; the beamformer-free runs do not
+    x1, u = x[:, :, :1] + 1.0, np.ones((4, 10), dtype=complex)
+    cfg = RunConfig(iterations=1)
+    for call in (lambda: run_joint(x1, u, cfg), lambda: run_bnlms_ive(x1, u, cfg),
+                 lambda: run_ive_only(x1, cfg)):
+        with pytest.raises(ValueError, match="at least 2 microphones, got 1"):
+            call()
+    assert run_ls_aec(x1, u, cfg).s_hat.shape == (4, 10)
+    assert run_unprocessed(x1, cfg).s_hat.shape == (4, 10)
 
 
 def _pad_silent(a, frames=4):
