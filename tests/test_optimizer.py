@@ -751,22 +751,9 @@ SCHEDULES = {
 SCHEDULES["run_ive_only"] = SCHEDULES["run_bnlms_ive"]
 
 
-@pytest.mark.parametrize("n", [1, 7])
-@pytest.mark.parametrize("records", [False, True], ids=["no_records", "records"])
-@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only],
-                         ids=["run_joint", "run_bnlms_ive", "run_ive_only"])
-def test_runs_follow_their_fixed_schedule(run, records, n, monkeypatch):
-    """A run of n iterations makes the calls of its schedule, in order.
-
-    A record adds J's log-det terms and the transmission matrix after its
-    pass; without records the last closing pass, which only its record
-    reads, is skipped. So n iterations make one dense covariance pass; 2n + 1
-    moment passes (2n without records) under joint, n of them forming
-    E[e phi], and n + 1 (n) under BNLMS and ive, all forming it; C_ee n + 1
-    times and its loaded inverse n times under joint, once each otherwise.
-    No run forms an eigendecomposition, a LAPACK inverse (on a healthy
-    scene, where every bin stays active), a whitener or a blocking matrix.
-    """
+@pytest.fixture
+def call_trace(monkeypatch):
+    """The ordered names of the calls a run makes to the passes and inverses it may form."""
     trace = []
 
     def traced(original, name):
@@ -785,10 +772,31 @@ def test_runs_follow_their_fixed_schedule(run, records, n, monkeypatch):
         monkeypatch.setattr(module, name, traced(getattr(module, name), name))
     monkeypatch.setattr(DataStats, "error_covariance",
                         traced(DataStats.error_covariance, "error_covariance"))
+    return trace
+
+
+def _traced_run(trace, run, n, records=True):
+    """Run n iterations on a healthy scene; return the calls it made and its result."""
+    trace.clear()
     scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=4),
                                        n_freqs=16, n_frames=40)
     inputs = (scene.mixture,) if run is run_ive_only else (scene.mixture, scene.loudspeaker)
     result = run(*inputs, RunConfig(iterations=n, records=records), truth=scene.truth)
+    return list(trace), result
+
+
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("records", [False, True], ids=["no_records", "records"])
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only],
+                         ids=["run_joint", "run_bnlms_ive", "run_ive_only"])
+def test_runs_follow_their_fixed_schedule(run, records, n, call_trace):
+    """A run of n iterations makes the calls of its schedule, in order.
+
+    A record adds J's log-det terms and the transmission matrix after its
+    pass; without records the last closing pass, which only its record
+    reads, is skipped. The tests below pin the counts that follow from it.
+    """
+    trace, _ = _traced_run(call_trace, run, n, records)
     start, step, closing = SCHEDULES[run.__name__]
     expected = list(start)
     for it in range(n):
@@ -798,14 +806,110 @@ def test_runs_follow_their_fixed_schedule(run, records, n, monkeypatch):
         if records:
             expected += ["log_det_terms", "transmission_matrix"]
     assert trace == expected
-    assert result.state.active.all()
-    joint = run is run_joint
-    passes = [name for name in trace if name.startswith("moments")]
-    assert len(passes) == (2 * n if joint else n) + records
-    assert passes.count("moments(e_phi)") == (n if joint else len(passes))
-    assert trace.count("error_covariance") == (n + 1 if joint else 1)
-    assert trace.count("loaded_inverse") == (n if joint else 1)
-    assert trace.count("log_det_terms") == (n if records else 0)
+
+
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
+def test_runs_make_one_dense_covariance_pass(run, call_trace):
+    for records in (False, True):
+        for n in (1, 7):
+            trace, _ = _traced_run(call_trace, run, n, records)
+            assert trace.count("covariance") == 1
+
+
+@pytest.mark.parametrize("run, per_iteration", [(run_joint, 2), (run_bnlms_ive, 1),
+                                                  (run_ive_only, 1)])
+def test_runs_make_one_score_pass_per_half_step(run, per_iteration, call_trace):
+    """n iterations make 2n + 1 moment passes (joint) or n + 1 (BNLMS, ive).
+
+    Every iteration makes one pass for its record and the next step, and
+    joint one more for its BSE step, after its echo step. The one pass
+    before the first iteration serves that iteration's first step.
+    """
+    for n in (1, 7):
+        trace, _ = _traced_run(call_trace, run, n)
+        assert sum(name.startswith("moments") for name in trace) == per_iteration * n + 1
+
+
+@pytest.mark.parametrize("run, covariances, inversions",
+                         [(run_joint, lambda n: n + 1, lambda n: n),
+                          (run_bnlms_ive, lambda n: 1, lambda n: 1),
+                          (run_ive_only, lambda n: 1, lambda n: 1)],
+                         ids=["run_joint", "run_bnlms_ive", "run_ive_only"])
+def test_runs_form_c_ee_and_its_inverse_once_per_echo_path(run, covariances, inversions,
+                                                           call_trace):
+    """C_ee and its loaded inverse once per echo path, and no eigendecomposition.
+
+    C_ee is formed at the start and after every echo step: each iteration
+    under joint, never under BNLMS and ive, which hold h at h_LS. Joint
+    inverts the new C_ee in each iteration, the others the held one once.
+    The record's cost J inverts nothing.
+    """
+    for records in (False, True):
+        for n in (1, 7):
+            trace, _ = _traced_run(call_trace, run, n, records)
+            assert "eigh" not in trace
+            assert trace.count("error_covariance") == covariances(n)
+            assert trace.count("loaded_inverse") == inversions(n)
+
+
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
+def test_runs_on_a_healthy_scene_make_no_lapack_inversion(run, call_trace):
+    """The loaded inverse of a healthy C_ee is the elimination's: no np.linalg.inv call.
+
+    LAPACK's inversion is left to loaded_inverse's per-bin retry, which no
+    bin of a healthy scene takes, with or without records.
+    """
+    for records in (False, True):
+        trace, result = _traced_run(call_trace, run, 7, records)
+        assert result.state.active.all()
+        assert "inv" not in trace
+
+
+@pytest.mark.parametrize("run, e_phi_passes",
+                         [(run_joint, lambda n, records: n),
+                          (run_bnlms_ive, lambda n, records: n + records),
+                          (run_ive_only, lambda n, records: n + records)],
+                         ids=["run_joint", "run_bnlms_ive", "run_ive_only"])
+def test_only_the_passes_a_bse_step_reads_form_e_phi(run, e_phi_passes, call_trace):
+    """Joint forms E[x phi] once per iteration, in its BSE step's pass; the others in every pass.
+
+    Joint's other passes serve an echo step and a record, which read no
+    E[e phi]. BNLMS and ive make n + 1 passes (n without records), each of
+    which a BSE step may read.
+    """
+    for records in (False, True):
+        for n in (1, 7):
+            trace, _ = _traced_run(call_trace, run, n, records)
+            passes = [name for name in trace if name.startswith("moments")]
+            assert passes.count("moments(e_phi)") == e_phi_passes(n, records)
+            if run is not run_joint:
+                assert set(passes) == {"moments(e_phi)"}
+
+
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
+def test_runs_form_the_cost_once_per_iteration_and_no_whitener(run, call_trace):
+    """Each record forms J's log-det terms once, from C_ee; no run forms a whitener or a B."""
+    for records in (False, True):
+        for n in (1, 7):
+            trace, _ = _traced_run(call_trace, run, n, records)
+            assert trace.count("log_det_terms") == (n if records else 0)
+            assert "interference_whitener" not in trace
+            assert "blocking_matrix" not in trace
+
+
+@pytest.mark.parametrize("run, per_iteration", [(run_joint, 2), (run_bnlms_ive, 1),
+                                                  (run_ive_only, 1)])
+def test_runs_without_records_skip_the_diagnostics(run, per_iteration, call_trace):
+    """Without records, n iterations make 2n moment passes (joint) or n (BNLMS, ive).
+
+    The last iteration's pass, which only its record reads, is skipped, and
+    no cost or transmission matrix is formed.
+    """
+    for n in (1, 7):
+        trace, _ = _traced_run(call_trace, run, n, records=False)
+        assert sum(name.startswith("moments") for name in trace) == per_iteration * n
+        assert "log_det_terms" not in trace
+        assert "transmission_matrix" not in trace
 
 
 @pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ive_only])
