@@ -118,14 +118,14 @@ def background_power(a, C_ee):
 
     Written out from B = (g, -gamma I) and a Hermitian C_ee: with
     c00 = C_ee[0, 0], c1 = C_ee[1:, 0] and C11 = C_ee[1:, 1:], the trace is
-    |gamma|^2 tr C11 + c00 |g|^2 - 2 Re(gamma g^H c1).
+    |gamma|^2 tr C11 + c00 |g|^2 - 2 Re(gamma g^H c1), each sum taken over
+    the length-F rows of C_ee's diagonal, its first column and a.
     """
-    gamma = a[:, 0]
-    g = a[:, 1:]
-    tr11 = np.einsum("fkk->f", C_ee[:, 1:, 1:]).real
-    g_c1 = np.sum(g.conj() * C_ee[:, 1:, 0], axis=1)
-    return ((gamma.real ** 2 + gamma.imag ** 2) * tr11
-            + C_ee[:, 0, 0].real * np.sum(g.real ** 2 + g.imag ** 2, axis=1)
+    gamma, rows = a[:, 0], range(1, a.shape[1])
+    tr11 = sum(C_ee[:, k, k].real for k in rows)
+    g2 = sum(a[:, k].real ** 2 + a[:, k].imag ** 2 for k in rows)
+    g_c1 = sum(a[:, k].conj() * C_ee[:, k, 0] for k in rows)
+    return ((gamma.real ** 2 + gamma.imag ** 2) * tr11 + C_ee[:, 0, 0].real * g2
             - 2.0 * (gamma * g_c1).real)
 
 
@@ -138,20 +138,21 @@ def orthogonal_constraint_atf(C_ee, w, cw=None):
     not above tiny in magnitude get a = 0 and ok False.
     """
     cw = (C_ee @ w[:, :, None])[:, :, 0] if cw is None else cw
-    denom = np.sum(w.conj() * cw, axis=1)
+    denom = np.einsum("fm,fm->f", w.conj(), cw)
     ok = np.isfinite(denom) & (np.abs(denom) > np.finfo(float).tiny)
     return np.where(ok[:, None], cw / np.where(ok, denom, 1.0)[:, None], 0.0), ok
 
 
 def score_spherical(s_hat):
-    """Score of the broadband spherical source model and its mean curvature per bin.
+    """Score of the broadband spherical source model and two frame means per bin.
 
-    Takes s_hat (F, T) and returns (phi, rho): phi_ft = conj(s_ft) / r_t, with
-    r_t = sqrt(sum_f |s_ft|^2) the frame radius, and rho (F,) the frame mean
+    Takes s_hat (F, T) and returns (phi, rho, nu): phi_ft = conj(s_ft) / r_t,
+    with r_t = sqrt(sum_f |s_ft|^2) the frame radius, rho (F,) the frame mean
     of the same-bin Wirtinger derivative d phi_ft / d s_ft* = 1/r_t -
-    |s_ft|^2 / (2 r_t^3). |s|^2 is formed once; rho is mean_t(1/r_t) minus
-    one matrix-vector product of |s|^2 with 1/(2 r^3). Frames whose radius is
-    at most SCORE_RADIUS_FLOOR (silent in every bin) get 1/r = 0.
+    |s_ft|^2 / (2 r_t^3), and the real nu (F,) = E[s phi] = mean_t |s_ft|^2 / r_t.
+    |s|^2 is formed once; rho is mean_t(1/r_t) minus one matrix-vector product
+    of |s|^2 with 1/(2 r^3), and nu one with 1/r. Frames whose radius is at
+    most SCORE_RADIUS_FLOOR (silent in every bin) get 1/r = 0.
     """
     s = np.asarray(s_hat, dtype=np.complex128)
     # Updates in place: at F=256, T=300 each further full-size temporary
@@ -162,25 +163,26 @@ def score_spherical(s_hat):
     inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > SCORE_RADIUS_FLOOR)
     phi = np.conj(s)
     phi *= inv_r
-    rho = np.mean(inv_r) - mag2 @ (0.5 * inv_r ** 3) / s.shape[1]
-    return phi, rho
+    n_frames = s.shape[1]
+    rho = np.mean(inv_r) - mag2 @ (0.5 * inv_r ** 3) / n_frames
+    return phi, rho, mag2 @ inv_r / n_frames
 
 
 def score_gauss(s_hat):
-    """Score of a stationary unit-variance Gaussian source: phi = conj(s), rho = 1 per bin."""
+    """Score of a unit-variance stationary Gaussian: phi = conj(s), rho = 1, nu = E[|s|^2]."""
     s = np.asarray(s_hat, dtype=np.complex128)
-    return s.conj(), np.ones(s.shape[0])
+    return s.conj(), np.ones(s.shape[0]), np.mean(s.real ** 2 + s.imag ** 2, axis=1)
 
 
 def score_stats(s_hat, score=score_spherical):
     """nu = E[s_hat phi] and rho = E[d phi / d s_hat*] per frequency bin.
 
     nu is the frame mean of s_hat * phi, formed elementwise: a reference for
-    the batched dot product that optimizer.moments takes.
+    the nu that the score returns from |s|^2.
     """
     if s_hat.shape[1] < 2:
         raise ValueError("score statistics need at least 2 frames")
-    phi, rho = score(s_hat)
+    phi, rho, _ = score(s_hat)
     return ScoreStats(nu=np.mean(s_hat * phi, axis=1), rho=rho)
 
 
@@ -211,19 +213,21 @@ def load_diagonal(c, loading=DEFAULT_LOADING):
 def _gauss_jordan(a):
     """Invert each (K, K) slice of a contiguous (K, K, F) stack in place, without pivoting.
 
-    Each step is a few elementwise operations over length-F rows. A pivot
-    that is not finite or has no positive real part, which a Hermitian
+    Each step divides the pivot row, then updates the other rows one at a
+    time through one (K, F) buffer: every operation runs over length-F rows.
+    A pivot that is not finite or has no positive real part, which a Hermitian
     positive definite matrix never has, turns its bin's slice into NaN.
     """
+    buf = np.empty_like(a[0])
     with np.errstate(all="ignore"):  # such a bin may overflow before it turns NaN
         for k in range(a.shape[0]):
             pivot = np.where(np.isfinite(a[k, k]) & (a[k, k].real > 0.0), a[k, k], np.nan)
             a[k, k] = 1.0
             a[k] /= pivot  # row k, with 1 / pivot in column k
-            col = a[:, k].copy()
-            col[k] = 0.0
-            a[:, k] -= col  # exactly 0 off row k, so that the update below
-            a -= col[:, None] * a[k]  # leaves -a_ik / pivot there
+            for i in range(a.shape[0]):
+                if i != k:  # a_ij -= a_ik a_kj off column k, and a_ik = -a_ik / pivot
+                    a[i] -= np.multiply(a[i, k], a[k], out=buf)
+                    a[i, k] = -buf[k]
     return a
 
 
@@ -232,17 +236,20 @@ def loaded_inverse(c, loading=DEFAULT_LOADING):
 
     A loaded covariance is Hermitian positive definite, so one elimination
     without pivoting (_gauss_jordan) on a contiguous (K, K, F) copy inverts
-    every bin. A bin whose inverse is not finite (an unhealthy pivot) gets a
-    LAPACK inversion and one loaded retry on its own. Non-finite or zero-trace
-    bins, and bins the retry fails, get a zero inverse and ok False. The
-    driver's BSE step, grad_h and interference_whitener all use it.
+    every bin; the inverse is that copy seen as (F, K, K), with no
+    transposing copy back, so its entries are contiguous length-F rows and a
+    batched product with it takes numpy's own loop, not one BLAS call per
+    bin. A bin whose inverse is not finite (an unhealthy pivot) gets a
+    LAPACK inversion and one loaded retry on its own. Non-finite or
+    zero-trace bins, and bins the retry fails, get a zero inverse and ok
+    False. The driver's BSE step, grad_h and interference_whitener all use it.
     """
     a = np.ascontiguousarray(np.moveaxis(load_diagonal(c, loading), 0, -1))
     ok = (np.all(np.isfinite(a), axis=(0, 1))
           & (np.einsum("kkf->f", a).real > np.finfo(float).tiny))
     a[:, :, ~ok] = np.eye(a.shape[0])[:, :, None]
     bad = ok & ~np.all(np.isfinite(_gauss_jordan(a)), axis=(0, 1))
-    inverse = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+    inverse = np.moveaxis(a, -1, 0)
     for f in np.nonzero(bad)[0]:
         ok[f] = False
         loaded = load_diagonal(c[f], loading)

@@ -26,7 +26,10 @@ the background covariance B C_ee B^H in closed form, and no run forms the
 covariance itself. Only a BSE step reads E[e phi], so joint forms E[x phi]
 in its BSE step's pass alone, n times in n iterations, and the others in
 every pass. A loudspeaker without excitation in any bin leaves the echo step
-nothing to move, so joint then runs as IVE.
+nothing to move, so joint then runs as IVE; such a run, IVE's included,
+makes its passes with u = None, which form no loudspeaker term. A pass takes
+nu = E[s phi] from the score's |s|^2, and the per-bin M x M work (refresh,
+loaded inverse, steps) runs on length-F rows.
 
 With RunConfig.records set (the default) each iteration also writes an
 IterationRecord: the profile likelihood J of model.cost, from the held C_ee
@@ -169,6 +172,8 @@ class DataStats:
 
     @classmethod
     def of(cls, x, u):
+        if u is None:  # no loudspeaker: E[x u*] = 0 and E[|u|^2] = 0, with no product
+            return cls(covariance(x), np.zeros_like(x[:, 0, :]), np.zeros(len(x)))
         return cls(covariance(x), *_echo_moments(x, u))
 
     def error_cross(self, h):
@@ -198,7 +203,7 @@ class Moments:
     """
 
     y: np.ndarray      # (F, T) beamformed microphones w^H x, valid while w holds
-    nu: np.ndarray     # (F,) E[s phi], the score normalizer
+    nu: np.ndarray     # (F,) E[s phi], the score normalizer, real
     rho: np.ndarray    # (F,) E[d phi / d s*]
     e_phi: np.ndarray  # (F, M) E[e phi], or None
     u_phi: np.ndarray  # (F,) E[u phi]
@@ -207,34 +212,38 @@ class Moments:
 def moments(x, u, state, score=score_spherical, y=None, e_phi=True):
     """One pass at the state's h and w: s = w^H x - (w^H h) u, its score, the moments.
 
-    score(s) returns phi and rho = E[d phi / d s*]. s is formed in one buffer,
-    c u with c = w^H h, then subtracted from y = w^H x in place. nu = E[s phi]
-    and E[u phi] are batched dot products over the frame axis. Only the BSE
-    step reads E[e phi]; with e_phi set (the default) the pass also forms
-    E[x phi], one more product over the frames and channels, and takes
-    E[e phi] = E[x phi] - h E[u phi] in closed form, so e is never formed.
+    score(s) returns phi, rho = E[d phi / d s*] and nu = E[s phi], the last
+    two from the |s|^2 it forms. s is formed in one buffer, c u with
+    c = w^H h, then subtracted from y = w^H x in place; E[u phi] is a batched
+    dot product over the frame axis. Only the BSE step reads E[e phi]; with
+    e_phi set (the default) the pass also forms E[x phi], one more product
+    over the frames and channels, and takes E[e phi] = E[x phi] - h E[u phi]
+    in closed form, so e is never formed. u None is a loudspeaker without
+    excitation: s = y, E[u phi] = 0 and E[e phi] = E[x phi], so the pass
+    forms no c u, subtraction or h E[u phi], and equals one given zeros.
     The result holds while h and w do: the driver passes the moments behind
     one iteration's diagnostics on to the next iteration's first step
     instead of making the pass again. y holds while w does; when given, as
     after an echo step that moved only h, it is not formed again.
     """
     y, s = _extract(x, u, state, y)
-    phi, rho = score(s)
-    phi_col = phi[:, :, None]
+    phi, rho, nu = score(s)
     n_frames = s.shape[1]
-    nu = (s[:, None, :] @ phi_col)[:, 0, 0] / n_frames
-    u_phi = (u[:, None, :] @ phi_col)[:, 0, 0] / n_frames
+    u_phi = (np.zeros_like(phi[:, 0]) if u is None
+             else (u[:, None, :] @ phi[:, :, None])[:, 0, 0] / n_frames)
     mom = Moments(y=y, nu=nu, rho=rho, e_phi=None, u_phi=u_phi)
     if e_phi:
-        x_phi = (np.swapaxes(x, 1, 2) @ phi_col)[:, :, 0] / n_frames
-        mom.e_phi = x_phi - state.h * u_phi[:, None]
+        x_phi = (np.swapaxes(x, 1, 2) @ phi[:, :, None])[:, :, 0] / n_frames
+        mom.e_phi = x_phi if u is None else x_phi - state.h * u_phi[:, None]
     return mom
 
 
 def _extract(x, u, state, y=None):
-    """(y, s): y = w^H x unless given, and s = y - (w^H h) u in a buffer of its own."""
+    """(y, s): y = w^H x unless given; s = y - (w^H h) u in its own buffer, or y if u is None."""
     y = (x @ state.w.conj()[:, :, None])[:, :, 0] if y is None else y
-    s = np.sum(state.w.conj() * state.h, axis=1)[:, None] * u
+    if u is None:
+        return y, y
+    s = np.einsum("fm,fm->f", state.w.conj(), state.h)[:, None] * u
     return y, np.subtract(y, s, out=s)
 
 
@@ -301,7 +310,7 @@ def update_aec(state, x, u, data, score=score_spherical, mom=None):
     ok = (state.active & live & (np.abs(alpha) > DEAD_BIN_FLOOR)
           & (data.P_u > np.finfo(float).tiny))
     r = data.error_cross(state.h)
-    coef = ((np.conj(mom.u_phi / nu) - alpha * np.sum(state.w.conj() * r, axis=1))
+    coef = ((np.conj(mom.u_phi / nu) - alpha * np.einsum("fm,fm->f", state.w.conj(), r))
             / np.where(ok, alpha, 1.0))
     step = (r + coef[:, None] * state.a) / np.where(ok, data.P_u, 1.0)[:, None]
     ok &= np.all(np.isfinite(step), axis=1)
@@ -336,7 +345,7 @@ def normalize_w(state):
     active bin. Frozen bins are left untouched. _refresh_beamformer reads C_ee w.
     """
     cw = (state.C_ee @ state.w[:, :, None])[:, :, 0]
-    power = np.sum(state.w.conj() * cw, axis=1).real
+    power = np.einsum("fm,fm->f", state.w.conj(), cw).real
     if np.any(state.active & ~(power > 0.0)):
         raise NumericsError("cannot normalize: estimated source power is not positive")
     scale = np.where(state.active, 1.0 / np.sqrt(np.where(power > 0, power, 1.0)), 1.0)
@@ -382,17 +391,21 @@ def _refresh_beamformer(state, cw=None):
 
 
 def _background_floor(state):
-    """Per-bin floor on C_zz's diagonal: BACKGROUND_FLOOR times the power scales of e and B."""
-    m = state.n_channels
-    e_scale = np.einsum("fmm->f", state.C_ee).real / m
+    """Per-bin floor on C_zz's diagonal: BACKGROUND_FLOOR times the power scales of e and B.
+
+    The scales are sums over the M length-F rows of C_ee's diagonal and of a.
+    """
+    m, c, a = state.n_channels, state.C_ee, state.a
+    p = [a[:, k].real ** 2 + a[:, k].imag ** 2 for k in range(m)]
+    e_scale = sum(c[:, k, k].real for k in range(m)) / m
     # |B|_F^2 / (M - 1) for B = (g, -gamma I)
-    b_scale = np.abs(state.a[:, 0]) ** 2 + np.sum(np.abs(state.a[:, 1:]) ** 2, axis=1) / (m - 1)
-    return BACKGROUND_FLOOR * e_scale * b_scale
+    return BACKGROUND_FLOOR * e_scale * (p[0] + sum(p[1:]) / (m - 1))
 
 
 def _run(x, u, cfg=None, joint=True, truth=None):
     """Shared iteration driver; a run that is not joint holds h at h_LS throughout."""
     cfg = cfg or RunConfig()
+    silent = u is None
     x, u = _inputs(x, u, cfg)
     n_freqs, n_frames, m = x.shape
     if n_frames < 2:
@@ -400,16 +413,18 @@ def _run(x, u, cfg=None, joint=True, truth=None):
     if m < 2:
         raise ValueError(f"extraction needs at least 2 microphones, got {m}")
     state = DemixState.initial(n_freqs, m)
-    data = DataStats.of(x, u)
-    joint &= bool(np.any(data.P_u > np.finfo(float).tiny))  # else no echo step moves h
+    data = DataStats.of(x, None if silent else u)
+    echo = bool(np.any(data.P_u > np.finfo(float).tiny))
+    joint &= echo  # else no echo step moves h
     if not joint:
         state.h = data.h_ls
+    u_live = u if echo else None  # else h = h_LS = 0, and no pass reads u
     diag = RunDiagnostics()
 
     _update_statistics(state, data)
     if not joint:
         inv = loaded_inverse(state.C_ee, DEFAULT_LOADING)
-    mom = moments(x, u, state, e_phi=not joint)
+    mom = moments(x, u_live, state, e_phi=not joint)
     for it in range(cfg.iterations):
         frozen = int(np.sum(~state.active))
         h_old, w_old = state.h, state.w
@@ -418,13 +433,13 @@ def _run(x, u, cfg=None, joint=True, truth=None):
             frozen = max(frozen, int(np.sum(~ok)))
             _update_statistics(state, data)
             inv = loaded_inverse(state.C_ee, DEFAULT_LOADING)
-            mom = moments(x, u, state, y=mom.y)  # w, and so w^H x, has not moved
+            mom = moments(x, u_live, state, y=mom.y)  # w, and so w^H x, has not moved
         state.w, ok = update_bse(state, mom, inv)
         frozen = max(frozen, int(np.sum(~ok)))
         _refresh_beamformer(state, normalize_w(state))
 
         if cfg.records or it + 1 < cfg.iterations:  # the record's and the next step's
-            mom = moments(x, u, state, e_phi=not joint)
+            mom = moments(x, u_live, state, e_phi=not joint)
         if not cfg.records:
             continue
         try:  # E[-log p(s)] = mean_t 2 r_t = 2 sum_f nu_f for the spherical score
@@ -490,8 +505,10 @@ def _inputs(x, u, cfg):
 
 
 def _echo_moments(x, u):
-    """E[x u*] (F, M) and E[|u|^2] (F,): the loudspeaker's statistics."""
-    return np.mean(x * u.conj()[:, :, None], axis=1), np.mean(np.abs(u) ** 2, axis=1)
+    """E[x u*] (F, M) and E[|u|^2] (F,), the loudspeaker's statistics; no (F, T, M) array."""
+    n_frames = x.shape[1]
+    r_xu = (np.swapaxes(x, 1, 2) @ u.conj()[:, :, None])[:, :, 0] / n_frames
+    return r_xu, np.mean(np.abs(u) ** 2, axis=1)
 
 
 def _least_squares(r_xu, P_u):

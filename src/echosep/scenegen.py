@@ -43,6 +43,11 @@ class ScenarioConfig:
     duration_s: float = 5.0
 
     def __post_init__(self):
+        for f in fields(self):  # int also for float, as in JSON; bool is an int that none takes
+            value = getattr(self, f.name)
+            kinds = (int, np.integer) + ((float, np.floating) if f.type is float else ())
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         if self.mics < 2:
             raise ValueError("scenes need at least 2 microphones")
         if not (np.isfinite(self.duration_s) and self.duration_s > 0):

@@ -3,14 +3,15 @@
 The package takes these in closed form, or has no use for them outside the
 tests: the demixing cascade applied frame by frame, the background
 covariance B C_ee B^H, the h-gradient matrix R of the cost J, the Newton
-curvature of the echo-path step and the LAPACK loaded inverse that the
-package's elimination replaces.
+curvature of the echo-path step, the LAPACK loaded inverse that the
+package's elimination replaces, and the active-bin refresh in the batched
+form that the package's sums over length-F rows replace.
 """
 
 import numpy as np
 
 from echosep.model import DEFAULT_LOADING, blocking_matrix, load_diagonal
-from echosep.optimizer import _score_weight
+from echosep.optimizer import BACKGROUND_FLOOR, _score_weight
 
 
 def apply_demixer(x, u, state):
@@ -93,3 +94,38 @@ def lapack_loaded_inverse(c, loading=DEFAULT_LOADING):
                 break
     inverse[~ok] = 0.0
     return inverse, ok
+
+
+def background_power_batched(a, C_ee):
+    """tr(B C_ee B^H) = |gamma|^2 tr C11 + c00 |g|^2 - 2 Re(gamma g^H c1), summed over axis 1."""
+    gamma = a[:, 0]
+    g = a[:, 1:]
+    tr11 = np.einsum("fkk->f", C_ee[:, 1:, 1:]).real
+    g_c1 = np.sum(g.conj() * C_ee[:, 1:, 0], axis=1)
+    return ((gamma.real ** 2 + gamma.imag ** 2) * tr11
+            + C_ee[:, 0, 0].real * np.sum(g.real ** 2 + g.imag ** 2, axis=1)
+            - 2.0 * (gamma * g_c1).real)
+
+
+def background_floor_batched(a, C_ee):
+    """BACKGROUND_FLOOR times tr C_ee / M times |B|_F^2 / (M - 1) for B = (g, -gamma I)."""
+    m = a.shape[1]
+    e_scale = np.einsum("fmm->f", C_ee).real / m
+    b_scale = np.abs(a[:, 0]) ** 2 + np.sum(np.abs(a[:, 1:]) ** 2, axis=1) / (m - 1)
+    return BACKGROUND_FLOOR * e_scale * b_scale
+
+
+def refresh_batched(C_ee, w, a_old):
+    """(a, active) as the driver's refresh forms them, with the batched sums.
+
+    a = C_ee w / (w^H C_ee w) where that denominator is finite and above
+    tiny in magnitude, else a_old and the bin frozen; an active bin also
+    needs a floored background trace that is finite and above tiny.
+    """
+    cw = (C_ee @ w[:, :, None])[:, :, 0]
+    denom = np.sum(w.conj() * cw, axis=1)
+    ok = np.isfinite(denom) & (np.abs(denom) > np.finfo(float).tiny)
+    a = np.where(ok[:, None], cw / np.where(ok, denom, 1.0)[:, None], a_old)
+    m = a.shape[1]
+    tr = background_power_batched(a, C_ee) + (m - 1) * background_floor_batched(a, C_ee)
+    return a, ok & np.isfinite(tr) & (tr > np.finfo(float).tiny)

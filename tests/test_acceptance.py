@@ -132,7 +132,7 @@ def test_criterion_2_gradient_oracle():
 
         # the score's curvature rho_f against the frame mean of the central-
         # difference d phi_ft / d s_ft* at a few random bins
-        _, rho = score_spherical(s)
+        _, rho, _ = score_spherical(s)
         for _ in range(4):
             f = int(rng.integers(s.shape[0]))
             rng.integers(s.shape[1])  # the frame draw keeps rng 1002's instances

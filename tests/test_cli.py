@@ -579,6 +579,9 @@ def _edit_manifest(edit):
     (_edit_manifest(lambda m: m["files"].pop("soi")), "manifest.json: files lacks soi"),
     (_edit_manifest(lambda m: m["config"].update(duration_s=float("inf"))),
      "duration must be finite and positive, got inf s"),
+    (_edit_manifest(lambda m: m["config"].update(duration_s="0.6")),
+     "duration_s must be float, got '0.6'"),
+    (_edit_manifest(lambda m: m["config"].update(mics="4")), "mics must be int, got '4'"),
     (_rewrite_wav("soi", lambda d: d[:-5000]),
      "soi.wav: (4600, 3) samples x channels at 16000 Hz, expected (9600, 3) at 16000 Hz"),
     (_rewrite_wav("noise", lambda d: d[:, :2]),
@@ -590,13 +593,15 @@ def _edit_manifest(edit):
      "mixture.wav: (9600, 3) samples x channels at 8000 Hz, expected (9600, 3) at 16000 Hz"),
 ], ids=["truth_without_every_array", "manifest_without_gains", "frame_without_frame_len",
         "frame_without_hop", "config_without_ser_db", "config_not_a_mapping",
-        "files_without_soi", "infinite_duration", "short_component", "component_missing_channels",
+        "files_without_soi", "infinite_duration", "duration_as_a_string", "mics_as_a_string",
+        "short_component", "component_missing_channels",
         "loudspeaker_with_three_channels", "mixture_at_another_rate"])
 def test_run_malformed_scene_exits_one(tmp_path, capsys, break_scene, message):
     """A malformed saved scene is an error line that names the file at fault.
 
-    Malformed: a truth array, a manifest key or a nested field is missing, or
-    a WAV has another length, channel count or rate than the manifest declares.
+    Malformed: a truth array, a manifest key or a nested field is missing, a
+    config field has the wrong type, or a WAV has another length, channel
+    count or rate than the manifest declares.
     """
     scene_dir = tmp_path / "scene"
     run_cli(simulate_args(scene_dir))

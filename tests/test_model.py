@@ -191,21 +191,21 @@ def test_oc_degenerate_covariance_rejected():
 def test_score_single_active_bin():
     s = np.zeros((5, 1), dtype=complex)
     s[0] = 1.0
-    phi, _ = score_spherical(s)
+    phi, _, _ = score_spherical(s)
     np.testing.assert_allclose(phi[:, 0], [1, 0, 0, 0, 0], atol=1e-15)
 
 
 def test_score_two_bin_example():
-    phi, _ = score_spherical(np.array([[3.0], [4.0j]]))
+    phi, _, _ = score_spherical(np.array([[3.0], [4.0j]]))
     np.testing.assert_allclose(phi[:, 0], [0.6, -0.8j], atol=1e-15)
 
 
 @pytest.mark.parametrize("score", [score_spherical, score_gauss])
 def test_score_returns_the_score_and_one_curvature_per_bin(score):
     s = crandn(np.random.default_rng(15), (6, 9))
-    phi, rho = score(s)
+    phi, rho, nu = score(s)
     assert phi.shape == (6, 9)
-    assert rho.shape == (6,)
+    assert rho.shape == (6,) and nu.shape == (6,)
 
 
 def wirtinger_fd(fun, s, f, eps=1e-5):
@@ -225,7 +225,7 @@ def wirtinger_fd(fun, s, f, eps=1e-5):
 def test_score_derivatives_match_finite_differences():
     rng = np.random.default_rng(10)
     s = crandn(rng, 6)[:, None]  # one frame: rho is the derivative itself
-    _, rho = score_spherical(s)
+    _, rho, _ = score_spherical(s)
     fun = lambda v: score_spherical(v[:, None])[0][:, 0]
     for f in range(len(s)):
         _, fd_conj = wirtinger_fd(fun, s[:, 0], f)
@@ -233,20 +233,30 @@ def test_score_derivatives_match_finite_differences():
 
 
 def test_score_radius_floor():
-    phi, rho = score_spherical(np.zeros((4, 1), dtype=complex))
+    phi, rho, nu = score_spherical(np.zeros((4, 1), dtype=complex))
     assert np.all(phi == 0)
-    assert np.all(rho == 0)
+    assert np.all(rho == 0) and np.all(nu == 0)
 
 
 def test_silent_frames_carry_no_score_and_no_curvature():
     """Frames silent in every bin add nothing: rho is the active frames' sum over all T."""
     s = crandn(np.random.default_rng(16), (8, 20))
     padded = np.concatenate([np.zeros((8, 3)), s, np.zeros((8, 2))], axis=1)
-    phi, rho = score_spherical(s)
-    phi_padded, rho_padded = score_spherical(padded)
+    phi, rho, _ = score_spherical(s)
+    phi_padded, rho_padded, _ = score_spherical(padded)
     np.testing.assert_array_equal(phi_padded[:, 3:-2], phi)
     assert np.all(phi_padded[:, :3] == 0) and np.all(phi_padded[:, -2:] == 0)
     np.testing.assert_allclose(rho_padded, rho * 20 / 25, rtol=1e-12)
+
+
+@pytest.mark.parametrize("score", [score_spherical, score_gauss])
+def test_the_scores_nu_is_the_elementwise_mean_of_s_phi(score):
+    """nu, from |s|^2, equals score_stats's frame mean of s * phi; a silent frame adds 0."""
+    s = crandn(np.random.default_rng(17), (8, 20))
+    s[:, 7] = 0.0
+    _, _, nu = score(s)
+    assert nu.dtype == np.float64
+    np.testing.assert_allclose(nu, score_stats(s, score=score).nu, rtol=1e-12, atol=0)
 
 
 def test_score_stats_single_bin_constant_modulus():
@@ -270,8 +280,8 @@ def test_score_stats_gaussian_normalizer_positive():
 def test_score_homogeneity(alpha):
     rng = np.random.default_rng(13)
     s = crandn(rng, (8, 30))
-    phi, _ = score_spherical(s)
-    phi_scaled, _ = score_spherical(alpha * s)
+    phi, _, _ = score_spherical(s)
+    phi_scaled, _, _ = score_spherical(alpha * s)
     np.testing.assert_allclose(phi_scaled, phi, atol=1e-12)
     base = score_stats(s)
     scaled = score_stats(alpha * s)
@@ -382,6 +392,34 @@ def test_loaded_inverse_keeps_the_lapack_contract_on_unhealthy_bins(k, n_freqs, 
     healthy[unhealthy] = False
     assert ok[healthy].all()
     np.testing.assert_allclose(inverse[healthy], expected[healthy], rtol=1e-9, atol=0)
+
+
+def test_loaded_inverse_sends_only_the_unhealthy_pivot_bin_to_lapack():
+    """Zero, NaN and inf bins drop out unsolved; only the indefinite bin takes np.linalg.inv.
+
+    Its plain LAPACK inversion succeeds, so that is the one call, on its own
+    loaded matrix, and the result lands in the returned (F, K, K) inverse.
+    """
+    rng = np.random.default_rng(18)
+    c = np.stack([random_hermitian(rng, 10.0 ** rng.uniform(0.0, 4.0, 4)) for _ in range(9)])
+    c[1] = 0.0
+    c[3, 0, 0] = np.nan
+    c[5, 0, -1] = np.inf
+    c[7] = random_hermitian(rng, np.array([-1.0, 2.0, 3.0, 4.0]))
+    calls, lapack_inv = [], np.linalg.inv
+
+    def recording_inv(mat):
+        calls.append(mat)
+        return lapack_inv(mat)
+
+    with mock.patch.object(np.linalg, "inv", recording_inv):
+        inverse, ok = model.loaded_inverse(c)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], load_diagonal(c[7]))
+    np.testing.assert_array_equal(ok, ~np.isin(np.arange(9), [1, 3, 5]))
+    assert inverse.shape == (9, 4, 4)
+    np.testing.assert_array_equal(inverse[[1, 3, 5]], 0.0)
+    np.testing.assert_allclose(inverse[7] @ load_diagonal(c[7]), np.eye(4), atol=1e-12)
 
 
 def test_covariance_needs_frames():

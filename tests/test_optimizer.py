@@ -39,7 +39,8 @@ from echosep.optimizer import (
     _update_statistics,
 )
 from echosep.model import score_stats
-from formulas import background_covariance, hessian_h
+from formulas import (background_covariance, background_floor_batched,
+                      background_power_batched, hessian_h, refresh_batched)
 
 
 def crandn(rng, shape):
@@ -198,8 +199,7 @@ def test_update_bse_fixed_point_when_gradient_vanishes():
     _, _, state = _instance(rng)
     e = crandn(rng, (4, 16, 3))
     s = np.einsum("fm,ftm->ft", state.w.conj(), e)
-    phi, _ = score_spherical(s)
-    nu = np.mean(s * phi, axis=1)
+    phi, _, nu = score_spherical(s)
     state.a = np.mean(e * phi[:, :, None], axis=1) / nu[:, None]  # forces zero direction
     w_new, ok = update_bse(state, moments(e, np.zeros((4, 16), dtype=complex), state),
                            loaded_inverse(state.C_ee, DEFAULT_LOADING))
@@ -306,6 +306,16 @@ def test_update_bse_drops_a_bin_without_a_loaded_inverse(dead, monkeypatch):
     np.testing.assert_array_equal(w_new[[0, 2, 3]], w_usual[[0, 2, 3]])
 
 
+def test_a_pass_without_a_loudspeaker_equals_one_given_zeros():
+    """moments(x, None) forms no loudspeaker term; y, nu, rho and E[e phi] are those of u = 0."""
+    rng = np.random.default_rng(26)
+    x, u, state = _instance(rng)
+    for y in (None, moments(x, u, state).y):
+        bare, zeros = moments(x, None, state, y=y), moments(x, np.zeros_like(u), state, y=y)
+        for name in ("y", "nu", "rho", "e_phi"):
+            np.testing.assert_array_equal(getattr(bare, name), getattr(zeros, name))
+
+
 def test_update_aec_freezes_bin_with_vanishing_curvature():
     """A bin whose rho is 0 has no echo-path curvature along w: it stays at h, frozen."""
     rng = np.random.default_rng(24)
@@ -313,9 +323,9 @@ def test_update_aec_freezes_bin_with_vanishing_curvature():
     data = DataStats.of(x, u)
 
     def score_flat_bin0(s):
-        phi, rho = score_spherical(s)
+        phi, rho, nu = score_spherical(s)
         rho[0] = 0.0
-        return phi, rho
+        return phi, rho, nu
 
     h_usual, ok_usual = update_aec(state, x, u, data)
     h_new, ok = update_aec(state, x, u, data, score=score_flat_bin0)
@@ -363,7 +373,7 @@ def test_closed_form_statistics_equal_dense_passes(m):
     e = x - state.h[:, None, :] * u[:, :, None]
     z = np.einsum("fkm,ftm->ftk", blocking_matrix(state.a), e)
     s = np.einsum("fm,ftm->ft", state.w.conj(), e)
-    phi, _ = score_spherical(s)
+    phi, _, _ = score_spherical(s)
     mom = moments(x, u, state)
     np.testing.assert_allclose(state.C_ee, covariance(e), rtol=1e-10)
     np.testing.assert_allclose(background_power(state.a, state.C_ee),
@@ -374,6 +384,34 @@ def test_closed_form_statistics_equal_dense_passes(m):
     np.testing.assert_allclose(mom.rho, score_stats(s).rho, rtol=1e-10)
     np.testing.assert_allclose(data.error_cross(state.h),
                                np.mean(e * u.conj()[:, :, None], axis=1), rtol=1e-10)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_refresh_on_rows_equals_the_batched_closed_forms(m):
+    """The refresh's a and mask, and its two traces, equal the batched references.
+
+    Among 12 random bins sit a zeroed C_ee, a C_ee with w in its null space
+    (w^H C_ee w = 0) and a NaN C_ee; those three keep their a and freeze.
+    """
+    rng = np.random.default_rng(60 + m)
+    c_ee = covariance(crandn(rng, (12, 30, m)))
+    w, a_old = crandn(rng, (12, m)), crandn(rng, (12, m))
+    c_ee[3] = 0.0
+    c_ee[5] = np.diag(np.r_[0.0, np.ones(m - 1)])
+    w[5] = np.eye(m)[0]
+    c_ee[8, 0, 1] = np.nan
+    state = DemixState(h=np.zeros((12, m), dtype=complex), w=w, a=a_old.copy(), C_ee=c_ee)
+    optimizer._refresh_beamformer(state)
+    a, active = refresh_batched(c_ee, w, a_old)
+    np.testing.assert_array_equal(state.active, active)
+    np.testing.assert_array_equal(active, ~np.isin(np.arange(12), [3, 5, 8]))
+    np.testing.assert_array_equal(state.a[[3, 5, 8]], a_old[[3, 5, 8]])
+    np.testing.assert_allclose(state.a, a, rtol=1e-13, atol=0)
+    live = state.active
+    np.testing.assert_allclose(background_power(state.a, c_ee)[live],
+                               background_power_batched(state.a, c_ee)[live], rtol=1e-12)
+    np.testing.assert_allclose(optimizer._background_floor(state)[live],
+                               background_floor_batched(state.a, c_ee)[live], rtol=1e-13)
 
 
 def _error_inverse_data(rng, m=3, n_frames=60):
@@ -923,7 +961,8 @@ def test_the_records_cost_is_the_cost_at_its_pass(run, monkeypatch):
 
     def keeping_moments(x, u, state, *args, **kwargs):
         mom = moments(x, u, state, *args, **kwargs)
-        passes.append(mom.y - np.sum(state.w.conj() * state.h, axis=1)[:, None] * u)  # s
+        c = np.sum(state.w.conj() * state.h, axis=1)[:, None]
+        passes.append(mom.y if u is None else mom.y - c * u)  # s; u is None without excitation
         return mom
 
     def checking_log_det_terms(state, C_ee):
