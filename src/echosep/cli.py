@@ -9,7 +9,8 @@ Configuration comes from an optional JSON file (--config) whose keys are
 ExperimentSpec's fields; each flag sets the field its argparse dest names and
 overrides the file's value. A subcommand takes only the flags it reads: run
 has no scene flags, simulate no --iterations. Exit codes: 0 success,
-1 configuration error, 2 numerical failure at runtime.
+1 a configuration or input file that is missing, unreadable or malformed,
+2 numerical failure at runtime.
 """
 
 import argparse
@@ -42,10 +43,6 @@ CLI_ALGORITHMS = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass
 class ExperimentSpec:
     """Everything needed to reproduce a simulation, run, or benchmark."""
@@ -74,26 +71,26 @@ class ExperimentSpec:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                     and all(isinstance(v, (int, float)) and np.isfinite(v) for v in pair)
                     and pair[0] <= pair[1]):
-                raise ConfigError(f"{name} must be a pair [low, high] of finite numbers "
-                                  f"with low <= high, got {pair!r}")
-        for f in fields(self):  # JSON has no tuples; bool is an int that no field takes
-            value = getattr(self, f.name)
-            accepted = {float: (int, float), tuple: (list, tuple), list: (list, tuple)}
-            if isinstance(value, bool) or not isinstance(value, accepted.get(f.type, f.type)):
-                raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
+                raise ValueError(f"{name} must be a pair [low, high] of finite numbers "
+                                 f"with low <= high, got {pair!r}")
+        for f in fields(self):
+            _scenegen.check_type(getattr(self, f.name), f.type, f.name)
+        for name in ("algorithms", "source_wavs", "rir_wavs"):  # lists of strings
+            for i, item in enumerate(getattr(self, name)):
+                _scenegen.check_type(item, str, f"{name}[{i}]")
         if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
+            raise ValueError("runs must be >= 1")
         if not self.algorithms:
-            raise ConfigError("algorithms must name at least one algorithm")
+            raise ValueError("algorithms must name at least one algorithm")
         if self.mode not in ("narrowband", "convolutive"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"unknown mode {self.mode!r}")
         for name in self.algorithms:
             if name not in CLI_ALGORITHMS:
-                raise ConfigError(
+                raise ValueError(
                     f"unknown algorithm {name!r}; choose from {sorted(CLI_ALGORITHMS)}"
                 )
         if self.mode == "convolutive" and (not self.source_wavs or not self.rir_wavs):
-            raise ConfigError("convolutive mode needs source_wavs and rir_wavs")
+            raise ValueError("convolutive mode needs source_wavs and rir_wavs")
 
     def frame_spec(self):
         return _stft.FrameSpec.default(self.frame_len, self.hop, self.sample_rate)
@@ -122,21 +119,18 @@ class ExperimentSpec:
         if args.config:
             path = Path(args.config)
             if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
+                raise ValueError(f"config file not found: {path}")
             try:
-                loaded = json.loads(path.read_text())
+                loaded = _scenegen.check_type(json.loads(path.read_text()), dict, "config file")
             except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+                raise ValueError(f"config file is not valid JSON: {exc}") from exc
             unknown = set(loaded) - {f for f in cls.__dataclass_fields__}
             if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
             values.update(loaded)
         values.update({k: v for k, v in vars(args).items()
                        if k in cls.__dataclass_fields__ and v is not None})
-        try:
-            return cls(**values)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**values)
 
 
 def _make_scene(spec, seed):
@@ -207,9 +201,9 @@ def cmd_run(spec, scene_path, algo):
         reference_channel=spec.reference_channel,
     )
     diagnostics = {"algorithm": algo, **res.diagnostics.as_dict(), "metrics": rep.row()}
+    strict = json.loads(json.dumps(diagnostics), parse_constant=lambda c: None)  # NaN, inf: null
     (out / "diagnostics.json").write_text(
-        json.dumps(diagnostics, indent=2, sort_keys=True) + "\n"
-    )
+        json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(f"wrote {out / 'enhanced.wav'} and diagnostics.json")
     return 0
 
@@ -283,7 +277,7 @@ def main(argv=None):
     except (NumericsError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -13,6 +13,7 @@ import json
 import numpy as np
 from collections.abc import Mapping
 from dataclasses import dataclass, asdict, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 from . import stft as _stft
@@ -26,9 +27,23 @@ __all__ = [
     "render_convolutive",
     "save_scene",
     "load_scene",
+    "check_type",
 ]
 
 COMPONENTS = ("soi", "echo", "interference", "noise")
+
+
+def check_type(value, kind, name):
+    """value if it may stand for a field declared kind, else ValueError naming the field.
+
+    As JSON gives values: never a bool (an int to Python); an integer for int,
+    any real for float, a list or tuple for tuple and list, a mapping for dict.
+    """
+    accepted = {int: Integral, float: Real, tuple: (list, tuple), list: (list, tuple),
+                dict: Mapping}
+    if isinstance(value, bool) or not isinstance(value, accepted.get(kind, kind)):
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -43,11 +58,8 @@ class ScenarioConfig:
     duration_s: float = 5.0
 
     def __post_init__(self):
-        for f in fields(self):  # int also for float, as in JSON; bool is an int that none takes
-            value = getattr(self, f.name)
-            kinds = (int, np.integer) + ((float, np.floating) if f.type is float else ())
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(f"{f.name} must be {f.type.__name__}, got {value!r}")
+        for f in fields(self):
+            check_type(getattr(self, f.name), f.type, f.name)
         if self.mics < 2:
             raise ValueError("scenes need at least 2 microphones")
         if not (np.isfinite(self.duration_s) and self.duration_s > 0):
@@ -91,7 +103,11 @@ class Scene:
 
 
 def _circular_gauss(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)  # each draw freed once written
+    z.imag = rng.standard_normal(shape)
+    z /= np.sqrt(2.0)  # the ufunc of (re + 1j im) / sqrt(2), so the same bytes
+    return z
 
 
 def synth_sources(rng, n_freqs, n_frames, n_bg=1):
@@ -118,7 +134,8 @@ def _spherical_nongauss(rng, n_freqs, n_frames):
     radius = rng.exponential(scale=1.0, size=n_frames)
     # normalize to unit average per-bin power
     radius *= np.sqrt(n_freqs / np.mean(radius**2))
-    return g * radius[None, :]
+    g *= radius[None, :]
+    return g
 
 
 def _power(x, channel=0):
@@ -139,7 +156,9 @@ def _mix(raw, cfg):
     gains["echo"] = 1.0
     for name in ratios_db:
         images[name] *= gains[name]
-    mixture = images["soi"] + images["echo"] + images["interference"] + images["noise"]
+    mixture = images["soi"] + images["echo"]  # one buffer; the order of the sums fixes its bytes
+    mixture += images["interference"]
+    mixture += images["noise"]
     return images, mixture, gains
 
 
@@ -216,7 +235,7 @@ def _convolve(sig, rir, n_samples):
     n_fft = 1 << (len(sig) + len(rir) - 2).bit_length()
     spectrum = np.fft.rfft(rir, n_fft, axis=0)
     spectrum *= np.fft.rfft(sig, n_fft)[:, None]
-    return np.fft.irfft(spectrum, n_fft, axis=0)[:n_samples]
+    return np.fft.irfft(spectrum, n_fft, axis=0)[:n_samples].copy()  # not a view of n_fft rows
 
 
 def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec):
@@ -299,53 +318,71 @@ def save_scene(scene, out_dir):
     return path
 
 
-def _declared(values, names, where):
-    """values' entries for names, ignoring any others; one missing raises ValueError."""
-    if not isinstance(values, Mapping):
-        raise ValueError(f"{where} is not a mapping")
-    missing = [n for n in names if n not in values]
+# The manifest fields load_scene reads, each with its type; a dict is a nested mapping.
+_MANIFEST = {"config": {f.name: f.type for f in fields(ScenarioConfig)},
+             "gains": dict.fromkeys(COMPONENTS, float),
+             "files": dict.fromkeys(("mixture", "loudspeaker", *COMPONENTS), str),
+             "sample_rate": int, "frame": {"frame_len": int, "hop": int}}
+
+
+def _walk(values, table, key=""):
+    """values' entries for table's keys, each checked by check_type; others are ignored."""
+    missing = [k for k in table if k not in values]
     if missing:
-        raise ValueError(f"{where} lacks {', '.join(missing)}")
-    return {n: values[n] for n in names}
+        raise ValueError(f"{key or 'manifest'} lacks {', '.join(missing)}")
+    out = {}
+    for k, kind in table.items():
+        name = f"{key}.{k}" if key else k  # dotted below the top level
+        out[k] = check_type(values[k], dict if isinstance(kind, dict) else kind, name)
+        if isinstance(kind, dict):
+            out[k] = _walk(out[k], kind, name)
+    return out
 
 
 def load_scene(manifest_path):
     """Load a scene saved by save_scene, analyzing each WAV to STFT as it is read.
 
-    Each part is built from the fields it declares; other keys and arrays
-    are ignored, and a missing one raises ValueError naming its file, as does
-    a WAV of another shape or rate than save_scene writes. time_signals keeps
-    the mixture's samples alone.
+    Each manifest field read must be present, of its type and in range before
+    any file opens; other keys and arrays are ignored. A failure raises
+    ValueError naming the file, as do a truth array not finite or not of the
+    frame's and mics' shape, and a WAV of another shape or rate than
+    save_scene writes. time_signals keeps the mixture's samples alone.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     if not isinstance(manifest, dict) or manifest.get("schema") != "echosep-scene-v1":
-        raise ValueError(f"not a scene manifest: {manifest_path}")
-    top = _declared(manifest, ("config", "gains", "files", "sample_rate", "frame"),
-                    f"{manifest_path}: manifest")
-    base = manifest_path.parent
-    cfg = ScenarioConfig(**_declared(top["config"], [f.name for f in fields(ScenarioConfig)],
-                                     f"{manifest_path}: config"))
-    sr = top["sample_rate"]
-    frame = _declared(top["frame"], ("frame_len", "hop"), f"{manifest_path}: frame")
-    spec = _stft.FrameSpec.default(frame["frame_len"], frame["hop"], sr)
-    files = _declared(top["files"], ("mixture", "loudspeaker", *COMPONENTS),
-                      f"{manifest_path}: files")
+        raise ValueError(f"{manifest_path}: schema is not echosep-scene-v1")
+    checked = manifest_path  # the file a ValueError below names
+    try:
+        top = _walk(manifest, _MANIFEST)
+        truth_file = check_type(manifest.get("truth_file", ""), str, "truth_file")
+        cfg = ScenarioConfig(**top["config"])
+        sr, files, m = top["sample_rate"], top["files"], cfg.mics
+        spec = _stft.FrameSpec.default(top["frame"]["frame_len"], top["frame"]["hop"], sr)
+        truth, checked = None, truth_file
+        if truth_file:  # arrays of the frame's and mics' shape, each finite
+            f = spec.n_freqs
+            shapes = {"a_soi": (f, m), "echo_atf": (f, m), "bg_mix": (f, m, m - 1)}
+            with np.load(manifest_path.parent / truth_file) as npz:
+                truth = SceneTruth(**_walk(npz, dict.fromkeys(shapes, np.ndarray), "truth"))
+            for k, shape in shapes.items():
+                array = getattr(truth, k)
+                if array.shape != shape:
+                    raise ValueError(f"{k} has shape {array.shape}, expected {shape}")
+                if not (np.issubdtype(array.dtype, np.number) and np.all(np.isfinite(array))):
+                    raise ValueError(f"{k} must hold finite numbers")
+    except ValueError as exc:
+        raise ValueError(f"{checked}: {exc}") from None
 
     def read(name):  # the samples, channels and rate save_scene writes, or ValueError
-        data, rate = _stft.read_wav(base / files[name])
-        shape = (int(round(cfg.duration_s * sr)), 1 if name == "loudspeaker" else cfg.mics)
+        data, rate = _stft.read_wav(manifest_path.parent / files[name])
+        shape = (int(round(cfg.duration_s * sr)), 1 if name == "loudspeaker" else m)
         if data.shape != shape or rate != sr:
             raise ValueError(f"{files[name]}: {data.shape} samples x channels at {rate} Hz, "
                              f"expected {shape} at {sr} Hz")
         return data
 
-    truth = None
-    if manifest.get("truth_file"):
-        with np.load(base / manifest["truth_file"]) as npz:
-            truth = SceneTruth(**_declared(npz, [f.name for f in fields(SceneTruth)],
-                                           f"{manifest['truth_file']}: truth"))
     return _analyzed_scene(((name, read(name)) for name in files), cfg, spec, top["gains"],
                            truth, keep=("mixture",))

@@ -55,6 +55,8 @@ class FrameSpec:
             raise ValueError(f"frame_len must be a power of two, got {self.frame_len}")
         if self.hop < 1 or self.frame_len % self.hop != 0:
             raise ValueError(f"hop ({self.hop}) must divide frame_len ({self.frame_len})")
+        if self.sample_rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         window = np.asarray(self.window, dtype=np.float64)
         if window.shape != (self.frame_len,):
             raise ValueError("window length must equal frame_len")

@@ -4,14 +4,17 @@ The package takes these in closed form, or has no use for them outside the
 tests: the demixing cascade applied frame by frame, the background
 covariance B C_ee B^H, the h-gradient matrix R of the cost J, the Newton
 curvature of the echo-path step, the LAPACK loaded inverse that the
-package's elimination replaces, and the active-bin refresh in the batched
-form that the package's sums over length-F rows replace.
+package's elimination replaces, the active-bin refresh in the batched
+form that the package's sums over length-F rows replace, and the scene
+renderer's draws and mixer as expressions that form a new array per step,
+which the package's in-place forms replace.
 """
 
 import numpy as np
 
 from echosep.model import DEFAULT_LOADING, blocking_matrix, load_diagonal
 from echosep.optimizer import BACKGROUND_FLOOR, _score_weight
+from echosep.scenegen import COMPONENTS, _power
 
 
 def apply_demixer(x, u, state):
@@ -129,3 +132,34 @@ def refresh_batched(C_ee, w, a_old):
     m = a.shape[1]
     tr = background_power_batched(a, C_ee) + (m - 1) * background_floor_batched(a, C_ee)
     return a, ok & np.isfinite(tr) & (tr > np.finfo(float).tiny)
+
+
+def circular_gauss(rng, shape):
+    """Unit-power circular complex Gaussian draws: real parts first, then imaginary."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def spherical_nongauss(rng, n_freqs, n_frames):
+    """Circular unit vectors across frequency, one per frame, times an exponential radius."""
+    g = circular_gauss(rng, (n_freqs, n_frames))
+    g /= np.linalg.norm(g, axis=0, keepdims=True)
+    radius = rng.exponential(scale=1.0, size=n_frames)
+    radius *= np.sqrt(n_freqs / np.mean(radius**2))
+    return g * radius[None, :]
+
+
+def mix(raw, cfg):
+    """Raw (soi, echo, interference, noise) images scaled to cfg's ratios, and their sum.
+
+    The echo keeps its level; returns (images, mixture, gains).
+    """
+    images = dict(zip(COMPONENTS, raw))
+    p_echo = _power(images["echo"])
+    ratios_db = {"soi": cfg.ser_db, "interference": cfg.ier_db, "noise": -cfg.enr_db}
+    gains = {name: float(np.sqrt(p_echo * 10.0 ** (db / 10.0) / _power(images[name])))
+             for name, db in ratios_db.items()}
+    gains["echo"] = 1.0
+    for name in ratios_db:
+        images[name] *= gains[name]
+    mixture = images["soi"] + images["echo"] + images["interference"] + images["noise"]
+    return images, mixture, gains

@@ -1,14 +1,22 @@
 """CLI behavior: simulate/run/bench subcommands, config handling, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import fields
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from echosep import cli, metrics, optimizer, scenegen, stft
 from echosep.cli import ExperimentSpec, main
@@ -87,6 +95,13 @@ def test_run_joint_writes_outputs_and_is_deterministic(tmp_path):
         assert npz["h"].shape[1] == 3
 
 
+def strict_json(text):
+    """text parsed as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_run_every_algorithm_writes_one_diagnostics_schema(tmp_path):
     scene_dir = tmp_path / "scene"
     run_cli(simulate_args(scene_dir))
@@ -94,7 +109,7 @@ def test_run_every_algorithm_writes_one_diagnostics_schema(tmp_path):
         out = tmp_path / algo
         assert run_cli(["run", "--scene", str(scene_dir), "--algo", algo, "--out", str(out),
                         "--iterations", "3"]) == 0
-        diag = json.loads((out / "diagnostics.json").read_text())
+        diag = strict_json((out / "diagnostics.json").read_text())
         assert diag["algorithm"] == algo
         assert isinstance(diag["iterations"], list)
         assert len(diag["iterations"]) in (0, 3)
@@ -104,6 +119,20 @@ def test_run_every_algorithm_writes_one_diagnostics_schema(tmp_path):
             assert sorted(npz.files) == ["a", "bp_scale", "h", "w"]
             if algo in ("unprocessed", "ls_aec"):  # no beamformer: the scale is 1
                 np.testing.assert_array_equal(npz["bp_scale"], 1.0)
+
+
+@pytest.mark.parametrize("algo", list(cli.CLI_ALGORITHMS))
+def test_run_writes_non_finite_values_as_null(tmp_path, monkeypatch, algo):
+    """A non-finite record value, as off_block_db is at zero total energy, is written null."""
+    scene_dir = tmp_path / "scene"
+    run_cli(simulate_args(scene_dir))
+    monkeypatch.setattr(optimizer, "off_block_energy_db", lambda v: -np.inf)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--scene", str(scene_dir), "--algo", algo, "--out", str(out),
+                    "--iterations", "2"]) == 0
+    diag = strict_json((out / "diagnostics.json").read_text())
+    assert [r["off_block_db"] for r in diag["iterations"]] == [None] * len(diag["iterations"])
+    assert all(np.isfinite(v) for v in diag["metrics"].values() if isinstance(v, float))
 
 
 def test_run_reference_channel_beyond_scene_exits_one(tmp_path):
@@ -312,6 +341,32 @@ def test_config_field_of_the_wrong_type_exits_one(tmp_path, capsys, field, value
         argv += ["--out", str(tmp_path / "scene")]
     assert run_cli(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+    assert not (tmp_path / "scene").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("algorithms", ["joint", ["ive"]]), ("source_wavs", ["a.wav", 5, "c.wav"]),
+    ("rir_wavs", ["a.wav", "b.wav", None]),
+], ids=["algorithms", "source_wavs", "rir_wavs"])
+def test_config_list_item_of_the_wrong_type_exits_one(tmp_path, capsys, field, value):
+    """Each item of a list field is a string; the error names the field and the index."""
+    cfg = {"mode": "convolutive", "source_wavs": ["a.wav"] * 3, "rir_wavs": ["b.wav"] * 3,
+           field: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "scene")]) == 1
+    index = next(i for i, v in enumerate(value) if not isinstance(v, str))
+    assert capsys.readouterr().err == (f"error: {field}[{index}] must be str, "
+                                       f"got {value[index]!r}\n")
+    assert not (tmp_path / "scene").exists()
+
+
+@pytest.mark.parametrize("text", ["5", '[["seed", 1]]', "null"], ids=["number", "list", "null"])
+def test_config_file_that_is_not_an_object_exits_one(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "scene")]) == 1
+    assert capsys.readouterr().err.startswith("error: config file must be dict, got ")
     assert not (tmp_path / "scene").exists()
 
 
@@ -575,13 +630,9 @@ def _edit_manifest(edit):
      "manifest.json: frame lacks frame_len"),
     (_edit_manifest(lambda m: m["frame"].pop("hop")), "manifest.json: frame lacks hop"),
     (_edit_manifest(lambda m: m["config"].pop("ser_db")), "manifest.json: config lacks ser_db"),
-    (_edit_manifest(lambda m: m.update(config=7)), "manifest.json: config is not a mapping"),
     (_edit_manifest(lambda m: m["files"].pop("soi")), "manifest.json: files lacks soi"),
     (_edit_manifest(lambda m: m["config"].update(duration_s=float("inf"))),
      "duration must be finite and positive, got inf s"),
-    (_edit_manifest(lambda m: m["config"].update(duration_s="0.6")),
-     "duration_s must be float, got '0.6'"),
-    (_edit_manifest(lambda m: m["config"].update(mics="4")), "mics must be int, got '4'"),
     (_rewrite_wav("soi", lambda d: d[:-5000]),
      "soi.wav: (4600, 3) samples x channels at 16000 Hz, expected (9600, 3) at 16000 Hz"),
     (_rewrite_wav("noise", lambda d: d[:, :2]),
@@ -592,16 +643,16 @@ def _edit_manifest(edit):
     (_rewrite_wav("mixture", lambda d: d, rate=8000),
      "mixture.wav: (9600, 3) samples x channels at 8000 Hz, expected (9600, 3) at 16000 Hz"),
 ], ids=["truth_without_every_array", "manifest_without_gains", "frame_without_frame_len",
-        "frame_without_hop", "config_without_ser_db", "config_not_a_mapping",
-        "files_without_soi", "infinite_duration", "duration_as_a_string", "mics_as_a_string",
+        "frame_without_hop", "config_without_ser_db", "files_without_soi", "infinite_duration",
         "short_component", "component_missing_channels",
         "loudspeaker_with_three_channels", "mixture_at_another_rate"])
 def test_run_malformed_scene_exits_one(tmp_path, capsys, break_scene, message):
     """A malformed saved scene is an error line that names the file at fault.
 
-    Malformed: a truth array, a manifest key or a nested field is missing, a
-    config field has the wrong type, or a WAV has another length, channel
-    count or rate than the manifest declares.
+    Malformed: a truth array, a manifest key or a nested field is missing, the
+    duration is not finite, or a WAV has another length, channel count or
+    rate than the manifest declares. Fields of the wrong type are among the
+    edits of test_run_edited_scene_exits_zero_or_names_the_file.
     """
     scene_dir = tmp_path / "scene"
     run_cli(simulate_args(scene_dir))
@@ -612,6 +663,130 @@ def test_run_malformed_scene_exits_one(tmp_path, capsys, break_scene, message):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
+# The keys of a saved manifest, dotted below the top level: those that hold a
+# number, and the others (mappings and strings).
+MANIFEST_NUMBERS = [*(f"config.{f.name}" for f in fields(scenegen.ScenarioConfig)),
+                    *(f"gains.{name}" for name in scenegen.COMPONENTS),
+                    "sample_rate", "frame.frame_len", "frame.hop"]
+MANIFEST_OTHERS = ["schema", "config", "gains", "files", "frame", "truth_file",
+                   *(f"files.{name}" for name in ("mixture", "loudspeaker", *scenegen.COMPONENTS))]
+TRUTH_ARRAYS = ["a_soi", "echo_atf", "bg_mix"]
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+def _edits(file, numbers, others, retypes, shapes=()):
+    """(file, key, operation, value) edits: drop a key, change a value's type, make a
+    number non-finite or negative, or give an array another shape."""
+    key = st.sampled_from(numbers + others)
+    edits = [st.tuples(st.just(file), key, st.just("drop"), st.none()),
+             st.tuples(st.just(file), key, st.just("retype"), st.sampled_from(retypes)),
+             st.tuples(st.just(file), st.sampled_from(numbers), st.just("non_finite"),
+                       st.sampled_from(NON_FINITE)),
+             st.tuples(st.just(file), st.sampled_from(numbers), st.just("negative"), st.none())]
+    if shapes:
+        edits.append(st.tuples(st.just(file), key, st.just("shape"), st.sampled_from(shapes)))
+    return st.one_of(edits)
+
+
+def _edit_manifest_key(manifest, key, operation, value):
+    """Apply the edit; True if the run must fail, as a key dropped or of another type."""
+    *parents, leaf = key.split(".")
+    holder = reduce(lambda m, k: m[k], parents, manifest)
+    old = holder.pop(leaf)
+    if operation == "drop":
+        return key != "truth_file"  # a scene without truth loads
+    assume(operation != "retype" or type(value) is not type(old))
+    holder[leaf] = -old if operation == "negative" else value
+    # JSON has one number type: an int stands for a float, no other change of type
+    return operation == "retype" and (type(old), type(value)) != (float, int)
+
+
+def _edit_truth_array(arrays, key, operation, value):
+    """Apply the edit; True if the run must fail: every edit but a sign change."""
+    old = arrays.pop(key)
+    if operation == "drop":
+        return True
+    arrays[key] = {
+        "retype": lambda: np.full(old.shape, value),
+        "non_finite": lambda: np.where(np.arange(old.size).reshape(old.shape) == 1, value, old),
+        "negative": lambda: -old,
+        "shape": lambda: {"bins": old[:3], "narrow": old[..., :-1], "axis": old[..., None]}[value],
+    }[operation]()
+    return operation != "negative"
+
+
+@pytest.fixture(scope="module")
+def saved_scene(tmp_path_factory):
+    scene_dir = tmp_path_factory.mktemp("saved") / "scene"
+    assert run_cli(simulate_args(scene_dir)) == 0
+    return scene_dir
+
+
+@settings(max_examples=150)
+@given(edit=st.one_of(
+    _edits("manifest.json", MANIFEST_NUMBERS, MANIFEST_OTHERS,
+           [True, "16000", None, [512], {"soi": 1.0}, 7, 0.5]),
+    _edits("truth.npz", TRUTH_ARRAYS, [], [True, "x"], ["bins", "narrow", "axis"]),
+))
+@example(edit=("manifest.json", "sample_rate", "retype", "16000"))
+@example(edit=("manifest.json", "frame.frame_len", "retype", "512"))
+@example(edit=("manifest.json", "frame.frame_len", "retype", 512.5))
+@example(edit=("manifest.json", "files.mixture", "retype", 5))
+@example(edit=("manifest.json", "truth_file", "retype", 3))
+@example(edit=("manifest.json", "gains.soi", "retype", "x"))
+@example(edit=("manifest.json", "config", "retype", 7))
+@example(edit=("manifest.json", "config.mics", "retype", "4"))
+@example(edit=("manifest.json", "config.mics", "retype", True))
+@example(edit=("manifest.json", "config.duration_s", "retype", "0.6"))
+@example(edit=("truth.npz", "a_soi", "shape", "bins"))
+@example(edit=("truth.npz", "bg_mix", "shape", "narrow"))
+@example(edit=("truth.npz", "echo_atf", "non_finite", float("nan")))
+def test_run_edited_scene_exits_zero_or_names_the_file(saved_scene, edit):
+    """An edited saved scene runs (exit 0, strict JSON diagnostics) or is one error line.
+
+    The line names the file at fault; a key dropped or of another type, and
+    an edited truth array, exit 1 with a line that names the key or array.
+    """
+    file, key, operation, value = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        scene_dir, out = Path(tmp) / "scene", Path(tmp) / "out"
+        shutil.copytree(saved_scene, scene_dir)
+        if file == "manifest.json":
+            manifest = json.loads((scene_dir / file).read_text())
+            must_fail = _edit_manifest_key(manifest, key, operation, value)
+            (scene_dir / file).write_text(json.dumps(manifest))
+        else:
+            with np.load(scene_dir / file) as npz:
+                arrays = dict(npz)
+            must_fail = _edit_truth_array(arrays, key, operation, value)
+            np.savez(scene_dir / file, **arrays)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli(["run", "--scene", str(scene_dir), "--algo", "joint",
+                            "--out", str(out), "--iterations", "1"])
+        err = err.getvalue()
+        if code == 0:
+            assert not must_fail and err == ""
+            strict_json((out / "diagnostics.json").read_text())
+        else:
+            assert code == 1 and err.count("\n") == 1, err
+            assert re.match(r"error: \S*\.(json|npz|wav): ", err), err
+        if must_fail:
+            assert code == 1 and re.match(rf"error: (\S*/)?{re.escape(file)}: ", err), err
+            assert key.split(".")[-1] in err, err
+
+
+def test_run_scene_file_that_is_a_directory_exits_one(tmp_path, capsys):
+    scene_dir = tmp_path / "scene"
+    run_cli(simulate_args(scene_dir))
+    (scene_dir / "arrays").mkdir()
+    _edit_manifest(lambda m: m.update(truth_file="arrays"))(scene_dir)
+    capsys.readouterr()
+    assert run_cli(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "arrays" in err
 
 
 def test_run_loads_a_manifest_with_keys_and_arrays_it_does_not_read(tmp_path):

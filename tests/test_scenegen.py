@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from echosep import stft
+import formulas
+from echosep import scenegen, stft
 from echosep.scenegen import (
     ScenarioConfig,
     load_scene,
@@ -167,6 +168,17 @@ def test_convolutive_silent_or_empty_source_rejected(tmp_path, index, length, re
         render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
 
 
+def test_convolutive_images_own_their_samples(tmp_path):
+    """An image is its own n_samples rows, not a view of the longer FFT buffer."""
+    sr, m = 16000, 2
+    srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
+    cfg = ScenarioConfig(mics=m, seed=24, duration_s=0.5)
+    scene = render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
+    for name in ("soi", "echo", "interference", "noise"):
+        image = scene.time_signals[name]
+        assert image.base is None and image.shape == (8000, m), name
+
+
 def test_convolutive_energy_additivity(tmp_path):
     sr, m = 16000, 2
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
@@ -210,6 +222,48 @@ def test_narrowband_scene_bytes_are_pinned():
     digest.update(scene.mixture.tobytes())
     digest.update(scene.loudspeaker.tobytes())
     assert digest.hexdigest() == "9f07693976a01b624190796a111a987ad229e5d53aad95080ed6aad802868007"
+
+
+def _reference_render(monkeypatch, render):
+    """render() with the draws and the mixer as the expressions in formulas."""
+    with monkeypatch.context() as patch:
+        patch.setattr(scenegen, "_circular_gauss", formulas.circular_gauss)
+        patch.setattr(scenegen, "_spherical_nongauss", formulas.spherical_nongauss)
+        patch.setattr(scenegen, "_mix", formulas.mix)
+        return render()
+
+
+def _scene_bytes(scene):
+    arrays = [scene.mixture, scene.loudspeaker, *scene.images.values(), *scene.gains.values()]
+    if scene.truth is not None:
+        arrays += [scene.truth.a_soi, scene.truth.echo_atf, scene.truth.bg_mix]
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("mics", [2, 3, 4, 6])
+@pytest.mark.parametrize("seed, n_freqs, n_frames, ier_db, enr_db", [
+    (0, 17, 30, 2.5, 30.0), (1, 5, 64, 0.0, 25.0), (2, 33, 9, -np.inf, np.inf),
+], ids=["seed0", "seed1", "components_off"])
+def test_narrowband_render_is_bitwise_the_reference(monkeypatch, mics, seed, n_freqs, n_frames,
+                                                     ier_db, enr_db):
+    """In-place draws and mixing give the bytes of the expressions they replace."""
+    cfg = ScenarioConfig(mics=mics, seed=seed, ier_db=ier_db, enr_db=enr_db)
+
+    def render():
+        return render_narrowband(cfg, n_freqs=n_freqs, n_frames=n_frames)
+
+    assert _scene_bytes(render()) == _scene_bytes(_reference_render(monkeypatch, render))
+
+
+def test_convolutive_render_is_bitwise_the_reference(tmp_path, monkeypatch):
+    sr, m = 16000, 3
+    srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m, delay=5)
+    cfg = ScenarioConfig(mics=m, seed=25, duration_s=0.5)
+
+    def render():
+        return render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
+
+    assert _scene_bytes(render()) == _scene_bytes(_reference_render(monkeypatch, render))
 
 
 def test_scene_save_load_round_trip(tmp_path):
