@@ -630,9 +630,14 @@ def _edit_manifest(edit):
      "manifest.json: frame lacks frame_len"),
     (_edit_manifest(lambda m: m["frame"].pop("hop")), "manifest.json: frame lacks hop"),
     (_edit_manifest(lambda m: m["config"].pop("ser_db")), "manifest.json: config lacks ser_db"),
+    (_edit_manifest(lambda m: m.update(config=7)), "manifest.json: config must be dict, got 7"),
     (_edit_manifest(lambda m: m["files"].pop("soi")), "manifest.json: files lacks soi"),
     (_edit_manifest(lambda m: m["config"].update(duration_s=float("inf"))),
      "duration must be finite and positive, got inf s"),
+    (_edit_manifest(lambda m: m["config"].update(duration_s="0.6")),
+     "manifest.json: config.duration_s must be float, got '0.6'"),
+    (_edit_manifest(lambda m: m["config"].update(mics="4")),
+     "manifest.json: config.mics must be int, got '4'"),
     (_rewrite_wav("soi", lambda d: d[:-5000]),
      "soi.wav: (4600, 3) samples x channels at 16000 Hz, expected (9600, 3) at 16000 Hz"),
     (_rewrite_wav("noise", lambda d: d[:, :2]),
@@ -643,16 +648,17 @@ def _edit_manifest(edit):
     (_rewrite_wav("mixture", lambda d: d, rate=8000),
      "mixture.wav: (9600, 3) samples x channels at 8000 Hz, expected (9600, 3) at 16000 Hz"),
 ], ids=["truth_without_every_array", "manifest_without_gains", "frame_without_frame_len",
-        "frame_without_hop", "config_without_ser_db", "files_without_soi", "infinite_duration",
+        "frame_without_hop", "config_without_ser_db", "config_not_a_mapping",
+        "files_without_soi", "infinite_duration", "duration_as_a_string", "mics_as_a_string",
         "short_component", "component_missing_channels",
         "loudspeaker_with_three_channels", "mixture_at_another_rate"])
 def test_run_malformed_scene_exits_one(tmp_path, capsys, break_scene, message):
     """A malformed saved scene is an error line that names the file at fault.
 
-    Malformed: a truth array, a manifest key or a nested field is missing, the
-    duration is not finite, or a WAV has another length, channel count or
-    rate than the manifest declares. Fields of the wrong type are among the
-    edits of test_run_edited_scene_exits_zero_or_names_the_file.
+    Malformed: a truth array, a manifest key or a nested field is missing or
+    of the wrong type, the duration is not finite, or a WAV has another
+    length, channel count or rate than the manifest declares. More edits of
+    each kind are in test_run_edited_scene_exits_zero_or_names_the_file.
     """
     scene_dir = tmp_path / "scene"
     run_cli(simulate_args(scene_dir))
