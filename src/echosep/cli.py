@@ -75,9 +75,10 @@ class ExperimentSpec:
                                  f"with low <= high, got {pair!r}")
         for f in fields(self):
             _scenegen.check_type(getattr(self, f.name), f.type, f.name)
-        for name in ("algorithms", "source_wavs", "rir_wavs"):  # lists of strings
+        for name, kind in (("ser_db", float), ("ier_db", float), ("enr_db", float),
+                           ("algorithms", str), ("source_wavs", str), ("rir_wavs", str)):
             for i, item in enumerate(getattr(self, name)):
-                _scenegen.check_type(item, str, f"{name}[{i}]")
+                _scenegen.check_type(item, kind, f"{name}[{i}]")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if not self.algorithms:

@@ -92,14 +92,16 @@ def evaluate_run(scene, state, bp_scale,
     Without a beamformer (unprocessed and LS AEC conditions) the state's w
     is the reference channel's unit vector, so the echo-cancellation stage
     at the reference channel is the final output. Each signal is formed
-    and reduced to its energy before the next.
+    and reduced to its energy before the next; each image is read once.
     """
-    u, spec = scene.loudspeaker, scene.frame_spec
-    p = {name: _energy(component_pass(state, name, img, u, bp_scale), spec)
-         for name, img in scene.images.items()}
-    echo_ref = scene.images["echo"][:, :, reference_channel - 1]
-    p_echo = _energy(echo_ref, spec)
-    p_residual = _energy(echo_ref - state.h[:, reference_channel - 1, None] * u, spec)
+    u, spec, ref = scene.loudspeaker, scene.frame_spec, reference_channel - 1
+    p = {}
+    for name, img in scene.images.items():
+        p[name] = _energy(component_pass(state, name, img, u, bp_scale), spec)
+        if name == "echo":
+            p_echo = _energy(img[:, :, ref], spec)
+            p_residual = _energy(img[:, :, ref] - state.h[:, ref, None] * u, spec)
+        del img  # not held while the next image is formed
     sir, ser, sier = ratios(p["soi"], p["echo"], p["interference"], p["noise"])
     return MetricsReport(
         sir_db=sir,

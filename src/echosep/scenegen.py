@@ -11,8 +11,10 @@ echo-to-noise power ratios measured at the first microphone.
 
 import json
 import numpy as np
+from collections import ChainMap
 from collections.abc import Mapping
 from dataclasses import dataclass, asdict, field, fields
+from functools import partial
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -81,20 +83,40 @@ class SceneTruth:
     bg_mix: np.ndarray   # (F, M, M-1) interference mixing matrix
 
 
+class _Images(Mapping):
+    """Component images by name, read-only; an entry that is a callable is formed on each read."""
+
+    def __init__(self, entries):
+        self._entries = entries
+
+    def __getitem__(self, name):
+        entry = self._entries[name]
+        return entry() if callable(entry) else entry
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
 @dataclass
 class Scene:
     """Mixture plus ground-truth component images in the STFT domain.
 
     mixture = sum of images (exact); frame_spec is None for scenes generated
-    directly on an abstract frequency grid. time_signals holds time-domain
-    renditions keyed like images plus "mixture"/"loudspeaker" for a scene
-    rendered in the time domain, but only "mixture", the one a run reads, for
-    a loaded scene.
+    directly on an abstract frequency grid. A narrowband scene holds only
+    the interference and noise images: each read of its soi or echo image
+    forms a fresh array from the truth, the target spectrum, the loudspeaker
+    and the soi gain. Loaded and convolutive scenes hold all four images.
+    time_signals holds time-domain renditions keyed like images plus
+    "mixture"/"loudspeaker" for a scene rendered in the time domain, but only
+    "mixture", the one a run reads, for a loaded scene.
     """
 
     mixture: np.ndarray      # (F, T, M)
     loudspeaker: np.ndarray  # (F, T)
-    images: dict             # name -> (F, T, M)
+    images: Mapping          # name -> (F, T, M), read-only
     config: ScenarioConfig
     truth: SceneTruth = None
     frame_spec: object = None
@@ -142,6 +164,14 @@ def _power(x, channel=0):
     return float(np.mean(np.abs(x[..., channel]) ** 2))
 
 
+def _image(transfer, source, gain=None):
+    """A source's image transfer x source, (F, T, M), scaled in place by gain if one is given."""
+    image = transfer[:, None, :] * source[:, :, None]
+    if gain is not None:
+        image *= gain  # as _mix scales it, so the same bytes
+    return image
+
+
 def _mix(raw, cfg):
     """Scale raw (soi, echo, interference, noise) images in place to cfg's ratios; sum them.
 
@@ -181,16 +211,17 @@ def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None):
     a_soi = _circular_gauss(rng, (n_freqs, m))
     echo_atf = _circular_gauss(rng, (n_freqs, m))
     bg_mix = _circular_gauss(rng, (n_freqs, m, m - 1))
-    soi = a_soi[:, None, :] * s[:, :, None]
-    echo = echo_atf[:, None, :] * u[:, :, None]
+    soi, echo = _image(a_soi, s), _image(echo_atf, u)  # formed again on each read
     interference = np.einsum("fmk,ftk->ftm", bg_mix, q)
-    del s, q  # only the images read the sources
+    del q  # only the interference image reads it
     noise = _circular_gauss(rng, (n_freqs, n_frames, m))
     images, mixture, gains = _mix((soi, echo, interference, noise), cfg)
     return Scene(
         mixture=mixture,
         loudspeaker=u,
-        images=images,
+        images=_Images({"soi": partial(_image, a_soi, s, gains["soi"]),
+                        "echo": partial(_image, echo_atf, u),  # the echo's gain is 1
+                        "interference": images["interference"], "noise": images["noise"]}),
         config=cfg,
         truth=SceneTruth(a_soi=a_soi, echo_atf=echo_atf, bg_mix=bg_mix),
         frame_spec=frame_spec,
@@ -208,7 +239,7 @@ def _analyzed_scene(signals, cfg, frame_spec, gains, truth=None, keep=()):
     return Scene(
         mixture=tensors.pop("mixture"),
         loudspeaker=tensors.pop("loudspeaker")[:, :, 0],
-        images={k: tensors[k] for k in COMPONENTS},
+        images=_Images({k: tensors[k] for k in COMPONENTS}),
         config=cfg,
         truth=truth,
         frame_spec=frame_spec,
@@ -294,12 +325,12 @@ def save_scene(scene, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sr = scene.frame_spec.sample_rate
-    tensors = {"mixture": scene.mixture, "loudspeaker": scene.loudspeaker, **scene.images}
+    tensors = ChainMap({"mixture": scene.mixture, "loudspeaker": scene.loudspeaker}, scene.images)
     n_samples = int(round(scene.config.duration_s * sr))
-    files = {name: f"{name}.wav" for name in tensors}
+    files = {name: f"{name}.wav" for name in ("mixture", "loudspeaker", *scene.images)}
     stored = scene.time_signals or {}
-    for name, x in tensors.items():  # no signal outlives its file
-        sig = stored[name] if name in stored else _stft.synthesize(x, scene.frame_spec)
+    for name in files:  # no signal outlives its file; an image is read as it is synthesized
+        sig = stored[name] if name in stored else _stft.synthesize(tensors[name], scene.frame_spec)
         _stft.write_wav(out / files[name], sig[:n_samples], sr, dtype="float32")
         del sig
     manifest = {
@@ -344,7 +375,8 @@ def load_scene(manifest_path):
 
     Each manifest field read must be present, of its type and in range before
     any file opens; other keys and arrays are ignored. A failure raises
-    ValueError naming the file, as do a truth array not finite or not of the
+    ValueError naming the file, as do a file the manifest names that is
+    absent or cannot be opened, a truth array not finite or not of the
     frame's and mics' shape, and a WAV of another shape or rate than
     save_scene writes. time_signals keeps the mixture's samples alone.
     """
@@ -373,11 +405,14 @@ def load_scene(manifest_path):
                     raise ValueError(f"{k} has shape {array.shape}, expected {shape}")
                 if not (np.issubdtype(array.dtype, np.number) and np.all(np.isfinite(array))):
                     raise ValueError(f"{k} must hold finite numbers")
-    except ValueError as exc:
-        raise ValueError(f"{checked}: {exc}") from None
+    except (OSError, ValueError) as exc:  # an OSError's strerror, without the path again
+        raise ValueError(f"{checked}: {getattr(exc, 'strerror', None) or exc}") from None
 
     def read(name):  # the samples, channels and rate save_scene writes, or ValueError
-        data, rate = _stft.read_wav(manifest_path.parent / files[name])
+        try:
+            data, rate = _stft.read_wav(manifest_path.parent / files[name])
+        except OSError as exc:
+            raise ValueError(f"{files[name]}: {exc.strerror}") from None
         shape = (int(round(cfg.duration_s * sr)), 1 if name == "loudspeaker" else m)
         if data.shape != shape or rate != sr:
             raise ValueError(f"{files[name]}: {data.shape} samples x channels at {rate} Hz, "

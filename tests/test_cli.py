@@ -299,6 +299,18 @@ def test_config_range_that_is_not_an_ordered_pair_exits_one(tmp_path, capsys, fi
     assert not (tmp_path / "scene").exists()
 
 
+@pytest.mark.parametrize("field, value, index", [
+    ("ser_db", [True, 5], 0), ("ier_db", [0, True], 1),
+], ids=["ser_db_low", "ier_db_high"])
+def test_config_range_with_a_bool_exits_one(tmp_path, capsys, field, value, index):
+    """JSON's true is no number: the error names the range's item, and nothing is written."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    assert run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "scene")]) == 1
+    assert capsys.readouterr().err == f"error: {field}[{index}] must be float, got True\n"
+    assert not (tmp_path / "scene").exists()
+
+
 @pytest.mark.parametrize("command, value", [
     ("simulate", "inf"), ("simulate", "nan"), ("bench", float("inf")),
 ], ids=["simulate_inf", "simulate_nan", "bench_config_infinity"])
@@ -607,6 +619,10 @@ def _truncate_truth(scene_dir):
     np.savez(scene_dir / "truth.npz", a_soi=a_soi)
 
 
+def _remove(file):
+    return lambda scene_dir: (scene_dir / file).unlink()
+
+
 def _rewrite_wav(name, edit, rate=16000):
     def broken(scene_dir):
         data, _ = stft.read_wav(scene_dir / f"{name}.wav")
@@ -647,18 +663,22 @@ def _edit_manifest(edit):
      "expected (9600, 1) at 16000 Hz"),
     (_rewrite_wav("mixture", lambda d: d, rate=8000),
      "mixture.wav: (9600, 3) samples x channels at 8000 Hz, expected (9600, 3) at 16000 Hz"),
+    (_remove("echo.wav"), "echo.wav: No such file or directory"),
+    (_remove("truth.npz"), "truth.npz: No such file or directory"),
 ], ids=["truth_without_every_array", "manifest_without_gains", "frame_without_frame_len",
         "frame_without_hop", "config_without_ser_db", "config_not_a_mapping",
         "files_without_soi", "infinite_duration", "duration_as_a_string", "mics_as_a_string",
         "short_component", "component_missing_channels",
-        "loudspeaker_with_three_channels", "mixture_at_another_rate"])
+        "loudspeaker_with_three_channels", "mixture_at_another_rate",
+        "component_file_absent", "truth_file_absent"])
 def test_run_malformed_scene_exits_one(tmp_path, capsys, break_scene, message):
     """A malformed saved scene is an error line that names the file at fault.
 
     Malformed: a truth array, a manifest key or a nested field is missing or
-    of the wrong type, the duration is not finite, or a WAV has another
-    length, channel count or rate than the manifest declares. More edits of
-    each kind are in test_run_edited_scene_exits_zero_or_names_the_file.
+    of the wrong type, the duration is not finite, a WAV has another length,
+    channel count or rate than the manifest declares, or a file it names is
+    absent. More edits of each kind are in
+    test_run_edited_scene_exits_zero_or_names_the_file.
     """
     scene_dir = tmp_path / "scene"
     run_cli(simulate_args(scene_dir))
