@@ -9,7 +9,6 @@ from .model import (
     covariance,
     cost,
     score_spherical,
-    score_gauss,
     transmission_matrix,
     off_block_energy_db,
 )

@@ -118,13 +118,12 @@ class ExperimentSpec:
         """The config file's values, overridden by every spec field the command line set."""
         values = {}
         if args.config:
-            path = Path(args.config)
-            if not path.exists():
-                raise ValueError(f"config file not found: {path}")
             try:
-                loaded = _scenegen.check_type(json.loads(path.read_text()), dict, "config file")
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config file is not valid JSON: {exc}") from exc
+                loaded = json.loads(Path(args.config).read_text())
+            except (OSError, ValueError) as exc:  # an OSError's strerror, without the path again
+                reason = getattr(exc, "strerror", None) or exc
+                raise ValueError(f"{args.config}: {reason}") from None
+            loaded = _scenegen.check_type(loaded, dict, "config file")
             unknown = set(loaded) - {f for f in cls.__dataclass_fields__}
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -192,7 +191,7 @@ def cmd_run(spec, scene_path, algo):
         out_time = mixture[:, ref:ref + 1]
     else:
         out_time = _stft.synthesize(res.s_hat, scene.frame_spec, length=mixture.shape[0])
-    _stft.write_wav(out / "enhanced.wav", out_time, sr, dtype="float32")
+    _stft.write_wav(out / "enhanced.wav", out_time, sr)
     bp_scale = res.diagnostics.bp_scale
     np.savez(out / "filters.npz", h=res.state.h, w=res.state.w, a=res.state.a, bp_scale=bp_scale)
 

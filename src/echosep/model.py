@@ -23,7 +23,6 @@ __all__ = [
     "background_power",
     "orthogonal_constraint_atf",
     "score_spherical",
-    "score_gauss",
     "score_stats",
     "covariance",
     "loaded_inverse",
@@ -168,12 +167,6 @@ def score_spherical(s_hat):
     return phi, rho, mag2 @ inv_r / n_frames
 
 
-def score_gauss(s_hat):
-    """Score of a unit-variance stationary Gaussian: phi = conj(s), rho = 1, nu = E[|s|^2]."""
-    s = np.asarray(s_hat, dtype=np.complex128)
-    return s.conj(), np.ones(s.shape[0]), np.mean(s.real ** 2 + s.imag ** 2, axis=1)
-
-
 def score_stats(s_hat, score=score_spherical):
     """nu = E[s_hat phi] and rho = E[d phi / d s_hat*] per frequency bin.
 
@@ -242,7 +235,7 @@ def loaded_inverse(c, loading=DEFAULT_LOADING):
     bin. A bin whose inverse is not finite (an unhealthy pivot) gets a
     LAPACK inversion and one loaded retry on its own. Non-finite or
     zero-trace bins, and bins the retry fails, get a zero inverse and ok
-    False. The driver's BSE step, grad_h and interference_whitener all use it.
+    False. The driver's BSE step and interference_whitener use it.
     """
     a = np.ascontiguousarray(np.moveaxis(load_diagonal(c, loading), 0, -1))
     ok = (np.all(np.isfinite(a), axis=(0, 1))

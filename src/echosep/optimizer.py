@@ -72,9 +72,7 @@ __all__ = [
     "DataStats",
     "Moments",
     "moments",
-    "grad_h",
     "grad_w",
-    "circularity_check",
     "update_aec",
     "update_bse",
     "normalize_w",
@@ -172,8 +170,6 @@ class DataStats:
 
     @classmethod
     def of(cls, x, u):
-        if u is None:  # no loudspeaker: E[x u*] = 0 and E[|u|^2] = 0, with no product
-            return cls(covariance(x), np.zeros_like(x[:, 0, :]), np.zeros(len(x)))
         return cls(covariance(x), *_echo_moments(x, u))
 
     def error_cross(self, h):
@@ -247,54 +243,19 @@ def _extract(x, u, state, y=None):
     return y, np.subtract(y, s, out=s)
 
 
-def _score_weight(nu, normalize):
-    """1/nu per bin (0 where the normalizer is dead), or 1 without normalization."""
-    if not normalize:
-        return np.ones_like(nu)
-    live = np.abs(nu) > DEAD_BIN_FLOOR
-    return np.where(live, 1.0 / np.where(live, nu, 1.0), 0.0)
-
-
-def grad_h(state, data, mom, normalize=True):
-    """Gradient of the cost J w.r.t. conj(h): -(E[phi* u*]/nu* w + R E[e u*]) per bin.
-
-    R = C_ee^{-1} - w w^H / sigma^2, with sigma^2 = w^H C_ee w, from the
-    state's C_ee and w, is the gradient of J's log terms; bins whose C_ee has
-    no inverse or whose sigma^2 is not positive get R = 0. R a = 0 for
-    a = C_ee w / sigma^2, which lets update_aec step in closed form. With
-    normalize=False the score is used raw (no nu division), matching the
-    plain gradient of J that finite differences reproduce.
-    """
-    weight = np.conj(mom.u_phi * _score_weight(mom.nu, normalize))
-    inverse, ok = loaded_inverse(state.C_ee, 0.0)
-    sigma2 = np.einsum("fm,fmn,fn->f", state.w.conj(), state.C_ee, state.w).real
-    ok &= sigma2 > np.finfo(float).tiny
-    r = data.error_cross(state.h)
-    w_r = np.sum(state.w.conj() * r, axis=1) / np.where(ok, sigma2, 1.0)
-    r_eu = (inverse @ r[:, :, None])[:, :, 0] - w_r[:, None] * state.w
-    return -(weight[:, None] * state.w + np.where(ok[:, None], r_eu, 0.0))
-
-
-def grad_w(state, mom, normalize=True):
-    """Gradient of the cost w.r.t. conj(w): E[e phi]/nu - a per bin."""
-    return mom.e_phi * _score_weight(mom.nu, normalize)[:, None] - state.a
-
-
-def circularity_check(u):
-    """Per-bin |E[u^2]| / E[|u|^2]; near zero for circular signals."""
-    if u.shape[1] < 2:
-        raise ValueError("circularity check needs at least 2 frames")
-    pseudo = np.abs(np.mean(u**2, axis=1))
-    power = np.mean(np.abs(u) ** 2, axis=1)
-    return np.divide(pseudo, power, out=np.zeros_like(power), where=power > 0)
+def grad_w(state, mom):
+    """Gradient of the cost w.r.t. conj(w): E[e phi]/nu - a per bin; -a where nu is dead."""
+    live = np.abs(mom.nu) > DEAD_BIN_FLOOR
+    return mom.e_phi * np.where(live, 1.0 / np.where(live, mom.nu, 1.0), 0.0)[:, None] - state.a
 
 
 def update_aec(state, x, u, data, score=score_spherical, mom=None):
     """One Newton step on the echo-path filter h for every active bin.
 
-    solve(H, -grad_h) in closed form, for the curvature
-    H = (R + conj(rho/nu) w w^H) P_u with grad_h's R: R a = 0 and w^H a = 1,
-    so with r = E[e u*], kappa = conj(E[u phi]/nu) and alpha = conj(rho/nu)
+    solve(H, -g) in closed form, for J's h-gradient g = -(kappa w + R r) and
+    the curvature H = (R + alpha w w^H) P_u, with r = E[e u*],
+    kappa = conj(E[u phi]/nu), alpha = conj(rho/nu) and
+    R = C_ee^{-1} - w w^H / (w^H C_ee w): R a = 0 and w^H a = 1, so
     the step is (r + a (kappa - alpha w^H r) / alpha) / P_u,
     the least-squares step plus a correction along a. mom holds the moments
     at the state's h and w; when not given, they come from one pass over x
@@ -405,7 +366,6 @@ def _background_floor(state):
 def _run(x, u, cfg=None, joint=True, truth=None):
     """Shared iteration driver; a run that is not joint holds h at h_LS throughout."""
     cfg = cfg or RunConfig()
-    silent = u is None
     x, u = _inputs(x, u, cfg)
     n_freqs, n_frames, m = x.shape
     if n_frames < 2:
@@ -413,7 +373,7 @@ def _run(x, u, cfg=None, joint=True, truth=None):
     if m < 2:
         raise ValueError(f"extraction needs at least 2 microphones, got {m}")
     state = DemixState.initial(n_freqs, m)
-    data = DataStats.of(x, None if silent else u)
+    data = DataStats.of(x, u)
     echo = bool(np.any(data.P_u > np.finfo(float).tiny))
     joint &= echo  # else no echo step moves h
     if not joint:

@@ -10,6 +10,7 @@ echo-to-noise power ratios measured at the first microphone.
 """
 
 import json
+import zipfile
 import numpy as np
 from collections import ChainMap
 from collections.abc import Mapping
@@ -331,7 +332,7 @@ def save_scene(scene, out_dir):
     stored = scene.time_signals or {}
     for name in files:  # no signal outlives its file; an image is read as it is synthesized
         sig = stored[name] if name in stored else _stft.synthesize(tensors[name], scene.frame_spec)
-        _stft.write_wav(out / files[name], sig[:n_samples], sr, dtype="float32")
+        _stft.write_wav(out / files[name], sig[:n_samples], sr)
         del sig
     manifest = {
         "schema": "echosep-scene-v1",
@@ -375,19 +376,20 @@ def load_scene(manifest_path):
 
     Each manifest field read must be present, of its type and in range before
     any file opens; other keys and arrays are ignored. A failure raises
-    ValueError naming the file, as do a file the manifest names that is
-    absent or cannot be opened, a truth array not finite or not of the
-    frame's and mics' shape, and a WAV of another shape or rate than
-    save_scene writes. time_signals keeps the mixture's samples alone.
+    ValueError naming the file, as do a manifest or truth file that is absent
+    or cannot be read or parsed, a WAV it names that is absent or cannot be
+    opened, a truth array not finite or not of the frame's and mics' shape,
+    and a WAV of another shape or rate than save_scene writes. time_signals
+    keeps the mixture's samples alone.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    if not isinstance(manifest, dict) or manifest.get("schema") != "echosep-scene-v1":
-        raise ValueError(f"{manifest_path}: schema is not echosep-scene-v1")
-    checked = manifest_path  # the file a ValueError below names
+    checked = manifest_path  # the file an error below names
     try:
+        manifest = json.loads(manifest_path.read_text())
+        if not isinstance(manifest, dict) or manifest.get("schema") != "echosep-scene-v1":
+            raise ValueError("schema is not echosep-scene-v1")
         top = _walk(manifest, _MANIFEST)
         truth_file = check_type(manifest.get("truth_file", ""), str, "truth_file")
         cfg = ScenarioConfig(**top["config"])
@@ -405,7 +407,8 @@ def load_scene(manifest_path):
                     raise ValueError(f"{k} has shape {array.shape}, expected {shape}")
                 if not (np.issubdtype(array.dtype, np.number) and np.all(np.isfinite(array))):
                     raise ValueError(f"{k} must hold finite numbers")
-    except (OSError, ValueError) as exc:  # an OSError's strerror, without the path again
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:  # the last two from np.load
+        # an OSError's strerror, without the path again
         raise ValueError(f"{checked}: {getattr(exc, 'strerror', None) or exc}") from None
 
     def read(name):  # the samples, channels and rate save_scene writes, or ValueError

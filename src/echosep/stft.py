@@ -238,31 +238,21 @@ def read_wav(path):
     return data.reshape(-1, channels), int(rate)
 
 
-def write_wav(path, data, sample_rate, dtype="float32"):
-    """Write samples to a WAV file as 32-bit float or 16-bit PCM.
+def write_wav(path, data, sample_rate):
+    """Write samples to a WAV file as 32-bit float.
 
-    The header is the canonical RIFF/WAVE layout: float32 files carry an
-    18-byte fmt chunk (cbSize 0) and a fact chunk with the frame count,
-    int16 files a 16-byte fmt chunk.
+    The header is the canonical RIFF/WAVE layout of a float file: an 18-byte
+    fmt chunk (cbSize 0) and a fact chunk with the frame count.
     """
     data = np.asarray(data)
     if data.ndim == 1:
         data = data[:, None]
-    if dtype == "float32":
-        samples, tag, fmt_tail = data.astype("<f4"), _FLOAT, b"\x00\x00"
-    elif dtype == "int16":
-        clipped = np.clip(data, -1.0, 1.0 - 1.0 / 32768.0)
-        samples, tag, fmt_tail = np.round(clipped * 32768.0).astype("<i2"), _PCM, b""
-    else:
-        raise ValueError(f"unsupported dtype: {dtype}")
+    samples = data.astype("<f4")
     n_frames, channels = samples.shape
-    width = samples.itemsize
-    fmt = struct.pack("<HHIIHH", tag, channels, sample_rate, sample_rate * width * channels,
-                      width * channels, 8 * width) + fmt_tail
-    header = b"WAVE" + struct.pack("<4sI", b"fmt ", len(fmt)) + fmt
-    if tag == _FLOAT:
-        header += struct.pack("<4sII", b"fact", 4, n_frames)
-    header += struct.pack("<4sI", b"data", samples.nbytes)
+    fmt = struct.pack("<HHIIHHH", _FLOAT, channels, sample_rate, sample_rate * 4 * channels,
+                      4 * channels, 32, 0)
+    header = (b"WAVE" + struct.pack("<4sI", b"fmt ", len(fmt)) + fmt
+              + struct.pack("<4sII4sI", b"fact", 4, n_frames, b"data", samples.nbytes))
     riff_size = len(header) + samples.nbytes
     if riff_size > 0xFFFFFFFF:
         raise ValueError(f"{path}: {samples.nbytes} bytes of samples exceed a RIFF file")

@@ -2,18 +2,22 @@
 
 The package takes these in closed form, or has no use for them outside the
 tests: the demixing cascade applied frame by frame, the background
-covariance B C_ee B^H, the h-gradient matrix R of the cost J, the Newton
-curvature of the echo-path step, the LAPACK loaded inverse that the
-package's elimination replaces, the active-bin refresh in the batched
-form that the package's sums over length-F rows replace, and the scene
-renderer's draws and mixer as expressions that form a new array per step,
-which the package's in-place forms replace.
+covariance B C_ee B^H, the h-gradient matrix R of the cost J, J's
+h-gradient (grad_h) and the Newton curvature of the echo-path step
+(hessian_h) that update_aec solves in closed form, the Gaussian score
+(score_gauss) under which that step is the least-squares step, the
+pseudo-power ratio (circularity_check) that justifies a circular model of
+the loudspeaker signal, the LAPACK loaded inverse that the package's
+elimination replaces, the active-bin refresh in the batched form that the
+package's sums over length-F rows replace, and the scene renderer's draws
+and mixer as expressions that form a new array per step, which the
+package's in-place forms replace.
 """
 
 import numpy as np
 
-from echosep.model import DEFAULT_LOADING, blocking_matrix, load_diagonal
-from echosep.optimizer import BACKGROUND_FLOOR, _score_weight
+from echosep.model import DEFAULT_LOADING, blocking_matrix, load_diagonal, loaded_inverse
+from echosep.optimizer import BACKGROUND_FLOOR, DEAD_BIN_FLOOR
 from echosep.scenegen import COMPONENTS, _power
 
 
@@ -52,6 +56,49 @@ def cost_whitener(C_ee, w):
     return np.where(ok[:, None, None], inverse - outer, 0.0)
 
 
+def score_gauss(s_hat):
+    """Score of a unit-variance stationary Gaussian: phi = conj(s), rho = 1, nu = E[|s|^2]."""
+    s = np.asarray(s_hat, dtype=np.complex128)
+    return s.conj(), np.ones(s.shape[0]), np.mean(s.real ** 2 + s.imag ** 2, axis=1)
+
+
+def circularity_check(u):
+    """Per-bin |E[u^2]| / E[|u|^2]; near zero for circular signals."""
+    if u.shape[1] < 2:
+        raise ValueError("circularity check needs at least 2 frames")
+    pseudo = np.abs(np.mean(u**2, axis=1))
+    power = np.mean(np.abs(u) ** 2, axis=1)
+    return np.divide(pseudo, power, out=np.zeros_like(power), where=power > 0)
+
+
+def score_weight(nu, normalize=True):
+    """1/nu per bin (0 where the normalizer is dead), or 1 without normalization."""
+    if not normalize:
+        return np.ones_like(nu)
+    live = np.abs(nu) > DEAD_BIN_FLOOR
+    return np.where(live, 1.0 / np.where(live, nu, 1.0), 0.0)
+
+
+def grad_h(state, data, mom, normalize=True):
+    """Gradient of the cost J w.r.t. conj(h): -(E[phi* u*]/nu* w + R E[e u*]) per bin.
+
+    R = C_ee^{-1} - w w^H / sigma^2, with sigma^2 = w^H C_ee w, from the
+    state's C_ee and w, is the gradient of J's log terms; bins whose C_ee has
+    no inverse or whose sigma^2 is not positive get R = 0. R a = 0 for
+    a = C_ee w / sigma^2, which lets update_aec step in closed form. With
+    normalize=False the score is used raw (no nu division), matching the
+    plain gradient of J that finite differences reproduce.
+    """
+    weight = np.conj(mom.u_phi * score_weight(mom.nu, normalize))
+    inverse, ok = loaded_inverse(state.C_ee, 0.0)
+    sigma2 = np.einsum("fm,fmn,fn->f", state.w.conj(), state.C_ee, state.w).real
+    ok &= sigma2 > np.finfo(float).tiny
+    r = data.error_cross(state.h)
+    w_r = np.sum(state.w.conj() * r, axis=1) / np.where(ok, sigma2, 1.0)
+    r_eu = (inverse @ r[:, :, None])[:, :, 0] - w_r[:, None] * state.w
+    return -(weight[:, None] * state.w + np.where(ok[:, None], r_eu, 0.0))
+
+
 def hessian_h(state, data, mom, normalize=True):
     """Curvature matrix of the echo-path Newton step, per bin.
 
@@ -62,7 +109,7 @@ def hessian_h(state, data, mom, normalize=True):
     E[|u|^2]. Only mom.nu and mom.rho are read, so a ScoreStats serves as
     well as Moments.
     """
-    weight = np.conj(mom.rho * _score_weight(mom.nu, normalize))
+    weight = np.conj(mom.rho * score_weight(mom.nu, normalize))
     outer = state.w[:, :, None] * state.w.conj()[:, None, :]
     r = cost_whitener(state.C_ee, state.w)
     return (r + weight[:, None, None] * outer) * data.P_u[:, None, None]

@@ -402,9 +402,24 @@ def test_config_unknown_key_rejected(tmp_path):
     assert run_cli(["bench", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
 
 
-def test_missing_config_rejected(tmp_path):
+def test_missing_config_rejected(tmp_path, capsys):
     assert run_cli(["bench", "--config", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'nope.json'}: "
+                                       "No such file or directory\n")
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda p: p.mkdir(), "Is a directory"),
+    (lambda p: p.write_text("{"),
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+], ids=["a_directory", "not_json"])
+def test_unreadable_config_exits_one_naming_it(tmp_path, capsys, make, reason):
+    cfg_path = tmp_path / "cfg"
+    make(cfg_path)
+    assert run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "scene")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}: {reason}\n"
+    assert not (tmp_path / "scene").exists()
 
 
 def test_experiment_spec_validation():
@@ -504,7 +519,7 @@ def test_run_numerical_failure_exits_two(tmp_path):
     run_cli(simulate_args(scene_dir))
     # silence the loudspeaker: least-squares echo canceller has no excitation
     silent = np.zeros((int(0.6 * 16000), 1), dtype=np.float32)
-    stft.write_wav(scene_dir / "loudspeaker.wav", silent, 16000, dtype="float32")
+    stft.write_wav(scene_dir / "loudspeaker.wav", silent, 16000)
     code = run_cli(["run", "--scene", str(scene_dir), "--algo", "ls_aec",
                     "--out", str(tmp_path / "out")])
     assert code == 2
@@ -524,7 +539,7 @@ def run_non_finite_mixture(tmp_path, algo):
     run_cli(simulate_args(scene_dir))
     mixture, rate = stft.read_wav(scene_dir / "mixture.wav")
     mixture[1000, 1] = np.nan
-    stft.write_wav(scene_dir / "mixture.wav", mixture, rate, dtype="float32")
+    stft.write_wav(scene_dir / "mixture.wav", mixture, rate)
     return run_cli(["run", "--scene", str(scene_dir), "--algo", algo,
                     "--out", str(tmp_path / "out")])
 
@@ -623,10 +638,14 @@ def _remove(file):
     return lambda scene_dir: (scene_dir / file).unlink()
 
 
+def _overwrite(file, data):
+    return lambda scene_dir: (scene_dir / file).write_bytes(data)
+
+
 def _rewrite_wav(name, edit, rate=16000):
     def broken(scene_dir):
         data, _ = stft.read_wav(scene_dir / f"{name}.wav")
-        stft.write_wav(scene_dir / f"{name}.wav", edit(data), rate, dtype="float32")
+        stft.write_wav(scene_dir / f"{name}.wav", edit(data), rate)
     return broken
 
 
@@ -665,20 +684,25 @@ def _edit_manifest(edit):
      "mixture.wav: (9600, 3) samples x channels at 8000 Hz, expected (9600, 3) at 16000 Hz"),
     (_remove("echo.wav"), "echo.wav: No such file or directory"),
     (_remove("truth.npz"), "truth.npz: No such file or directory"),
+    (_overwrite("truth.npz", b""), "truth.npz: No data left in file"),
+    (_overwrite("truth.npz", b"PK\x03\x04garbage"), "truth.npz: File is not a zip file"),
+    (_overwrite("manifest.json", b"{"),
+     "manifest.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
 ], ids=["truth_without_every_array", "manifest_without_gains", "frame_without_frame_len",
         "frame_without_hop", "config_without_ser_db", "config_not_a_mapping",
         "files_without_soi", "infinite_duration", "duration_as_a_string", "mics_as_a_string",
         "short_component", "component_missing_channels",
         "loudspeaker_with_three_channels", "mixture_at_another_rate",
-        "component_file_absent", "truth_file_absent"])
+        "component_file_absent", "truth_file_absent", "truth_file_empty",
+        "truth_file_not_a_zip", "manifest_not_json"])
 def test_run_malformed_scene_exits_one(tmp_path, capsys, break_scene, message):
     """A malformed saved scene is an error line that names the file at fault.
 
     Malformed: a truth array, a manifest key or a nested field is missing or
     of the wrong type, the duration is not finite, a WAV has another length,
-    channel count or rate than the manifest declares, or a file it names is
-    absent. More edits of each kind are in
-    test_run_edited_scene_exits_zero_or_names_the_file.
+    channel count or rate than the manifest declares, a file it names is
+    absent, or the manifest or truth file cannot be parsed. More edits of
+    each kind are in test_run_edited_scene_exits_zero_or_names_the_file.
     """
     scene_dir = tmp_path / "scene"
     run_cli(simulate_args(scene_dir))
@@ -836,7 +860,8 @@ def test_run_loads_a_manifest_with_keys_and_arrays_it_does_not_read(tmp_path):
             == (tmp_path / "run_new" / "diagnostics.json").read_bytes())
 
 
-def test_run_missing_scene_exits_one(tmp_path):
+def test_run_missing_scene_exits_one(tmp_path, capsys):
     code = run_cli(["run", "--scene", str(tmp_path / "ghost"), "--algo", "joint",
                     "--out", str(tmp_path / "out")])
     assert code == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'ghost'}: No such file or directory\n"

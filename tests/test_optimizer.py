@@ -16,15 +16,12 @@ from echosep.model import (
     interference_whitener,
     load_diagonal,
     loaded_inverse,
-    score_gauss,
     score_spherical,
 )
 from echosep.optimizer import (
     DataStats,
     RunConfig,
     backprojection_scale,
-    circularity_check,
-    grad_h,
     grad_w,
     moments,
     normalize_w,
@@ -40,7 +37,8 @@ from echosep.optimizer import (
 )
 from echosep.model import score_stats
 from formulas import (background_covariance, background_floor_batched,
-                      background_power_batched, hessian_h, refresh_batched)
+                      background_power_batched, circularity_check, grad_h, hessian_h,
+                      refresh_batched, score_gauss)
 
 
 def crandn(rng, shape):

@@ -140,7 +140,7 @@ def _write_sources_and_rirs(tmp_path, sr, m, delay=None):
     for i, name in enumerate(("soi", "loud", "intf")):
         sig = rng.standard_normal(sr) * 0.1
         p = tmp_path / f"{name}.wav"
-        stft.write_wav(p, sig, sr, dtype="float32")
+        stft.write_wav(p, sig, sr)
         paths_src.append(p)
         rir = np.zeros((64, m))
         if delay is None:
@@ -148,7 +148,7 @@ def _write_sources_and_rirs(tmp_path, sr, m, delay=None):
         else:
             rir[delay, :] = 1.0
         pr = tmp_path / f"{name}_rir.wav"
-        stft.write_wav(pr, rir, sr, dtype="float32")
+        stft.write_wav(pr, rir, sr)
         paths_rir.append(pr)
     return paths_src, paths_rir
 
@@ -187,7 +187,7 @@ def test_convolutive_echo_is_the_linear_convolution(tmp_path):
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
     rng = np.random.default_rng(21)
     rir = rng.standard_normal((400, m)) * np.exp(-np.arange(400) / 80.0)[:, None]
-    stft.write_wav(rirs[1], rir, sr, dtype="float32")
+    stft.write_wav(rirs[1], rir, sr)
     cfg = ScenarioConfig(mics=m, seed=22, duration_s=0.5)
     scene = render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
     loud, _ = stft.read_wav(srcs[1])
@@ -207,7 +207,7 @@ def test_convolutive_echo_is_the_linear_convolution(tmp_path):
 def test_convolutive_silent_or_empty_source_rejected(tmp_path, index, length, reason):
     sr, m = 16000, 2
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
-    stft.write_wav(srcs[index], np.zeros(length), sr, dtype="float32")
+    stft.write_wav(srcs[index], np.zeros(length), sr)
     cfg = ScenarioConfig(mics=m, seed=23, duration_s=0.5)
     with pytest.raises(ValueError, match=reason):
         render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
@@ -247,7 +247,7 @@ def test_convolutive_sample_rate_mismatch_rejected(tmp_path):
     sr, m = 16000, 2
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
     bad = tmp_path / "bad_rir.wav"
-    stft.write_wav(bad, np.zeros((64, m)), 8000, dtype="float32")
+    stft.write_wav(bad, np.zeros((64, m)), 8000)
     cfg = ScenarioConfig(mics=m, seed=13, duration_s=0.5)
     spec = stft.FrameSpec.default(512, 256, sr)
     with pytest.raises(ValueError):
