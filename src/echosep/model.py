@@ -149,16 +149,17 @@ def score_spherical(s_hat):
     with r_t = sqrt(sum_f |s_ft|^2) the frame radius, rho (F,) the frame mean
     of the same-bin Wirtinger derivative d phi_ft / d s_ft* = 1/r_t -
     |s_ft|^2 / (2 r_t^3), and the real nu (F,) = E[s phi] = mean_t |s_ft|^2 / r_t.
-    |s|^2 is formed once; rho is mean_t(1/r_t) minus one matrix-vector product
-    of |s|^2 with 1/(2 r^3), and nu one with 1/r. Frames whose radius is at
-    most SCORE_RADIUS_FLOOR (silent in every bin) get 1/r = 0.
+    |s|^2 is formed once; r^2 is one matrix-vector product of ones with it,
+    rho is mean_t(1/r_t) minus one of |s|^2 with 1/(2 r^3), and nu one with
+    1/r. Frames whose radius is at most SCORE_RADIUS_FLOOR (silent in every
+    bin) get 1/r = 0.
     """
     s = np.asarray(s_hat, dtype=np.complex128)
     # Updates in place: at F=256, T=300 each further full-size temporary
     # costs about as much as the arithmetic done on it.
     mag2 = s.real ** 2
     mag2 += s.imag ** 2
-    r = np.sqrt(np.sum(mag2, axis=0))
+    r = np.sqrt(np.ones(len(mag2)) @ mag2)
     inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > SCORE_RADIUS_FLOOR)
     phi = np.conj(s)
     phi *= inv_r
@@ -188,7 +189,14 @@ def covariance(frames):
     v = np.asarray(frames, dtype=np.complex128)
     if v.shape[-2] < 1:
         raise ValueError("covariance needs at least one frame")
-    c = np.swapaxes(v, -1, -2) @ v.conj() / v.shape[-2]
+    # One real Gram matrix G of the interleaved (re, im) columns, so no
+    # conjugated copy of v is formed: Re c = G_rr + G_ii, Im c = G_ir - G_ri.
+    vr = np.ascontiguousarray(v).view(np.float64)
+    g = np.swapaxes(vr, -1, -2) @ vr
+    c = np.empty(v.shape[:-2] + (v.shape[-1],) * 2, dtype=np.complex128)
+    c.real = g[..., 0::2, 0::2] + g[..., 1::2, 1::2]
+    c.imag = g[..., 1::2, 0::2] - g[..., 0::2, 1::2]
+    c /= v.shape[-2]
     # force exact Hermitian symmetry against accumulation error
     return 0.5 * (c + np.conj(np.swapaxes(c, -1, -2)))
 

@@ -106,10 +106,11 @@ class Scene:
     """Mixture plus ground-truth component images in the STFT domain.
 
     mixture = sum of images (exact); frame_spec is None for scenes generated
-    directly on an abstract frequency grid. A narrowband scene holds only
-    the interference and noise images: each read of its soi or echo image
-    forms a fresh array from the truth, the target spectrum, the loudspeaker
-    and the soi gain. Loaded and convolutive scenes hold all four images.
+    directly on an abstract frequency grid. Each read of an image not held
+    forms a fresh array. A narrowband scene holds only the interference and
+    noise images; its soi and echo images are formed from the truth, the
+    target spectrum, the loudspeaker and the soi gain. Loaded and convolutive
+    scenes hold no image spectrum: each read analyzes the image's samples.
     time_signals holds time-domain renditions keyed like images plus
     "mixture"/"loudspeaker" for a scene rendered in the time domain, but only
     "mixture", the one a run reads, for a loaded scene.
@@ -230,22 +231,20 @@ def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None):
     )
 
 
-def _analyzed_scene(signals, cfg, frame_spec, gains, truth=None, keep=()):
-    """A Scene analyzing (name, samples) pairs one at a time; keeps the samples named in keep."""
-    tensors, kept = {}, {}
-    for name, sig in signals:
-        tensors[name] = _stft.analyze(sig, frame_spec)
-        if name in keep:
-            kept[name] = sig
+def _analyzed_scene(samples, cfg, frame_spec, gains, truth=None, keep=()):
+    """A Scene of samples by name: mixture and loudspeaker analyzed now, each image on each read.
+
+    Each image keeps its samples; time_signals keeps those named in keep.
+    """
     return Scene(
-        mixture=tensors.pop("mixture"),
-        loudspeaker=tensors.pop("loudspeaker")[:, :, 0],
-        images=_Images({k: tensors[k] for k in COMPONENTS}),
+        mixture=_stft.analyze(samples["mixture"], frame_spec),
+        loudspeaker=_stft.analyze(samples["loudspeaker"], frame_spec)[:, :, 0],
+        images=_Images({k: partial(_stft.analyze, samples[k], frame_spec) for k in COMPONENTS}),
         config=cfg,
         truth=truth,
         frame_spec=frame_spec,
         gains=gains,
-        time_signals=kept,
+        time_signals={k: samples[k] for k in keep},
     )
 
 
@@ -311,7 +310,7 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec):
     noise = np.random.default_rng(cfg.seed).standard_normal((n_samples, m))
     images, mixture, gains = _mix((*raw, noise), cfg)
     time_signals = {**images, "loudspeaker": dry[1][:, None], "mixture": mixture}
-    return _analyzed_scene(time_signals.items(), cfg, frame_spec, gains, keep=time_signals)
+    return _analyzed_scene(time_signals, cfg, frame_spec, gains, keep=time_signals)
 
 
 def save_scene(scene, out_dir):
@@ -372,15 +371,17 @@ def _walk(values, table, key=""):
 
 
 def load_scene(manifest_path):
-    """Load a scene saved by save_scene, analyzing each WAV to STFT as it is read.
+    """Load a scene saved by save_scene: every file checked now, each image analyzed on read.
 
     Each manifest field read must be present, of its type and in range before
     any file opens; other keys and arrays are ignored. A failure raises
     ValueError naming the file, as do a manifest or truth file that is absent
     or cannot be read or parsed, a WAV it names that is absent or cannot be
     opened, a truth array not finite or not of the frame's and mics' shape,
-    and a WAV of another shape or rate than save_scene writes. time_signals
-    keeps the mixture's samples alone.
+    and a WAV of another shape or rate than save_scene writes. The mixture
+    and loudspeaker are analyzed to STFT here; each image keeps its samples
+    and each read of it analyzes them. time_signals keeps the mixture's
+    samples alone.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -422,5 +423,5 @@ def load_scene(manifest_path):
                              f"expected {shape} at {sr} Hz")
         return data
 
-    return _analyzed_scene(((name, read(name)) for name in files), cfg, spec, top["gains"],
+    return _analyzed_scene({name: read(name) for name in files}, cfg, spec, top["gains"],
                            truth, keep=("mixture",))

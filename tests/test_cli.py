@@ -491,13 +491,16 @@ def _traced_peak(argv):
 def test_simulate_and_run_hold_each_signal_once(tmp_path):
     """Peak memory of simulate and of a joint run, relative to the scene's STFT tensors.
 
-    The scene's five STFT tensors (mixture and four component images, plus
-    the loudspeaker's) are held by both commands. simulate synthesizes and
-    writes one WAV at a time; run analyzes one WAV at a time, keeps only the
-    mixture's samples, forms no (F, T, M) error signal and reduces each
-    evaluated component to its energy before the next. That measured 1.40
-    and 1.51 times the tensors' bytes; holding all six time signals, e and
-    every evaluated output measured 1.81 and 2.36.
+    The reference is the bytes of the scene's six STFT tensors (mixture,
+    loudspeaker and four component images). simulate synthesizes and writes
+    one WAV at a time, forming a narrowband soi or echo image only to
+    synthesize it. run checks every WAV as it loads the scene, analyzes only
+    the mixture and loudspeaker there and keeps the images' samples, forms
+    no (F, T, M) error signal, and analyzes each component image only to
+    reduce its output to an energy before the next. That measured 1.27 and
+    1.23 times the tensors' bytes; a run that held all six tensors measured
+    1.51, and one that held every time signal, e and every evaluated output
+    2.36.
     """
     warm = tmp_path / "warm"  # first calls import what numpy loads lazily
     run_cli(simulate_args(warm, duration=1.0))
@@ -511,7 +514,7 @@ def test_simulate_and_run_hold_each_signal_once(tmp_path):
     tensors = (scene.mixture.nbytes + scene.loudspeaker.nbytes
                + sum(img.nbytes for img in scene.images.values()))
     assert simulate_peak <= 1.55 * tensors, simulate_peak / tensors
-    assert run_peak <= 1.75 * tensors, run_peak / tensors
+    assert run_peak <= 1.35 * tensors, run_peak / tensors
 
 
 def test_run_numerical_failure_exits_two(tmp_path):
@@ -713,6 +716,30 @@ def test_run_malformed_scene_exits_one(tmp_path, capsys, break_scene, message):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
+@pytest.mark.parametrize("name", scenegen.COMPONENTS)
+@pytest.mark.parametrize("edit, rate", [(lambda d: d[:, :2], 16000), (lambda d: d, 8000)],
+                         ids=["channels", "rate"])
+def test_run_checks_every_image_before_any_algorithm(tmp_path, capsys, monkeypatch,
+                                                     name, edit, rate):
+    """An image is analyzed only when read, but its WAV is checked when the scene loads.
+
+    A wrong channel count or rate exits 1 naming the file; no algorithm runs
+    and no output directory is made.
+    """
+    scene_dir = tmp_path / "scene"
+    run_cli(simulate_args(scene_dir))
+    _rewrite_wav(name, edit, rate)(scene_dir)
+    ran = []
+    for algo in ("run_unprocessed", "run_ls_aec", "run_ive_only", "run_bnlms_ive", "run_joint"):
+        monkeypatch.setattr(optimizer, algo, lambda *args, **kw: ran.append(args))
+    capsys.readouterr()
+    code = run_cli(["run", "--scene", str(scene_dir), "--algo", "joint",
+                    "--out", str(tmp_path / "out"), "--iterations", "1"])
+    assert code == 1 and ran == []
+    assert capsys.readouterr().err.startswith(f"error: {name}.wav: ")
+    assert not (tmp_path / "out").exists()
 
 
 # The keys of a saved manifest, dotted below the top level: those that hold a

@@ -4,6 +4,7 @@ The score derivatives and cost gradients are checked against central finite
 differences computed here, independently of the closed forms under test.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -419,6 +420,38 @@ def test_loaded_inverse_sends_only_the_unhealthy_pivot_bin_to_lapack():
     assert inverse.shape == (9, 4, 4)
     np.testing.assert_array_equal(inverse[[1, 3, 5]], 0.0)
     np.testing.assert_allclose(inverse[7] @ load_diagonal(c[7]), np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "channels_reversed", "frames_strided",
+                                    "stacked"])
+def test_covariance_matches_the_dense_product(layout):
+    """E[v v^H] to 1e-13 of the dense frame sum, exactly Hermitian, for views as well."""
+    rng = np.random.default_rng(41)
+    v = {
+        "contiguous": lambda: crandn(rng, (9, 50, 4)),
+        "channels_reversed": lambda: crandn(rng, (9, 50, 4))[..., ::-1],
+        "frames_strided": lambda: np.swapaxes(crandn(rng, (9, 3, 50)), 1, 2),
+        "stacked": lambda: crandn(rng, (2, 3, 9, 50, 4)),
+    }[layout]()
+    c = covariance(v)
+    dense = np.einsum("...tm,...tn->...mn", v, v.conj()) / v.shape[-2]
+    assert c.shape == dense.shape
+    assert np.max(np.abs(c - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.array_equal(c, np.conj(np.swapaxes(c, -1, -2)))
+
+
+def test_covariance_forms_no_frame_sized_copy():
+    """Above its contiguous input, covariance holds less than one (F, T) complex plane."""
+    x = crandn(np.random.default_rng(42), (64, 300, 4))
+    covariance(x)  # first calls import what numpy loads lazily
+    tracemalloc.start()  # counts only what is allocated from here on
+    try:
+        covariance(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = x[..., 0].nbytes
+    assert peak < plane, peak / plane
 
 
 def test_covariance_needs_frames():

@@ -332,3 +332,29 @@ def test_scene_save_load_round_trip(tmp_path):
     total_t = sum(stft.read_wav(tmp_path / "scene" / f"{k}.wav")[0]
                   for k in ("soi", "echo", "interference", "noise"))
     assert np.max(np.abs(mix_t - total_t)) < 1e-5
+
+
+@pytest.mark.parametrize("source", ["loaded", "convolutive"])
+def test_time_domain_images_are_analyzed_on_each_read(tmp_path, source):
+    """Each read is a fresh array with the bytes of analyze over the image's samples.
+
+    A loaded scene's samples are its WAVs, a convolutive scene's its
+    time_signals; the images cannot be replaced.
+    """
+    spec = stft.FrameSpec.default(512, 256, 16000)
+    cfg = ScenarioConfig(mics=3, seed=16, duration_s=0.5)
+    if source == "loaded":
+        scene = load_scene(save_scene(render_narrowband(cfg, frame_spec=spec), tmp_path / "s"))
+        samples = {k: stft.read_wav(tmp_path / "s" / f"{k}.wav")[0] for k in scene.images}
+    else:
+        scene = render_convolutive(cfg, *_write_sources_and_rirs(tmp_path, 16000, 3), spec)
+        samples = scene.time_signals
+    for name in ("soi", "echo", "interference", "noise"):
+        expected = stft.analyze(samples[name], spec).tobytes()
+        first, second = scene.images[name], scene.images[name]
+        assert not np.shares_memory(first, second), name
+        assert first.tobytes() == second.tobytes() == expected, name
+        first[...] = 0
+        assert scene.images[name].tobytes() == expected, name
+    with pytest.raises(TypeError):
+        scene.images["soi"] = second
