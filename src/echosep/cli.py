@@ -120,9 +120,8 @@ class ExperimentSpec:
         if args.config:
             try:
                 loaded = json.loads(Path(args.config).read_text())
-            except (OSError, ValueError) as exc:  # an OSError's strerror, without the path again
-                reason = getattr(exc, "strerror", None) or exc
-                raise ValueError(f"{args.config}: {reason}") from None
+            except (OSError, ValueError) as exc:
+                raise _scenegen.file_error(args.config, exc) from None
             loaded = _scenegen.check_type(loaded, dict, "config file")
             unknown = set(loaded) - {f for f in cls.__dataclass_fields__}
             if unknown:

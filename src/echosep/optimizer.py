@@ -502,7 +502,7 @@ def run_ls_aec(x, u, cfg=None):
     cfg = cfg or RunConfig()
     x, u = _inputs(x, u, cfg)
     r_xu, P_u = _echo_moments(x, u)
-    if not np.any(P_u > 0):
+    if not np.any(P_u > np.finfo(float).tiny):  # as _least_squares tells a bin without excitation
         raise NumericsError("least-squares echo canceller needs a nonzero loudspeaker signal")
     h = _least_squares(r_xu, P_u)
     return _reference_output(x, u, h, cfg)

@@ -49,6 +49,11 @@ def check_type(value, kind, name):
     return value
 
 
+def file_error(file, reason):  # not in __all__: only failure paths call it
+    """The one input-file error, ValueError("<file>: <reason>"); an OSError gives its strerror."""
+    return ValueError(f"{file}: {getattr(reason, 'strerror', None) or reason}")
+
+
 @dataclass
 class ScenarioConfig:
     """A concrete sampled scene: geometry-free power ratios plus bookkeeping."""
@@ -109,11 +114,10 @@ class Scene:
     directly on an abstract frequency grid. Each read of an image not held
     forms a fresh array. A narrowband scene holds only the interference and
     noise images; its soi and echo images are formed from the truth, the
-    target spectrum, the loudspeaker and the soi gain. Loaded and convolutive
-    scenes hold no image spectrum: each read analyzes the image's samples.
-    time_signals holds time-domain renditions keyed like images plus
-    "mixture"/"loudspeaker" for a scene rendered in the time domain, but only
-    "mixture", the one a run reads, for a loaded scene.
+    target spectrum, the loudspeaker and the soi gain. A time-domain scene,
+    convolutive or loaded, holds no image spectrum: time_signals holds the
+    samples of every image, "mixture" and "loudspeaker", and each read of an
+    image analyzes its own. A narrowband scene has no time_signals.
     """
 
     mixture: np.ndarray      # (F, T, M)
@@ -231,11 +235,8 @@ def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None):
     )
 
 
-def _analyzed_scene(samples, cfg, frame_spec, gains, truth=None, keep=()):
-    """A Scene of samples by name: mixture and loudspeaker analyzed now, each image on each read.
-
-    Each image keeps its samples; time_signals keeps those named in keep.
-    """
+def _analyzed_scene(samples, cfg, frame_spec, gains, truth=None):
+    """A Scene holding samples by name: mixture and loudspeaker analyzed now, images on read."""
     return Scene(
         mixture=_stft.analyze(samples["mixture"], frame_spec),
         loudspeaker=_stft.analyze(samples["loudspeaker"], frame_spec)[:, :, 0],
@@ -244,17 +245,24 @@ def _analyzed_scene(samples, cfg, frame_spec, gains, truth=None, keep=()):
         truth=truth,
         frame_spec=frame_spec,
         gains=gains,
-        time_signals={k: samples[k] for k in keep},
+        time_signals=samples,
     )
 
 
-def _load_rir(path, n_mics, sample_rate):
-    rir, rate = _stft.read_wav(path)
-    if rate != sample_rate:
-        raise ValueError(f"RIR {path}: sample rate {rate} != {sample_rate}")
-    if rir.shape[1] != n_mics:
-        raise ValueError(f"RIR {path}: {rir.shape[1]} channels, expected {n_mics}")
-    return rir
+def _read(path, sample_rate, shape, folder="."):
+    """The samples of the WAV folder/path, of sample_rate and shape (samples None: any length).
+
+    Any other file, or none, raises file_error naming path as given.
+    """
+    try:
+        data, rate = _stft.read_wav(Path(folder, path))
+    except (OSError, ValueError) as exc:
+        raise file_error(path, exc) from None
+    n, channels = shape
+    if rate != sample_rate or data.shape[1] != channels or n not in (None, len(data)):
+        raise file_error(path, f"{data.shape} samples x channels at {rate} Hz, expected "
+                               f"({'any' if n is None else n}, {channels}) at {sample_rate} Hz")
+    return data
 
 
 def _convolve(sig, rir, n_samples):
@@ -278,30 +286,24 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec):
 
     Component images are the convolutions, scaled like the narrowband case;
     sensor noise is white Gaussian. True mixing parameters are not available
-    in this mode. A source that is empty, or whose image is silent, raises
-    ValueError.
+    in this mode. A WAV that _read rejects (a source must be mono), a source
+    that is empty or one whose image is silent raises ValueError naming it.
     """
     if len(source_wavs) != 3 or len(rir_wavs) != 3:
         raise ValueError("expected three sources and three RIRs: target, loudspeaker, interferer")
-    for p in list(source_wavs) + list(rir_wavs):
-        if not Path(p).exists():
-            raise FileNotFoundError(f"missing input file: {p}")
     sr = frame_spec.sample_rate
     n_samples = int(round(cfg.duration_s * sr))
     m = cfg.mics
     dry = []
     for path in source_wavs:
-        data, rate = _stft.read_wav(path)
-        if rate != sr:
-            raise ValueError(f"source {path}: sample rate {rate} != {sr}")
-        mono = data[:, 0]
+        mono = _read(path, sr, (None, 1))[:, 0]
         if len(mono) == 0:
             raise ValueError(f"source {path}: no samples")
         if len(mono) < n_samples:
             reps = int(np.ceil(n_samples / len(mono)))
             mono = np.tile(mono, reps)
         dry.append(mono[:n_samples])
-    rirs = [_load_rir(p, m, sr) for p in rir_wavs]
+    rirs = [_read(p, sr, (None, m)) for p in rir_wavs]
 
     raw = [_convolve(sig, rir, n_samples) for sig, rir in zip(dry, rirs)]
     for image, source, rir in zip(raw, source_wavs, rir_wavs):
@@ -310,14 +312,14 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec):
     noise = np.random.default_rng(cfg.seed).standard_normal((n_samples, m))
     images, mixture, gains = _mix((*raw, noise), cfg)
     time_signals = {**images, "loudspeaker": dry[1][:, None], "mixture": mixture}
-    return _analyzed_scene(time_signals, cfg, frame_spec, gains, keep=time_signals)
+    return _analyzed_scene(time_signals, cfg, frame_spec, gains)
 
 
 def save_scene(scene, out_dir):
     """Write a scene as a WAV set plus a JSON manifest; returns manifest path.
 
-    The WAVs hold the stored time signals of a scene rendered in the time
-    domain, otherwise the syntheses of its STFT tensors, each synthesized
+    The WAVs hold the time signals of a time-domain scene, convolutive or
+    loaded, otherwise the syntheses of its STFT tensors, each synthesized
     and written before the next.
     """
     if scene.frame_spec is None:
@@ -375,13 +377,13 @@ def load_scene(manifest_path):
 
     Each manifest field read must be present, of its type and in range before
     any file opens; other keys and arrays are ignored. A failure raises
-    ValueError naming the file, as do a manifest or truth file that is absent
-    or cannot be read or parsed, a WAV it names that is absent or cannot be
-    opened, a truth array not finite or not of the frame's and mics' shape,
-    and a WAV of another shape or rate than save_scene writes. The mixture
-    and loudspeaker are analyzed to STFT here; each image keeps its samples
-    and each read of it analyzes them. time_signals keeps the mixture's
-    samples alone.
+    file_error naming the file, as do a manifest or truth file that is absent
+    or cannot be read or parsed, a truth array not finite or not of the
+    frame's and mics' shape, and a WAV that _read rejects: absent, not a WAV,
+    or of another shape or rate than save_scene writes. The mixture and
+    loudspeaker are analyzed to STFT here; time_signals holds every WAV's
+    samples, and each read of an image analyzes its own, so save_scene
+    writes a loaded scene's files back byte for byte.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -409,19 +411,8 @@ def load_scene(manifest_path):
                 if not (np.issubdtype(array.dtype, np.number) and np.all(np.isfinite(array))):
                     raise ValueError(f"{k} must hold finite numbers")
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:  # the last two from np.load
-        # an OSError's strerror, without the path again
-        raise ValueError(f"{checked}: {getattr(exc, 'strerror', None) or exc}") from None
-
-    def read(name):  # the samples, channels and rate save_scene writes, or ValueError
-        try:
-            data, rate = _stft.read_wav(manifest_path.parent / files[name])
-        except OSError as exc:
-            raise ValueError(f"{files[name]}: {exc.strerror}") from None
-        shape = (int(round(cfg.duration_s * sr)), 1 if name == "loudspeaker" else m)
-        if data.shape != shape or rate != sr:
-            raise ValueError(f"{files[name]}: {data.shape} samples x channels at {rate} Hz, "
-                             f"expected {shape} at {sr} Hz")
-        return data
-
-    return _analyzed_scene({name: read(name) for name in files}, cfg, spec, top["gains"],
-                           truth, keep=("mixture",))
+        raise file_error(checked, exc) from None
+    n = int(round(cfg.duration_s * sr))  # the samples, channels and rate save_scene writes
+    samples = {name: _read(file, sr, (n, 1 if name == "loudspeaker" else m), manifest_path.parent)
+               for name, file in files.items()}
+    return _analyzed_scene(samples, cfg, spec, top["gains"], truth)

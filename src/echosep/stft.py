@@ -180,15 +180,15 @@ _READ_FORMATS = {
 }
 
 
-def _parse_fmt(buf, path):
+def _parse_fmt(buf):
     """(format tag, channels, sample rate, bytes per sample) of a fmt chunk."""
     if len(buf) < 16:
-        raise ValueError(f"{path}: fmt chunk of {len(buf)} bytes")
+        raise ValueError(f"fmt chunk of {len(buf)} bytes")
     tag, channels, rate, _, block_align, _ = struct.unpack_from("<HHIIHH", buf)
     if tag == _EXTENSIBLE and len(buf) >= 40 and buf[24:40].endswith(_GUID_TAIL):
         tag = struct.unpack_from("<I", buf, 24)[0]
     if channels < 1 or block_align % channels:
-        raise ValueError(f"{path}: {channels} channels in {block_align}-byte blocks")
+        raise ValueError(f"{channels} channels in {block_align}-byte blocks")
     return tag, channels, rate, block_align // channels
 
 
@@ -197,7 +197,7 @@ def read_wav(path):
 
     Accepts little-endian RIFF/WAVE files of 16-, 24- or 32-bit PCM or
     32- or 64-bit IEEE float, also as WAVE_FORMAT_EXTENSIBLE; other chunks
-    are skipped. Anything else raises ValueError.
+    are skipped. Anything else raises ValueError giving why, not the path.
 
     Returns
     -------
@@ -205,25 +205,25 @@ def read_wav(path):
     """
     buf = Path(path).read_bytes()
     if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
-        raise ValueError(f"{path}: not a RIFF/WAVE file")
+        raise ValueError("not a RIFF/WAVE file")
     fmt, pos = None, 12
     while pos + 8 <= len(buf):
         chunk_id, size = struct.unpack_from("<4sI", buf, pos)
         pos += 8
         if pos + size > len(buf):
-            raise ValueError(f"{path}: {chunk_id!r} chunk runs past the end of the file")
+            raise ValueError(f"{chunk_id!r} chunk runs past the end of the file")
         if chunk_id == b"fmt ":
-            fmt = _parse_fmt(buf[pos:pos + size], path)
+            fmt = _parse_fmt(buf[pos:pos + size])
         elif chunk_id == b"data":
             break
         pos += size + size % 2  # chunks are padded to an even length
     else:
-        raise ValueError(f"{path}: no data chunk")
+        raise ValueError("no data chunk")
     if fmt is None:
-        raise ValueError(f"{path}: no fmt chunk before the data chunk")
+        raise ValueError("no fmt chunk before the data chunk")
     tag, channels, rate, width = fmt
     if (tag, width) not in _READ_FORMATS:
-        raise ValueError(f"{path}: unsupported WAV sample format "
+        raise ValueError("unsupported WAV sample format "
                          f"(format tag {tag:#06x}, {8 * width}-bit container)")
     dtype, scale = _READ_FORMATS[tag, width]
     n = size // (width * channels) * channels

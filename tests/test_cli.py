@@ -583,25 +583,38 @@ def test_convolutive_workflow_end_to_end(tmp_path):
     assert text.count("\n") == 11  # header + 5 runs + 5 means
 
 
-@pytest.mark.parametrize("silent, length", [("soi", 16000), ("intf", 16000), ("intf", 0)],
-                         ids=["silent_target", "silent_interferer", "empty_interferer"])
-def test_simulate_convolutive_silent_or_empty_source_exits_one(tmp_path, capsys, silent, length):
+def _simulate_convolutive(tmp_path, sources):
+    """simulate --config's exit code for two-mic identity RIRs and sources by name."""
     src_paths, rir_files = [], []
     for name in ("soi", "loud", "intf"):
-        sig = np.random.default_rng(33).standard_normal(16000) * 0.1
-        if name == silent:
-            sig = np.zeros(length)
         src_paths.append(str(tmp_path / f"{name}.wav"))
-        stft.write_wav(src_paths[-1], sig, 16000)
+        if name in sources:
+            sources[name](src_paths[-1])
+        else:
+            stft.write_wav(src_paths[-1],
+                           np.random.default_rng(33).standard_normal(16000) * 0.1, 16000)
         rir_files.append(str(tmp_path / f"{name}_rir.wav"))
         stft.write_wav(rir_files[-1], np.eye(8, 2), 16000)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"mode": "convolutive", "mics": 2, "duration_s": 0.5,
                                     "frame_len": 512, "hop": 256,
                                     "source_wavs": src_paths, "rir_wavs": rir_files}))
-    code = run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "scene")])
+    return run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "scene")])
+
+
+@pytest.mark.parametrize("silent, length", [("soi", 16000), ("intf", 16000), ("intf", 0)],
+                         ids=["silent_target", "silent_interferer", "empty_interferer"])
+def test_simulate_convolutive_silent_or_empty_source_exits_one(tmp_path, capsys, silent, length):
+    code = _simulate_convolutive(
+        tmp_path, {silent: lambda path: stft.write_wav(path, np.zeros(length), 16000)})
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: source {tmp_path}")
+
+
+def test_simulate_convolutive_directory_source_exits_one(tmp_path, capsys):
+    """A source that is a directory is one error line naming the configured path."""
+    assert _simulate_convolutive(tmp_path, {"loud": lambda path: Path(path).mkdir()}) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'loud.wav'}: Is a directory\n"
 
 
 def test_cli_never_imports_scipy(tmp_path):

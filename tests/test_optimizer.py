@@ -644,6 +644,12 @@ def test_ls_aec_rejects_silent_loudspeaker():
         run_ls_aec(np.ones((4, 10, 2), dtype=complex), np.zeros((4, 10), dtype=complex))
 
 
+def test_ls_aec_rejects_a_loudspeaker_below_the_excitation_floor():
+    """1e-160 in every bin gives P_u = 1e-320, below tiny: no bin is excited, as with zeros."""
+    with pytest.raises(NumericsError):
+        run_ls_aec(np.ones((4, 10, 2), dtype=complex), np.full((4, 10), 1e-160, dtype=complex))
+
+
 def test_ls_aec_matches_bnlms_batch_optimum():
     rng = np.random.default_rng(20)
     cfg = scenegen.ScenarioConfig(mics=3, seed=9)

@@ -236,22 +236,30 @@ def test_convolutive_energy_additivity(tmp_path):
     assert abs(10 * np.log10(mix_p / comp_p)) <= 1.0
 
 
-def test_convolutive_missing_rir_rejected(tmp_path):
-    cfg = ScenarioConfig(mics=2, seed=12, duration_s=0.5)
-    with pytest.raises(FileNotFoundError):
-        render_convolutive(cfg, [tmp_path / "a.wav"] * 3, [tmp_path / "b.wav"] * 3,
-                           frame_spec=stft.FrameSpec.default(512, 256, 16000))
-
-
-def test_convolutive_sample_rate_mismatch_rejected(tmp_path):
+@pytest.mark.parametrize("kind, index, make, reason", [
+    ("rir", 1, lambda p: None, "No such file or directory"),
+    ("source", 0, lambda p: p.mkdir(), "Is a directory"),
+    ("source", 2, lambda p: p.write_text("not audio"), "not a RIFF/WAVE file"),
+    ("source", 1, lambda p: stft.write_wav(p, np.zeros((100, 2)), 16000),
+     "(100, 2) samples x channels at 16000 Hz, expected (any, 1) at 16000 Hz"),
+    ("rir", 0, lambda p: stft.write_wav(p, np.eye(8, 2), 8000),
+     "(8, 2) samples x channels at 8000 Hz, expected (any, 2) at 16000 Hz"),
+    ("rir", 2, lambda p: stft.write_wav(p, np.eye(8, 3), 16000),
+     "(8, 3) samples x channels at 16000 Hz, expected (any, 2) at 16000 Hz"),
+], ids=["missing_rir", "directory_source", "source_not_a_wav", "stereo_source",
+        "rir_at_another_rate", "rir_with_another_channel_count"])
+def test_convolutive_input_wav_rejected_naming_its_path(tmp_path, monkeypatch, kind, index,
+                                                        make, reason):
+    """Every input WAV is read one way: a fault is ValueError("<path as given>: <reason>")."""
     sr, m = 16000, 2
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
-    bad = tmp_path / "bad_rir.wav"
-    stft.write_wav(bad, np.zeros((64, m)), 8000)
+    monkeypatch.chdir(tmp_path)
+    make(tmp_path / "bad.wav")
+    (srcs if kind == "source" else rirs)[index] = "bad.wav"
     cfg = ScenarioConfig(mics=m, seed=13, duration_s=0.5)
-    spec = stft.FrameSpec.default(512, 256, sr)
-    with pytest.raises(ValueError):
-        render_convolutive(cfg, srcs, [rirs[0], bad, rirs[2]], frame_spec=spec)
+    with pytest.raises(ValueError) as exc:
+        render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
+    assert str(exc.value) == f"bad.wav: {reason}"
 
 
 def test_narrowband_scene_bytes_are_pinned():
@@ -326,12 +334,24 @@ def test_scene_save_load_round_trip(tmp_path):
     total = sum(loaded.images[k] for k in ("soi", "echo", "interference", "noise"))
     rel = np.linalg.norm(loaded.mixture - total) / np.linalg.norm(loaded.mixture)
     assert rel < 1e-5
-    # the loaded scene keeps the mixture's samples alone; the components' are the WAVs
+    # the loaded scene keeps every WAV's samples
     mix_t = loaded.time_signals["mixture"]
-    assert list(loaded.time_signals) == ["mixture"]
+    assert list(loaded.time_signals) == ["mixture", "loudspeaker", *scenegen.COMPONENTS]
     total_t = sum(stft.read_wav(tmp_path / "scene" / f"{k}.wav")[0]
                   for k in ("soi", "echo", "interference", "noise"))
     assert np.max(np.abs(mix_t - total_t)) < 1e-5
+
+
+def test_saving_a_loaded_scene_writes_its_files_back_byte_for_byte(tmp_path):
+    """A loaded scene holds every WAV's samples, so save_scene writes back each file it read."""
+    cfg = ScenarioConfig(mics=3, seed=15, duration_s=0.5)
+    save_scene(render_narrowband(cfg, frame_spec=stft.FrameSpec.default(512, 256, 16000)),
+               tmp_path / "a")
+    save_scene(load_scene(tmp_path / "a"), tmp_path / "b")
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert len(names) == 8 and sorted(p.name for p in (tmp_path / "b").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("source", ["loaded", "convolutive"])
