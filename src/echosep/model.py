@@ -20,7 +20,6 @@ __all__ = [
     "DemixState",
     "ScoreStats",
     "blocking_matrix",
-    "background_power",
     "orthogonal_constraint_atf",
     "score_spherical",
     "score_stats",
@@ -33,8 +32,8 @@ __all__ = [
     "off_block_energy_db",
 ]
 
-# Floor on the broadband frame radius; silent frames carry no gradient and no
-# curvature.
+# Floor on the broadband frame radius, as a share of the pass's largest one;
+# frames below it (silent in every bin) carry no gradient and no curvature.
 SCORE_RADIUS_FLOOR = 1e-12
 # Relative diagonal loading applied to covariances before inversion.
 DEFAULT_LOADING = 1e-6
@@ -53,7 +52,8 @@ class DemixState:
     a : (F, M) steering-vector estimate tied to w by the orthogonal constraint
     C_ee : (F, M, M) sample covariance of the error signal e; depends on h
         alone, so the driver forms it at the start and after each echo step
-    active : (F,) bool, bins currently updated (False = frozen/degenerate)
+    active : (F,) bool, the live bins (False = frozen): the loaded C_ee has
+        an inverse and w^H C_ee w is non-degenerate
     """
 
     h: np.ndarray
@@ -112,22 +112,6 @@ def blocking_matrix(a):
     return b[0] if single else b
 
 
-def background_power(a, C_ee):
-    """tr(B C_ee B^H) for B = blocking_matrix(a), per bin, without forming C_zz.
-
-    Written out from B = (g, -gamma I) and a Hermitian C_ee: with
-    c00 = C_ee[0, 0], c1 = C_ee[1:, 0] and C11 = C_ee[1:, 1:], the trace is
-    |gamma|^2 tr C11 + c00 |g|^2 - 2 Re(gamma g^H c1), each sum taken over
-    the length-F rows of C_ee's diagonal, its first column and a.
-    """
-    gamma, rows = a[:, 0], range(1, a.shape[1])
-    tr11 = sum(C_ee[:, k, k].real for k in rows)
-    g2 = sum(a[:, k].real ** 2 + a[:, k].imag ** 2 for k in rows)
-    g_c1 = sum(a[:, k].conj() * C_ee[:, k, 0] for k in rows)
-    return ((gamma.real ** 2 + gamma.imag ** 2) * tr11 + C_ee[:, 0, 0].real * g2
-            - 2.0 * (gamma * g_c1).real)
-
-
 def orthogonal_constraint_atf(C_ee, w, cw=None):
     """Steering-vector estimate a = C_ee w / (w^H C_ee w) per bin, with its mask.
 
@@ -151,8 +135,9 @@ def score_spherical(s_hat):
     |s_ft|^2 / (2 r_t^3), and the real nu (F,) = E[s phi] = mean_t |s_ft|^2 / r_t.
     |s|^2 is formed once; r^2 is one matrix-vector product of ones with it,
     rho is mean_t(1/r_t) minus one of |s|^2 with 1/(2 r^3), and nu one with
-    1/r. Frames whose radius is at most SCORE_RADIUS_FLOOR (silent in every
-    bin) get 1/r = 0.
+    1/r. Frames whose radius is at most SCORE_RADIUS_FLOOR times the largest
+    frame radius (silent in every bin) get 1/r = 0, so the rule does not
+    depend on the data's scale.
     """
     s = np.asarray(s_hat, dtype=np.complex128)
     # Updates in place: at F=256, T=300 each further full-size temporary
@@ -160,7 +145,7 @@ def score_spherical(s_hat):
     mag2 = s.real ** 2
     mag2 += s.imag ** 2
     r = np.sqrt(np.ones(len(mag2)) @ mag2)
-    inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > SCORE_RADIUS_FLOOR)
+    inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > SCORE_RADIUS_FLOOR * r.max())
     phi = np.conj(s)
     phi *= inv_r
     n_frames = s.shape[1]
@@ -240,28 +225,12 @@ def loaded_inverse(c, loading=DEFAULT_LOADING):
     every bin; the inverse is that copy seen as (F, K, K), with no
     transposing copy back, so its entries are contiguous length-F rows and a
     batched product with it takes numpy's own loop, not one BLAS call per
-    bin. A bin whose inverse is not finite (an unhealthy pivot) gets a
-    LAPACK inversion and one loaded retry on its own. Non-finite or
-    zero-trace bins, and bins the retry fails, get a zero inverse and ok
-    False. The driver's BSE step and interference_whitener use it.
+    bin. A bin whose inverse is not finite (a zero, non-finite or indefinite
+    matrix meets an unhealthy pivot) gets a zero inverse and ok False.
     """
     a = np.ascontiguousarray(np.moveaxis(load_diagonal(c, loading), 0, -1))
-    ok = (np.all(np.isfinite(a), axis=(0, 1))
-          & (np.einsum("kkf->f", a).real > np.finfo(float).tiny))
-    a[:, :, ~ok] = np.eye(a.shape[0])[:, :, None]
-    bad = ok & ~np.all(np.isfinite(_gauss_jordan(a)), axis=(0, 1))
+    ok = np.all(np.isfinite(_gauss_jordan(a)), axis=(0, 1))
     inverse = np.moveaxis(a, -1, 0)
-    for f in np.nonzero(bad)[0]:
-        ok[f] = False
-        loaded = load_diagonal(c[f], loading)
-        for mat in (loaded, load_diagonal(loaded, loading)):  # plain, then loaded
-            try:
-                candidate = np.linalg.inv(mat)
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(np.isfinite(candidate)):
-                inverse[f], ok[f] = candidate, True
-                break
     inverse[~ok] = 0.0
     return inverse, ok
 
@@ -269,11 +238,11 @@ def loaded_inverse(c, loading=DEFAULT_LOADING):
 def interference_whitener(a, C_zz, loading=DEFAULT_LOADING):
     """R = B^H C_zz^{-1} B for B = blocking_matrix(a), with a mask of invertible bins.
 
-    X = loaded_inverse(C_zz, loading), so bins whose C_zz is numerically dead
-    (zero trace or non-finite) get R = 0 and ok=False. Unloaded, at the OGC a
-    and C_zz = B C_ee B^H, R equals the matrix C_ee^{-1} - w w^H / sigma^2
-    of cost's h-gradient. Written out elementwise from B = (g, -gamma I), with
-    X symmetrised so R is exactly Hermitian: R00 = g^H X g, R[1:, 0] =
+    X = loaded_inverse(C_zz, loading), so bins whose loaded C_zz has no
+    inverse get R = 0 and ok=False. Unloaded, at the OGC a and C_zz =
+    B C_ee B^H, R equals the matrix C_ee^{-1} - w w^H / sigma^2 of cost's
+    h-gradient. Written out elementwise from B = (g, -gamma I), with X
+    symmetrised so R is exactly Hermitian: R00 = g^H X g, R[1:, 0] =
     -conj(gamma) X g, R[0, 1:] its conjugate, and R[1:, 1:] = |gamma|^2 X.
     """
     inverse, ok = loaded_inverse(C_zz, loading)

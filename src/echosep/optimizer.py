@@ -14,22 +14,27 @@ reference channel, the one channel formed (RunResult.e forms e when read).
 
 The schedule is fixed per algorithm. Before the first iteration the driver
 forms C_ee(h) = C_LS + P_u d d^H, with d = h - h_LS, in closed form (a
-rank-one update of the least-squares residual covariance), a and the active
-mask, and makes one moment pass; BNLMS-IVE and IVE, which hold h, also form
-the loaded inverse of C_ee (model.loaded_inverse) there, once per run. A
-joint iteration takes the echo step on the pass it is given, then forms C_ee
-at the new h, its loaded inverse and the BSE step's pass. Every iteration
-then takes the BSE step, rescales w, refreshes a and the mask from the held
-C_ee and the C_ee w that normalize_w forms, and makes the pass that its
-record and the next iteration's first step read. The mask reads the trace of
-the background covariance B C_ee B^H in closed form, and no run forms the
-covariance itself. Only a BSE step reads E[e phi], so joint forms E[x phi]
-in its BSE step's pass alone, n times in n iterations, and the others in
-every pass. A loudspeaker without excitation in any bin leaves the echo step
-nothing to move, so joint then runs as IVE; such a run, IVE's included,
-makes its passes with u = None, which form no loudspeaker term. A pass takes
-nu = E[s phi] from the score's |s|^2, and the per-bin M x M work (refresh,
-loaded inverse, steps) runs on length-F rows.
+rank-one update of the least-squares residual covariance), the loaded
+inverse of C_ee (model.loaded_inverse), a and the active mask, and makes one
+moment pass; BNLMS-IVE and IVE, which hold h, keep that inverse for the
+whole run. A joint iteration takes the echo step on the pass it is given,
+then forms C_ee at the new h, its loaded inverse and the BSE step's pass.
+Every iteration then takes the BSE step, rescales w, refreshes a and the
+mask from the held C_ee and the C_ee w that normalize_w forms, and makes the
+pass that its record and the next iteration's first step read. Only a BSE
+step reads E[e phi], so joint forms E[x phi] in its BSE step's pass alone, n
+times in n iterations, and the others in every pass.
+
+One rule decides which bins move: a bin is live (DemixState.active) while
+its loaded C_ee has an inverse and its w^H C_ee w is non-degenerate, and a
+step moves a live bin only where the step is finite (the echo step also
+needs excitation). The floors left are relative to the data: DEAD_BIN_FLOOR
+in error_covariance and model.SCORE_RADIUS_FLOOR in the score. A loudspeaker
+without excitation in any bin leaves the echo step nothing to move, so joint
+then runs as IVE; such a run, IVE's included, makes its passes with u = None,
+which form no loudspeaker term. A pass takes nu = E[s phi] from the score's
+|s|^2, and the per-bin M x M work (refresh, loaded inverse, steps) runs on
+length-F rows.
 
 With RunConfig.records set (the default) each iteration also writes an
 IterationRecord: the profile likelihood J of model.cost, from the held C_ee
@@ -53,7 +58,6 @@ from dataclasses import asdict, dataclass, field
 from .model import (
     DemixState,
     NumericsError,
-    background_power,
     covariance,
     loaded_inverse,
     log_det_terms,
@@ -84,13 +88,9 @@ __all__ = [
     "run_unprocessed",
 ]
 
-# Bins whose score normalizer or Newton curvature falls below this, or whose
-# error power falls below this share of the microphone power, are frozen.
+# A bin whose error power falls below this share of its microphone power holds
+# a fully cancelled echo: error_covariance zeroes its C_ee, which freezes it.
 DEAD_BIN_FLOOR = 1e-12
-# Floor on the background covariance's diagonal, relative to the error-signal
-# power scale. The active-bin mask adds it to the closed-form background trace
-# before testing that trace; it decides which bins freeze, and nothing else.
-BACKGROUND_FLOOR = 1e-10
 
 
 @dataclass
@@ -244,9 +244,8 @@ def _extract(x, u, state, y=None):
 
 
 def grad_w(state, mom):
-    """Gradient of the cost w.r.t. conj(w): E[e phi]/nu - a per bin; -a where nu is dead."""
-    live = np.abs(mom.nu) > DEAD_BIN_FLOOR
-    return mom.e_phi * np.where(live, 1.0 / np.where(live, mom.nu, 1.0), 0.0)[:, None] - state.a
+    """Gradient of the cost w.r.t. conj(w): E[e phi]/nu - a per bin, not finite where nu = 0."""
+    return mom.e_phi * (1.0 / mom.nu)[:, None] - state.a
 
 
 def update_aec(state, x, u, data, score=score_spherical, mom=None):
@@ -260,21 +259,20 @@ def update_aec(state, x, u, data, score=score_spherical, mom=None):
     the least-squares step plus a correction along a. mom holds the moments
     at the state's h and w; when not given, they come from one pass over x
     and u with the given score, which forms no E[e phi]. Returns (h_new,
-    active_mask); bins with P_u <= tiny, |nu| or |alpha| <= DEAD_BIN_FLOOR,
-    or a non-finite step are left unchanged.
+    active_mask); a live bin moves where its loudspeaker carries excitation
+    (P_u > tiny) and its step is finite, which it is not where nu or alpha
+    vanishes. Other bins are left unchanged.
     """
     if mom is None:
         mom = moments(x, u, state, score, e_phi=False)
-    live = np.abs(mom.nu) > DEAD_BIN_FLOOR
-    nu = np.where(live, mom.nu, 1.0)
-    alpha = np.conj(mom.rho / nu)
-    ok = (state.active & live & (np.abs(alpha) > DEAD_BIN_FLOOR)
-          & (data.P_u > np.finfo(float).tiny))
     r = data.error_cross(state.h)
-    coef = ((np.conj(mom.u_phi / nu) - alpha * np.einsum("fm,fm->f", state.w.conj(), r))
-            / np.where(ok, alpha, 1.0))
-    step = (r + coef[:, None] * state.a) / np.where(ok, data.P_u, 1.0)[:, None]
-    ok &= np.all(np.isfinite(step), axis=1)
+    with np.errstate(all="ignore"):  # a bin without curvature gets a step that is not finite
+        alpha = np.conj(mom.rho / mom.nu)
+        coef = ((np.conj(mom.u_phi / mom.nu) - alpha * np.einsum("fm,fm->f", state.w.conj(), r))
+                / alpha)
+        step = (r + coef[:, None] * state.a) / data.P_u[:, None]
+    ok = (state.active & (data.P_u > np.finfo(float).tiny)
+          & np.all(np.isfinite(step), axis=1))
     return state.h + np.where(ok[:, None], step, 0.0), ok
 
 
@@ -286,17 +284,17 @@ def update_bse(state, mom, inv):
     the sign of the curvature denominator is the one that contracts toward
     the fixed point (the same structure as one-unit FastICA). inv is the
     (inverse, ok) pair model.loaded_inverse gives for the loaded C_ee at the
-    state's h. Bins where the curvature nu - rho vanishes, the loaded
-    C_ee has no inverse or the step is not finite are skipped. Returns
-    (w_new, active_mask); the caller is expected to renormalize.
+    state's h. A live bin moves where its loaded C_ee has an inverse and its
+    step is finite, which it is not where nu or the curvature nu - rho
+    vanishes. Returns (w_new, active_mask); the caller is expected to
+    renormalize.
     """
     inverse, solvable = inv
-    curv = np.conj(mom.nu - mom.rho)
-    step = (inverse @ grad_w(state, mom)[:, :, None])[:, :, 0]
-    ok = (state.active & solvable & (np.abs(mom.nu) > DEAD_BIN_FLOOR)
-          & (np.abs(curv) > DEAD_BIN_FLOOR) & np.all(np.isfinite(step), axis=1))
-    factor = np.conj(mom.nu) / np.where(ok, curv, 1.0)
-    return state.w + np.where(ok[:, None], factor[:, None] * step, 0.0), ok
+    with np.errstate(all="ignore"):  # a bin without curvature gets a step that is not finite
+        factor = np.conj(mom.nu) / np.conj(mom.nu - mom.rho)
+        step = factor[:, None] * (inverse @ grad_w(state, mom)[:, :, None])[:, :, 0]
+    ok = state.active & solvable & np.all(np.isfinite(step), axis=1)
+    return state.w + np.where(ok[:, None], step, 0.0), ok
 
 
 def normalize_w(state):
@@ -328,39 +326,27 @@ def backprojection_scale(s_hat, ref):
 
 
 def _update_statistics(state, data):
-    """Form C_ee at the current h in closed form, then a and the active-bin mask.
+    """Form C_ee at the current h in closed form, its loaded inverse, a and the active mask.
 
-    The driver calls it before the first iteration and after each echo step.
+    The driver calls it before the first iteration and after each echo step;
+    it returns the (inverse, ok) pair of model.loaded_inverse for the BSE steps.
     """
     state.C_ee = data.error_covariance(state.h)
-    _refresh_beamformer(state)
+    inv = loaded_inverse(state.C_ee, DEFAULT_LOADING)
+    _refresh_beamformer(state, inv[1])
+    return inv
 
 
-def _refresh_beamformer(state, cw=None):
+def _refresh_beamformer(state, solvable, cw=None):
     """Form a and the active-bin mask at the current w from the held C_ee.
 
-    No linear solve; cw is C_ee w if formed. Bins with a degenerate w^H C_ee w
-    keep their a and are frozen, and so are bins whose floored background trace
-    tr(B C_ee B^H), taken in closed form (background_power), is not positive;
-    that test is what freezes noise-free echo-only bins.
+    No linear solve; cw is C_ee w if formed. A bin is live where its loaded
+    C_ee has an inverse (solvable, loaded_inverse's ok) and its w^H C_ee w is
+    non-degenerate; a bin whose w^H C_ee w is degenerate also keeps its a.
     """
     a, ok = orthogonal_constraint_atf(state.C_ee, state.w, cw)
     state.a = np.where(ok[:, None], a, state.a)
-    tr = (background_power(state.a, state.C_ee)
-          + (state.n_channels - 1) * _background_floor(state))
-    state.active = ok & np.isfinite(tr) & (tr > np.finfo(float).tiny)
-
-
-def _background_floor(state):
-    """Per-bin floor on C_zz's diagonal: BACKGROUND_FLOOR times the power scales of e and B.
-
-    The scales are sums over the M length-F rows of C_ee's diagonal and of a.
-    """
-    m, c, a = state.n_channels, state.C_ee, state.a
-    p = [a[:, k].real ** 2 + a[:, k].imag ** 2 for k in range(m)]
-    e_scale = sum(c[:, k, k].real for k in range(m)) / m
-    # |B|_F^2 / (M - 1) for B = (g, -gamma I)
-    return BACKGROUND_FLOOR * e_scale * (p[0] + sum(p[1:]) / (m - 1))
+    state.active = ok & solvable
 
 
 def _run(x, u, cfg=None, joint=True, truth=None):
@@ -381,9 +367,7 @@ def _run(x, u, cfg=None, joint=True, truth=None):
     u_live = u if echo else None  # else h = h_LS = 0, and no pass reads u
     diag = RunDiagnostics()
 
-    _update_statistics(state, data)
-    if not joint:
-        inv = loaded_inverse(state.C_ee, DEFAULT_LOADING)
+    inv = _update_statistics(state, data)
     mom = moments(x, u_live, state, e_phi=not joint)
     for it in range(cfg.iterations):
         frozen = int(np.sum(~state.active))
@@ -391,12 +375,11 @@ def _run(x, u, cfg=None, joint=True, truth=None):
         if joint:
             state.h, ok = update_aec(state, x, u, data, mom=mom)
             frozen = max(frozen, int(np.sum(~ok)))
-            _update_statistics(state, data)
-            inv = loaded_inverse(state.C_ee, DEFAULT_LOADING)
+            inv = _update_statistics(state, data)
             mom = moments(x, u_live, state, y=mom.y)  # w, and so w^H x, has not moved
         state.w, ok = update_bse(state, mom, inv)
         frozen = max(frozen, int(np.sum(~ok)))
-        _refresh_beamformer(state, normalize_w(state))
+        _refresh_beamformer(state, inv[1], normalize_w(state))
 
         if cfg.records or it + 1 < cfg.iterations:  # the record's and the next step's
             mom = moments(x, u_live, state, e_phi=not joint)

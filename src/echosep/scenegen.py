@@ -252,7 +252,8 @@ def _analyzed_scene(samples, cfg, frame_spec, gains, truth=None):
 def _read(path, sample_rate, shape, folder="."):
     """The samples of the WAV folder/path, of sample_rate and shape (samples None: any length).
 
-    Any other file, or none, raises file_error naming path as given.
+    Any other file, one without samples, or none, raises file_error naming
+    path as given.
     """
     try:
         data, rate = _stft.read_wav(Path(folder, path))
@@ -262,6 +263,8 @@ def _read(path, sample_rate, shape, folder="."):
     if rate != sample_rate or data.shape[1] != channels or n not in (None, len(data)):
         raise file_error(path, f"{data.shape} samples x channels at {rate} Hz, expected "
                                f"({'any' if n is None else n}, {channels}) at {sample_rate} Hz")
+    if len(data) == 0:
+        raise file_error(path, "no samples")
     return data
 
 
@@ -286,8 +289,8 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec):
 
     Component images are the convolutions, scaled like the narrowband case;
     sensor noise is white Gaussian. True mixing parameters are not available
-    in this mode. A WAV that _read rejects (a source must be mono), a source
-    that is empty or one whose image is silent raises ValueError naming it.
+    in this mode. A WAV that _read rejects (a source must be mono) or a
+    source whose image is silent raises file_error naming it.
     """
     if len(source_wavs) != 3 or len(rir_wavs) != 3:
         raise ValueError("expected three sources and three RIRs: target, loudspeaker, interferer")
@@ -297,8 +300,6 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec):
     dry = []
     for path in source_wavs:
         mono = _read(path, sr, (None, 1))[:, 0]
-        if len(mono) == 0:
-            raise ValueError(f"source {path}: no samples")
         if len(mono) < n_samples:
             reps = int(np.ceil(n_samples / len(mono)))
             mono = np.tile(mono, reps)
@@ -308,7 +309,7 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec):
     raw = [_convolve(sig, rir, n_samples) for sig, rir in zip(dry, rirs)]
     for image, source, rir in zip(raw, source_wavs, rir_wavs):
         if _power(image) <= 0:
-            raise ValueError(f"source {source} through RIR {rir}: image has zero power")
+            raise file_error(source, f"image through {rir} has zero power")
     noise = np.random.default_rng(cfg.seed).standard_normal((n_samples, m))
     images, mixture, gains = _mix((*raw, noise), cfg)
     time_signals = {**images, "loudspeaker": dry[1][:, None], "mixture": mixture}

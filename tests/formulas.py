@@ -8,16 +8,15 @@ h-gradient (grad_h) and the Newton curvature of the echo-path step
 (score_gauss) under which that step is the least-squares step, the
 pseudo-power ratio (circularity_check) that justifies a circular model of
 the loudspeaker signal, the LAPACK loaded inverse that the package's
-elimination replaces, the active-bin refresh in the batched form that the
-package's sums over length-F rows replace, and the scene renderer's draws
-and mixer as expressions that form a new array per step, which the
-package's in-place forms replace.
+elimination replaces, the steering-vector refresh in batched form, and the
+scene renderer's draws and mixer as expressions that form a new array per
+step, which the package's in-place forms replace.
 """
 
 import numpy as np
 
 from echosep.model import DEFAULT_LOADING, blocking_matrix, load_diagonal, loaded_inverse
-from echosep.optimizer import BACKGROUND_FLOOR, DEAD_BIN_FLOOR
+from echosep.optimizer import DEAD_BIN_FLOOR
 from echosep.scenegen import COMPONENTS, _power
 
 
@@ -116,69 +115,24 @@ def hessian_h(state, data, mom, normalize=True):
 
 
 def lapack_loaded_inverse(c, loading=DEFAULT_LOADING):
-    """(inverse, ok) of load_diagonal(c, loading) by one batched np.linalg.inv.
+    """The inverse of load_diagonal(c, loading) by one batched np.linalg.inv.
 
-    The reference for model.loaded_inverse. Non-finite or zero-trace bins take
-    the identity in the batch and drop out. A bin whose batched inversion
-    fails or is not finite gets a plain inversion and one loaded retry on its
-    own, then drops out. Bins that drop out get a zero inverse and ok False.
+    The reference for model.loaded_inverse on Hermitian positive definite bins.
     """
-    loaded = load_diagonal(c, loading)
-    eye = np.eye(loaded.shape[-1])
-    ok = (np.all(np.isfinite(loaded), axis=(1, 2))
-          & (np.einsum("fkk->f", loaded).real > np.finfo(float).tiny))
-    try:
-        inverse = np.linalg.inv(np.where(ok[:, None, None], loaded, eye))
-        bad = ok & ~np.all(np.isfinite(inverse), axis=(1, 2))
-    except np.linalg.LinAlgError:
-        inverse, bad = np.zeros_like(loaded), ok.copy()
-    for f in np.nonzero(bad)[0]:
-        ok[f] = False
-        for mat in (loaded[f], load_diagonal(loaded[f], loading)):  # plain, then loaded
-            try:
-                candidate = np.linalg.inv(mat)
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(np.isfinite(candidate)):
-                inverse[f], ok[f] = candidate, True
-                break
-    inverse[~ok] = 0.0
-    return inverse, ok
-
-
-def background_power_batched(a, C_ee):
-    """tr(B C_ee B^H) = |gamma|^2 tr C11 + c00 |g|^2 - 2 Re(gamma g^H c1), summed over axis 1."""
-    gamma = a[:, 0]
-    g = a[:, 1:]
-    tr11 = np.einsum("fkk->f", C_ee[:, 1:, 1:]).real
-    g_c1 = np.sum(g.conj() * C_ee[:, 1:, 0], axis=1)
-    return ((gamma.real ** 2 + gamma.imag ** 2) * tr11
-            + C_ee[:, 0, 0].real * np.sum(g.real ** 2 + g.imag ** 2, axis=1)
-            - 2.0 * (gamma * g_c1).real)
-
-
-def background_floor_batched(a, C_ee):
-    """BACKGROUND_FLOOR times tr C_ee / M times |B|_F^2 / (M - 1) for B = (g, -gamma I)."""
-    m = a.shape[1]
-    e_scale = np.einsum("fmm->f", C_ee).real / m
-    b_scale = np.abs(a[:, 0]) ** 2 + np.sum(np.abs(a[:, 1:]) ** 2, axis=1) / (m - 1)
-    return BACKGROUND_FLOOR * e_scale * b_scale
+    return np.linalg.inv(load_diagonal(c, loading))
 
 
 def refresh_batched(C_ee, w, a_old):
-    """(a, active) as the driver's refresh forms them, with the batched sums.
+    """(a, ok) as the driver's refresh forms them, with the batched sums.
 
     a = C_ee w / (w^H C_ee w) where that denominator is finite and above
-    tiny in magnitude, else a_old and the bin frozen; an active bin also
-    needs a floored background trace that is finite and above tiny.
+    tiny in magnitude, else a_old and ok False. The driver's active mask is
+    this ok and-ed with the loaded inverse's.
     """
     cw = (C_ee @ w[:, :, None])[:, :, 0]
     denom = np.sum(w.conj() * cw, axis=1)
     ok = np.isfinite(denom) & (np.abs(denom) > np.finfo(float).tiny)
-    a = np.where(ok[:, None], cw / np.where(ok, denom, 1.0)[:, None], a_old)
-    m = a.shape[1]
-    tr = background_power_batched(a, C_ee) + (m - 1) * background_floor_batched(a, C_ee)
-    return a, ok & np.isfinite(tr) & (tr > np.finfo(float).tiny)
+    return np.where(ok[:, None], cw / np.where(ok, denom, 1.0)[:, None], a_old), ok
 
 
 def circular_gauss(rng, shape):

@@ -608,7 +608,9 @@ def test_simulate_convolutive_silent_or_empty_source_exits_one(tmp_path, capsys,
     code = _simulate_convolutive(
         tmp_path, {silent: lambda path: stft.write_wav(path, np.zeros(length), 16000)})
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: source {tmp_path}")
+    reason = ("no samples" if length == 0
+              else f"image through {tmp_path / silent}_rir.wav has zero power")
+    assert capsys.readouterr().err == f"error: {tmp_path / silent}.wav: {reason}\n"
 
 
 def test_simulate_convolutive_directory_source_exits_one(tmp_path, capsys):

@@ -200,8 +200,8 @@ def test_convolutive_echo_is_the_linear_convolution(tmp_path):
 
 
 @pytest.mark.parametrize("index, length, reason", [
-    (0, 16000, "soi.wav through RIR .* zero power"),
-    (2, 16000, "intf.wav through RIR .* zero power"),
+    (0, 16000, "soi.wav: image through .*soi_rir.wav has zero power"),
+    (2, 16000, "intf.wav: image through .*intf_rir.wav has zero power"),
     (2, 0, "intf.wav: no samples"),
 ], ids=["silent_target", "silent_interferer", "empty_interferer"])
 def test_convolutive_silent_or_empty_source_rejected(tmp_path, index, length, reason):
@@ -246,8 +246,9 @@ def test_convolutive_energy_additivity(tmp_path):
      "(8, 2) samples x channels at 8000 Hz, expected (any, 2) at 16000 Hz"),
     ("rir", 2, lambda p: stft.write_wav(p, np.eye(8, 3), 16000),
      "(8, 3) samples x channels at 16000 Hz, expected (any, 2) at 16000 Hz"),
+    ("rir", 1, lambda p: stft.write_wav(p, np.zeros((0, 2)), 16000), "no samples"),
 ], ids=["missing_rir", "directory_source", "source_not_a_wav", "stereo_source",
-        "rir_at_another_rate", "rir_with_another_channel_count"])
+        "rir_at_another_rate", "rir_with_another_channel_count", "empty_rir"])
 def test_convolutive_input_wav_rejected_naming_its_path(tmp_path, monkeypatch, kind, index,
                                                         make, reason):
     """Every input WAV is read one way: a fault is ValueError("<path as given>: <reason>")."""
