@@ -147,25 +147,27 @@ def run_algorithm(name, scene, run_cfg):
 
 
 def run_bench(spec):
-    """Benchmark all requested algorithms over seeded scenes; returns reports."""
+    """Benchmark all requested algorithms over seeded scenes; returns reports.
+
+    A scene's algorithms all run first, each keeping its state and bp_scale;
+    each image is then read once and every run scored on it, in table order.
+    """
     run_cfg = replace(spec.run_config(), records=False)  # no report reads a record
     reports = []
     for i in range(spec.runs):
         seed = spec.seed + i
         scene = _make_scene(spec, seed)
+        runs = []
         for name in spec.algorithms:
             res = run_algorithm(name, scene, run_cfg)
-            rep = _metrics.evaluate_run(
-                scene,
-                res.state,
-                res.diagnostics.bp_scale,
-                algorithm=name,
-                seed=seed,
-                iterations=spec.iterations,
-                reference_channel=spec.reference_channel,
-            )
-            reports.append(rep)
-        del scene, res  # rendering the next scene needs neither
+            runs.append((res.state, res.diagnostics.bp_scale))
+            del res  # its outputs are not scored
+        read = replace(scene, images=dict(scene.images))
+        for name, (state, bp_scale) in zip(spec.algorithms, runs):
+            reports.append(_metrics.evaluate_run(
+                read, state, bp_scale, algorithm=name, seed=seed,
+                iterations=spec.iterations, reference_channel=spec.reference_channel))
+        del scene, read, runs  # rendering the next scene needs none of them
     return reports
 
 

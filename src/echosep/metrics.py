@@ -92,7 +92,8 @@ def evaluate_run(scene, state, bp_scale,
     Without a beamformer (unprocessed and LS AEC conditions) the state's w
     is the reference channel's unit vector, so the echo-cancellation stage
     at the reference channel is the final output. Each signal is formed
-    and reduced to its energy before the next; each image is read once.
+    and reduced to its energy before the next. Each image is read once, and
+    a read forms it; run_bench scores all runs of a scene on one read each.
     """
     u, spec, ref = scene.loudspeaker, scene.frame_spec, reference_channel - 1
     p = {}

@@ -25,7 +25,6 @@ __all__ = [
     "ScenarioConfig",
     "SceneTruth",
     "Scene",
-    "synth_sources",
     "render_narrowband",
     "render_convolutive",
     "save_scene",
@@ -111,10 +110,11 @@ class Scene:
     """Mixture plus ground-truth component images in the STFT domain.
 
     mixture = sum of images (exact); frame_spec is None for scenes generated
-    directly on an abstract frequency grid. Each read of an image not held
-    forms a fresh array. A narrowband scene holds only the interference and
-    noise images; its soi and echo images are formed from the truth, the
-    target spectrum, the loudspeaker and the soi gain. A time-domain scene,
+    directly on an abstract frequency grid. A scene holds no image: each read
+    of one forms a fresh array. A narrowband scene forms its soi and echo
+    images from the truth, the target spectrum, the loudspeaker and the soi
+    gain, and its interference and noise images by drawing them again from
+    the generator states the render kept. A time-domain scene,
     convolutive or loaded, holds no image spectrum: time_signals holds the
     samples of every image, "mixture" and "loudspeaker", and each read of an
     image analyzes its own. A narrowband scene has no time_signals.
@@ -138,24 +138,6 @@ def _circular_gauss(rng, shape):
     return z
 
 
-def synth_sources(rng, n_freqs, n_frames, n_bg=1):
-    """Draw model-matched source spectra.
-
-    The target source has joint broadband activity: each frame is an i.i.d.
-    circular unit vector across frequency scaled by an exponential radial
-    envelope, which makes the per-bin magnitudes strongly super-Gaussian.
-    Background sources and the loudspeaker signal are independent; the
-    background is stationary circular Gaussian, the loudspeaker reuses the
-    non-Gaussian broadband construction.
-
-    Returns (s, q, u): (F, T), (F, T, n_bg), (F, T).
-    """
-    s = _spherical_nongauss(rng, n_freqs, n_frames)
-    q = _circular_gauss(rng, (n_freqs, n_frames, n_bg))
-    u = _spherical_nongauss(rng, n_freqs, n_frames)
-    return s, q, u
-
-
 def _spherical_nongauss(rng, n_freqs, n_frames):
     g = _circular_gauss(rng, (n_freqs, n_frames))
     g /= np.linalg.norm(g, axis=0, keepdims=True)
@@ -175,6 +157,17 @@ def _image(transfer, source, gain=None):
     image = transfer[:, None, :] * source[:, :, None]
     if gain is not None:
         image *= gain  # as _mix scales it, so the same bytes
+    return image
+
+
+def _drawn(draw, state, shape, gain, mixing=None):
+    """draw(rng, shape) from the PCG64 state, through (F, M, K) mixing if given, times gain."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = state
+    image = draw(np.random.Generator(bit_generator), shape)
+    if mixing is not None:
+        image = np.einsum("fmk,ftk->ftm", mixing, image)  # as the render mixes q
+    image *= gain  # as _mix scales it
     return image
 
 
@@ -203,7 +196,10 @@ def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None):
 
     The grid is taken from frame_spec + cfg.duration_s when given, otherwise
     from explicit n_freqs/n_frames. Component gains are set so the power
-    ratios measured at microphone 1 match cfg exactly.
+    ratios measured at microphone 1 match cfg exactly. The scene holds the
+    mixture, target s, loudspeaker u, truth, gains and the generator states
+    from just before the background and the noise draws, from which each
+    read draws those images again with the draw function this render used.
     """
     if frame_spec is not None:
         n_samples = int(round(cfg.duration_s * frame_spec.sample_rate))
@@ -212,22 +208,29 @@ def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None):
     if n_freqs is None or n_frames is None:
         raise ValueError("render_narrowband needs a frame_spec or explicit n_freqs/n_frames")
     rng = np.random.default_rng(cfg.seed)
-    m = cfg.mics
-    s, q, u = synth_sources(rng, n_freqs, n_frames, n_bg=m - 1)
-    a_soi = _circular_gauss(rng, (n_freqs, m))
-    echo_atf = _circular_gauss(rng, (n_freqs, m))
-    bg_mix = _circular_gauss(rng, (n_freqs, m, m - 1))
-    soi, echo = _image(a_soi, s), _image(echo_atf, u)  # formed again on each read
+    m, draw = cfg.mics, _circular_gauss  # the images read later draw with this render's function
+    s = _spherical_nongauss(rng, n_freqs, n_frames)
+    q_state = rng.bit_generator.state  # each read of the interference draws q again from here
+    q = draw(rng, (n_freqs, n_frames, m - 1))
+    u = _spherical_nongauss(rng, n_freqs, n_frames)
+    a_soi = draw(rng, (n_freqs, m))
+    echo_atf = draw(rng, (n_freqs, m))
+    bg_mix = draw(rng, (n_freqs, m, m - 1))
+    soi, echo = _image(a_soi, s), _image(echo_atf, u)
     interference = np.einsum("fmk,ftk->ftm", bg_mix, q)
     del q  # only the interference image reads it
-    noise = _circular_gauss(rng, (n_freqs, n_frames, m))
-    images, mixture, gains = _mix((soi, echo, interference, noise), cfg)
+    noise_state = rng.bit_generator.state
+    noise = draw(rng, (n_freqs, n_frames, m))
+    _, mixture, gains = _mix((soi, echo, interference, noise), cfg)
     return Scene(
         mixture=mixture,
         loudspeaker=u,
-        images=_Images({"soi": partial(_image, a_soi, s, gains["soi"]),
-                        "echo": partial(_image, echo_atf, u),  # the echo's gain is 1
-                        "interference": images["interference"], "noise": images["noise"]}),
+        images=_Images({
+            "soi": partial(_image, a_soi, s, gains["soi"]),
+            "echo": partial(_image, echo_atf, u),  # the echo's gain is 1
+            "interference": partial(_drawn, draw, q_state, (n_freqs, n_frames, m - 1),
+                                    gains["interference"], bg_mix),
+            "noise": partial(_drawn, draw, noise_state, (n_freqs, n_frames, m), gains["noise"])}),
         config=cfg,
         truth=SceneTruth(a_soi=a_soi, echo_atf=echo_atf, bg_mix=bg_mix),
         frame_spec=frame_spec,

@@ -10,7 +10,8 @@ pseudo-power ratio (circularity_check) that justifies a circular model of
 the loudspeaker signal, the LAPACK loaded inverse that the package's
 elimination replaces, the steering-vector refresh in batched form, and the
 scene renderer's draws and mixer as expressions that form a new array per
-step, which the package's in-place forms replace.
+step, which the package's in-place forms replace, with its source draws in
+render order (synth_sources).
 """
 
 import numpy as np
@@ -147,6 +148,19 @@ def spherical_nongauss(rng, n_freqs, n_frames):
     radius = rng.exponential(scale=1.0, size=n_frames)
     radius *= np.sqrt(n_freqs / np.mean(radius**2))
     return g * radius[None, :]
+
+
+def synth_sources(rng, n_freqs, n_frames, n_bg=1):
+    """The render's source draws in its order: target s, background q, loudspeaker u.
+
+    s and u are spherical non-Gaussian (super-Gaussian per-bin magnitudes,
+    independent of each other); the n_bg background sources are stationary
+    circular Gaussian. Returns (s, q, u): (F, T), (F, T, n_bg), (F, T).
+    """
+    s = spherical_nongauss(rng, n_freqs, n_frames)
+    q = circular_gauss(rng, (n_freqs, n_frames, n_bg))
+    u = spherical_nongauss(rng, n_freqs, n_frames)
+    return s, q, u
 
 
 def mix(raw, cfg):

@@ -198,6 +198,63 @@ def test_bench_forms_no_whitener_or_cost(monkeypatch):
     assert calls == {"log_det_terms": 3}
 
 
+def _scored_on_fresh_scenes(spec):
+    """The reports bench gives, from one run and one evaluate_run per freshly made scene."""
+    reports = []
+    for seed in range(spec.seed, spec.seed + spec.runs):
+        for name in spec.algorithms:
+            scene = cli._make_scene(spec, seed)
+            res = cli.run_algorithm(name, scene, spec.run_config())
+            reports.append(metrics.evaluate_run(
+                scene, res.state, res.diagnostics.bp_scale, algorithm=name, seed=seed,
+                iterations=spec.iterations, reference_channel=spec.reference_channel))
+    return reports
+
+
+def test_narrowband_bench_reads_each_image_once_per_scene(monkeypatch):
+    """Scoring five runs of a scene forms each image once, and the reports do not move."""
+    reads, read = {}, scenegen._Images.__getitem__
+
+    def counted(images, name):
+        reads[name] = reads.get(name, 0) + 1
+        return read(images, name)
+
+    spec = ExperimentSpec(runs=2, seed=9, duration_s=0.3, frame_len=512, hop=256, mics=3,
+                          iterations=2)
+    monkeypatch.setattr(scenegen._Images, "__getitem__", counted)
+    reports = cli.run_bench(spec)
+    assert reads == dict.fromkeys(scenegen.COMPONENTS, spec.runs)
+    assert [r.algorithm for r in reports] == list(cli.CLI_ALGORITHMS) * spec.runs
+    assert reports == _scored_on_fresh_scenes(spec)
+
+
+@pytest.mark.parametrize("algorithms", [("joint",), tuple(cli.CLI_ALGORITHMS)],
+                         ids=["one", "all"])
+def test_convolutive_bench_analyzes_each_signal_once_per_scene(tmp_path, monkeypatch,
+                                                                algorithms):
+    """A scene analyzes its mixture and loudspeaker, then each image once for all its runs."""
+    rng = np.random.default_rng(0)
+    sources, rirs = [], []
+    for name in ("soi", "loud", "intf"):
+        sources.append(str(tmp_path / f"{name}.wav"))
+        stft.write_wav(sources[-1], 0.1 * rng.standard_normal(4000), 16000)
+        rirs.append(str(tmp_path / f"{name}_rir.wav"))
+        stft.write_wav(rirs[-1], np.eye(8, 2), 16000)
+    spec = ExperimentSpec(mode="convolutive", source_wavs=sources, rir_wavs=rirs, runs=2,
+                          seed=4, duration_s=0.3, frame_len=512, hop=256, mics=2,
+                          iterations=2, algorithms=algorithms)
+    calls, analyze = [], stft.analyze
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(stft, "analyze", counted)
+    reports = cli.run_bench(spec)
+    assert len(calls) == (2 + 4) * spec.runs
+    assert reports == _scored_on_fresh_scenes(spec)
+
+
 def test_bench_rejects_unknown_algorithm_before_work(tmp_path):
     """So does an empty list, from --algo or the config file: a config error, not 0 runs."""
     out = tmp_path / "never"
