@@ -94,7 +94,7 @@ class ExperimentSpec:
             raise ValueError("convolutive mode needs source_wavs and rir_wavs")
 
     def frame_spec(self):
-        return _stft.FrameSpec.default(self.frame_len, self.hop, self.sample_rate)
+        return _stft.FrameSpec(self.frame_len, self.hop, self.sample_rate)
 
     def scenario(self, seed):
         """The scene drawn for seed: SER, IER and ENR uniform in their ranges, then its seed."""

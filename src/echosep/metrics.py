@@ -1,10 +1,10 @@
 """Echo/interference metrics via shadow filtering of ground-truth images.
 
-Each component image is passed through the estimated linear pipeline (echo
-subtraction, then beamforming and backprojection scaling), so the output
-decomposes exactly into per-component contributions. Ratios are computed on
-time-domain signals when the scene carries a frame spec (edge frames
-excluded), otherwise directly on the STFT tensors.
+Each component image is passed through the run's own linear front end
+(model.extract: echo subtraction, then beamforming) and its backprojection
+scale, so the output decomposes exactly into per-component contributions.
+Ratios are computed on time-domain signals when the scene carries a frame
+spec (edge frames excluded), otherwise directly on the STFT tensors.
 """
 
 import io
@@ -12,6 +12,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import stft as _stft
+from .model import extract
 
 __all__ = [
     "MetricsReport",
@@ -45,16 +46,14 @@ class MetricsReport:
 def component_pass(state, name, image, u, bp_scale):
     """Pass one component image through the estimated pipeline to the output, (F, T).
 
-    The pipeline is linear: echo subtraction e = x - h u, then w^H and the
+    The pipeline is the run's own linear front end, model.extract, then the
     backprojection scale. Only the echo component has a loudspeaker part, so
-    its output alone subtracts (w^H h) u. A run without a beamformer has w
-    the reference channel's unit vector and a scale of 1.
+    it alone is passed with u. A run without a beamformer has w the
+    reference channel's unit vector and a scale of 1.
     """
-    y = (image @ state.w.conj()[:, :, None])[:, :, 0]
-    if name == "echo":
-        y -= np.sum(state.w.conj() * state.h, axis=1)[:, None] * u
-    y *= bp_scale[:, None]
-    return y
+    s = extract(image, u if name == "echo" else None, state)[1]
+    s *= bp_scale[:, None]
+    return s
 
 
 def _db_ratio(num, den):

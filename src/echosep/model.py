@@ -19,6 +19,7 @@ __all__ = [
     "NumericsError",
     "DemixState",
     "ScoreStats",
+    "extract",
     "blocking_matrix",
     "orthogonal_constraint_atf",
     "score_spherical",
@@ -74,10 +75,6 @@ class DemixState:
     def n_freqs(self):
         return self.h.shape[0]
 
-    @property
-    def n_channels(self):
-        return self.h.shape[1]
-
 
 @dataclass
 class ScoreStats:
@@ -89,6 +86,19 @@ class ScoreStats:
 
     nu: np.ndarray
     rho: np.ndarray
+
+
+def extract(x, u, state, y=None):
+    """(y, s) of the state's front end: y = w^H x unless given, s = y - (w^H h) u.
+
+    s, echo subtraction then the beamformer, gets its own buffer; it is y if
+    u is None. The runs and metrics.component_pass extract through it alone.
+    """
+    y = (x @ state.w.conj()[:, :, None])[:, :, 0] if y is None else y
+    if u is None:
+        return y, y
+    s = np.einsum("fm,fm->f", state.w.conj(), state.h)[:, None] * u
+    return y, np.subtract(y, s, out=s)
 
 
 def blocking_matrix(a):

@@ -28,8 +28,10 @@ times in n iterations, and the others in every pass.
 One rule decides which bins move: a bin is live (DemixState.active) while
 its loaded C_ee has an inverse and its w^H C_ee w is non-degenerate, and a
 step moves a live bin only where the step is finite (the echo step also
-needs excitation). The floors left are relative to the data: DEAD_BIN_FLOOR
-in error_covariance and model.SCORE_RADIUS_FLOOR in the score. A loudspeaker
+needs excitation, DataStats.excited). _update_statistics forms the mask
+from the loaded inverse's ok, each refresh of a narrows it, and the steps
+only read it. The floors left are relative to the data: DEAD_BIN_FLOOR in
+error_covariance and model.SCORE_RADIUS_FLOOR in the score. A loudspeaker
 without excitation in any bin leaves the echo step nothing to move, so joint
 then runs as IVE; such a run, IVE's included, makes its passes with u = None,
 which form no loudspeaker term. A pass takes nu = E[s phi] from the score's
@@ -59,6 +61,7 @@ from .model import (
     DemixState,
     NumericsError,
     covariance,
+    extract,
     loaded_inverse,
     log_det_terms,
     off_block_energy_db,
@@ -158,12 +161,13 @@ class DataStats:
     C_xx: np.ndarray  # (F, M, M) E[x x^H]
     r_xu: np.ndarray  # (F, M) E[x u*]
     P_u: np.ndarray   # (F,) E[|u|^2]
-    h_ls: np.ndarray = field(init=False)   # (F, M) r_xu / P_u, 0 without excitation
+    excited: np.ndarray = field(init=False)  # (F,) bool, P_u > tiny: u excites the bin
+    h_ls: np.ndarray = field(init=False)   # (F, M) r_xu / P_u, 0 where not excited
     C_ls: np.ndarray = field(init=False)   # (F, M, M) C_xx - P_u h_ls h_ls^H
     tr_xx: np.ndarray = field(init=False)  # (F,) tr C_xx
 
     def __post_init__(self):
-        self.h_ls = _least_squares(self.r_xu, self.P_u)
+        self.h_ls, self.excited = _least_squares(self.r_xu, self.P_u)
         v = np.sqrt(self.P_u)[:, None] * self.h_ls
         self.C_ls = self.C_xx - v[:, :, None] * v.conj()[:, None, :]
         self.tr_xx = np.einsum("fmm->f", self.C_xx).real
@@ -209,9 +213,8 @@ def moments(x, u, state, score=score_spherical, y=None, e_phi=True):
     """One pass at the state's h and w: s = w^H x - (w^H h) u, its score, the moments.
 
     score(s) returns phi, rho = E[d phi / d s*] and nu = E[s phi], the last
-    two from the |s|^2 it forms. s is formed in one buffer, c u with
-    c = w^H h, then subtracted from y = w^H x in place; E[u phi] is a batched
-    dot product over the frame axis. Only the BSE step reads E[e phi]; with
+    two from the |s|^2 it forms. s comes from model.extract; E[u phi] is a
+    batched dot product over the frame axis. Only the BSE step reads E[e phi]; with
     e_phi set (the default) the pass also forms E[x phi], one more product
     over the frames and channels, and takes E[e phi] = E[x phi] - h E[u phi]
     in closed form, so e is never formed. u None is a loudspeaker without
@@ -222,7 +225,7 @@ def moments(x, u, state, score=score_spherical, y=None, e_phi=True):
     instead of making the pass again. y holds while w does; when given, as
     after an echo step that moved only h, it is not formed again.
     """
-    y, s = _extract(x, u, state, y)
+    y, s = extract(x, u, state, y)
     phi, rho, nu = score(s)
     n_frames = s.shape[1]
     u_phi = (np.zeros_like(phi[:, 0]) if u is None
@@ -232,15 +235,6 @@ def moments(x, u, state, score=score_spherical, y=None, e_phi=True):
         x_phi = (np.swapaxes(x, 1, 2) @ phi[:, :, None])[:, :, 0] / n_frames
         mom.e_phi = x_phi if u is None else x_phi - state.h * u_phi[:, None]
     return mom
-
-
-def _extract(x, u, state, y=None):
-    """(y, s): y = w^H x unless given; s = y - (w^H h) u in its own buffer, or y if u is None."""
-    y = (x @ state.w.conj()[:, :, None])[:, :, 0] if y is None else y
-    if u is None:
-        return y, y
-    s = np.einsum("fm,fm->f", state.w.conj(), state.h)[:, None] * u
-    return y, np.subtract(y, s, out=s)
 
 
 def grad_w(state, mom):
@@ -260,7 +254,7 @@ def update_aec(state, x, u, data, score=score_spherical, mom=None):
     at the state's h and w; when not given, they come from one pass over x
     and u with the given score, which forms no E[e phi]. Returns (h_new,
     active_mask); a live bin moves where its loudspeaker carries excitation
-    (P_u > tiny) and its step is finite, which it is not where nu or alpha
+    (data.excited) and its step is finite, which it is not where nu or alpha
     vanishes. Other bins are left unchanged.
     """
     if mom is None:
@@ -271,29 +265,25 @@ def update_aec(state, x, u, data, score=score_spherical, mom=None):
         coef = ((np.conj(mom.u_phi / mom.nu) - alpha * np.einsum("fm,fm->f", state.w.conj(), r))
                 / alpha)
         step = (r + coef[:, None] * state.a) / data.P_u[:, None]
-    ok = (state.active & (data.P_u > np.finfo(float).tiny)
-          & np.all(np.isfinite(step), axis=1))
+    ok = state.active & data.excited & np.all(np.isfinite(step), axis=1)
     return state.h + np.where(ok[:, None], step, 0.0), ok
 
 
-def update_bse(state, mom, inv):
+def update_bse(state, mom, inverse):
     """One fixed-point step on the beamformer w for every active bin.
 
     w += nu*/(nu* - rho*) C_ee^{-1} grad_w, the approximate Newton step of
     the extraction contrast, with the moments taken at the state's h and w;
     the sign of the curvature denominator is the one that contracts toward
-    the fixed point (the same structure as one-unit FastICA). inv is the
-    (inverse, ok) pair model.loaded_inverse gives for the loaded C_ee at the
-    state's h. A live bin moves where its loaded C_ee has an inverse and its
-    step is finite, which it is not where nu or the curvature nu - rho
-    vanishes. Returns (w_new, active_mask); the caller is expected to
-    renormalize.
+    the fixed point (the same structure as one-unit FastICA). inverse is the
+    loaded C_ee's inverse at the state's h. A live bin moves where its step
+    is finite, which it is not where nu or the curvature nu - rho vanishes.
+    Returns (w_new, active_mask); the caller is expected to renormalize.
     """
-    inverse, solvable = inv
     with np.errstate(all="ignore"):  # a bin without curvature gets a step that is not finite
         factor = np.conj(mom.nu) / np.conj(mom.nu - mom.rho)
         step = factor[:, None] * (inverse @ grad_w(state, mom)[:, :, None])[:, :, 0]
-    ok = state.active & solvable & np.all(np.isfinite(step), axis=1)
+    ok = state.active & np.all(np.isfinite(step), axis=1)
     return state.w + np.where(ok[:, None], step, 0.0), ok
 
 
@@ -329,24 +319,23 @@ def _update_statistics(state, data):
     """Form C_ee at the current h in closed form, its loaded inverse, a and the active mask.
 
     The driver calls it before the first iteration and after each echo step;
-    it returns the (inverse, ok) pair of model.loaded_inverse for the BSE steps.
+    the mask starts at the loaded inverse's ok. Returns the inverse for the BSE steps.
     """
     state.C_ee = data.error_covariance(state.h)
-    inv = loaded_inverse(state.C_ee, DEFAULT_LOADING)
-    _refresh_beamformer(state, inv[1])
-    return inv
+    inverse, state.active = loaded_inverse(state.C_ee, DEFAULT_LOADING)
+    _refresh_beamformer(state)
+    return inverse
 
 
-def _refresh_beamformer(state, solvable, cw=None):
-    """Form a and the active-bin mask at the current w from the held C_ee.
+def _refresh_beamformer(state, cw=None):
+    """Form a at the current w from the held C_ee, and narrow the active mask.
 
-    No linear solve; cw is C_ee w if formed. A bin is live where its loaded
-    C_ee has an inverse (solvable, loaded_inverse's ok) and its w^H C_ee w is
-    non-degenerate; a bin whose w^H C_ee w is degenerate also keeps its a.
+    No linear solve; cw is C_ee w if formed. A bin whose w^H C_ee w is degenerate
+    keeps its a and leaves the mask; frozen, it keeps that w^H C_ee w.
     """
     a, ok = orthogonal_constraint_atf(state.C_ee, state.w, cw)
     state.a = np.where(ok[:, None], a, state.a)
-    state.active = ok & solvable
+    state.active &= ok
 
 
 def _run(x, u, cfg=None, joint=True, truth=None):
@@ -360,26 +349,26 @@ def _run(x, u, cfg=None, joint=True, truth=None):
         raise ValueError(f"extraction needs at least 2 microphones, got {m}")
     state = DemixState.initial(n_freqs, m)
     data = DataStats.of(x, u)
-    echo = bool(np.any(data.P_u > np.finfo(float).tiny))
+    echo = bool(np.any(data.excited))
     joint &= echo  # else no echo step moves h
     if not joint:
         state.h = data.h_ls
     u_live = u if echo else None  # else h = h_LS = 0, and no pass reads u
     diag = RunDiagnostics()
 
-    inv = _update_statistics(state, data)
+    inverse = _update_statistics(state, data)
     mom = moments(x, u_live, state, e_phi=not joint)
     for it in range(cfg.iterations):
-        frozen = int(np.sum(~state.active))
+        frozen = 0  # a step's ok lies within the active mask, so it counts every frozen bin
         h_old, w_old = state.h, state.w
         if joint:
             state.h, ok = update_aec(state, x, u, data, mom=mom)
-            frozen = max(frozen, int(np.sum(~ok)))
-            inv = _update_statistics(state, data)
+            frozen = int(np.sum(~ok))
+            inverse = _update_statistics(state, data)
             mom = moments(x, u_live, state, y=mom.y)  # w, and so w^H x, has not moved
-        state.w, ok = update_bse(state, mom, inv)
+        state.w, ok = update_bse(state, mom, inverse)
         frozen = max(frozen, int(np.sum(~ok)))
-        _refresh_beamformer(state, inv[1], normalize_w(state))
+        _refresh_beamformer(state, normalize_w(state))
 
         if cfg.records or it + 1 < cfg.iterations:  # the record's and the next step's
             mom = moments(x, u_live, state, e_phi=not joint)
@@ -403,7 +392,7 @@ def _run(x, u, cfg=None, joint=True, truth=None):
             record.off_block_db = off_block_energy_db(v)
         diag.records.append(record)
 
-    s = _extract(x, u, state)[1]  # w^H e, and no (F, T, M) e
+    s = extract(x, u, state)[1]  # w^H e, and no (F, T, M) e
     ref = cfg.reference_channel - 1
     diag.bp_scale = backprojection_scale(s, x[:, :, ref] - state.h[:, ref, None] * u)
     s *= diag.bp_scale[:, None]
@@ -455,12 +444,12 @@ def _echo_moments(x, u):
 
 
 def _least_squares(r_xu, P_u):
-    """Per-channel least-squares echo path r_xu / P_u; bins without excitation get 0.
+    """(h_LS, excited): least-squares echo path r_xu / P_u per channel, 0 where P_u <= tiny.
 
-    One batch-NLMS step from any h lands here.
+    One batch-NLMS step from any h lands on h_LS.
     """
-    ok = P_u > np.finfo(float).tiny
-    return np.where(ok[:, None], r_xu / np.where(ok, P_u, 1.0)[:, None], 0.0)
+    excited = P_u > np.finfo(float).tiny
+    return np.where(excited[:, None], r_xu / np.where(excited, P_u, 1.0)[:, None], 0.0), excited
 
 
 def _reference_output(x, u, h, cfg):
@@ -484,10 +473,9 @@ def run_ls_aec(x, u, cfg=None):
     """
     cfg = cfg or RunConfig()
     x, u = _inputs(x, u, cfg)
-    r_xu, P_u = _echo_moments(x, u)
-    if not np.any(P_u > np.finfo(float).tiny):  # as _least_squares tells a bin without excitation
+    h, excited = _least_squares(*_echo_moments(x, u))
+    if not np.any(excited):
         raise NumericsError("least-squares echo canceller needs a nonzero loudspeaker signal")
-    h = _least_squares(r_xu, P_u)
     return _reference_output(x, u, h, cfg)
 
 

@@ -89,14 +89,13 @@ class SceneTruth:
 
 
 class _Images(Mapping):
-    """Component images by name, read-only; an entry that is a callable is formed on each read."""
+    """Component images by name, read-only; each entry is a callable that forms it on each read."""
 
     def __init__(self, entries):
         self._entries = entries
 
     def __getitem__(self, name):
-        entry = self._entries[name]
-        return entry() if callable(entry) else entry
+        return self._entries[name]()
 
     def __iter__(self):
         return iter(self._entries)
@@ -401,7 +400,7 @@ def load_scene(manifest_path):
         truth_file = check_type(manifest.get("truth_file", ""), str, "truth_file")
         cfg = ScenarioConfig(**top["config"])
         sr, files, m = top["sample_rate"], top["files"], cfg.mics
-        spec = _stft.FrameSpec.default(top["frame"]["frame_len"], top["frame"]["hop"], sr)
+        spec = _stft.FrameSpec(top["frame"]["frame_len"], top["frame"]["hop"], sr)
         truth, checked = None, truth_file
         if truth_file:  # arrays of the frame's and mics' shape, each finite
             f = spec.n_freqs

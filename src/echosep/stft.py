@@ -3,14 +3,14 @@
 All downstream processing operates on one-sided complex spectrograms, plain
 ndarrays of shape (n_freqs, n_frames, n_channels); synthesis takes the
 FrameSpec they were analysed with. Analysis and synthesis use the same
-window (square-root Hann by default), which satisfies the constant-overlap-add
-condition at 50% overlap and gives perfect reconstruction on interior samples.
+square-root Hann window, which satisfies the constant-overlap-add condition
+at 50% overlap and gives perfect reconstruction on interior samples.
 WAV files are read and written by a small numpy RIFF/WAVE codec.
 """
 
 import struct
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -40,15 +40,15 @@ def _is_power_of_two(n):
 class FrameSpec:
     """Framing parameters for STFT analysis/synthesis.
 
-    frame_len must be a power of two and divisible by hop; the window (used
-    for both analysis and synthesis) must satisfy constant overlap-add at the
-    chosen hop.
+    frame_len must be a power of two and divisible by hop. The window, used
+    for both analysis and synthesis, is sqrt_hann_window(frame_len); hop
+    must give it constant overlap-add.
     """
 
-    frame_len: int
-    hop: int
-    window: np.ndarray
+    frame_len: int = 2048
+    hop: int = 1024
     sample_rate: int = 16000
+    window: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not _is_power_of_two(self.frame_len):
@@ -57,19 +57,13 @@ class FrameSpec:
             raise ValueError(f"hop ({self.hop}) must divide frame_len ({self.frame_len})")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        window = np.asarray(self.window, dtype=np.float64)
-        if window.shape != (self.frame_len,):
-            raise ValueError("window length must equal frame_len")
-        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "window", sqrt_hann_window(self.frame_len))
         # COLA check on the analysis*synthesis window product.
         ola = self.overlap_added_window_product()
         mean = ola.mean()
         if mean <= 0.0 or np.max(np.abs(ola - mean)) > _COLA_RTOL * mean:
-            raise ValueError("window does not satisfy constant overlap-add for this hop")
-
-    @classmethod
-    def default(cls, frame_len=2048, hop=1024, sample_rate=16000):
-        return cls(frame_len, hop, sqrt_hann_window(frame_len), sample_rate)
+            raise ValueError(f"hop ({self.hop}) and frame_len ({self.frame_len}) do not give "
+                             "the window constant overlap-add")
 
     @property
     def n_freqs(self):

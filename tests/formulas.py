@@ -27,9 +27,9 @@ def apply_demixer(x, u, state):
     e = x - h u (echo-cancelled error), s_hat = w^H e (source estimate),
     z_hat = B(a) e (background estimate).
     """
-    if x.shape[2] != state.n_channels:
+    if x.shape[2] != state.h.shape[1]:
         raise ValueError(
-            f"microphone channel count {x.shape[2]} does not match state ({state.n_channels})"
+            f"microphone channel count {x.shape[2]} does not match state ({state.h.shape[1]})"
         )
     e = x - state.h[:, None, :] * u[:, :, None]
     s_hat = np.einsum("fm,ftm->ft", state.w.conj(), e)

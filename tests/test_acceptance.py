@@ -324,7 +324,7 @@ def test_criterion_6_table_ordering():
 
 def test_criterion_7_stft_round_trip():
     rng = np.random.default_rng(1007)
-    spec = stft.FrameSpec.default(2048, 1024, 16000)
+    spec = stft.FrameSpec(2048, 1024, 16000)
     sig = rng.standard_normal((4 * 16000, 2))
     rec = stft.synthesize(stft.analyze(sig, spec), spec, length=len(sig))
     lo, hi = spec.frame_len, len(sig) - spec.frame_len
@@ -373,7 +373,7 @@ def test_criterion_8_bench_determinism(tmp_path):
 
 def test_criterion_9_desk_scale_runtime():
     cfg = ScenarioConfig(mics=4, seed=42, duration_s=5.0)
-    spec = stft.FrameSpec.default(2048, 1024, 16000)
+    spec = stft.FrameSpec(2048, 1024, 16000)
     scene = render_narrowband(cfg, frame_spec=spec)
     assert scene.mixture.shape[0] == 1025
     t0 = time.time()

@@ -386,6 +386,15 @@ def test_a_duration_that_is_not_finite_exits_one(tmp_path, capsys, command, valu
     assert not (tmp_path / "out").exists()
 
 
+def test_a_hop_of_a_whole_frame_exits_one_naming_hop_and_frame_len(tmp_path, capsys):
+    """The window is not a setting, so the framing error names the two flags that are."""
+    argv = ["simulate", "--frame", "512", "--hop", "512", "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == ("error: hop (512) and frame_len (512) do not give "
+                                       "the window constant overlap-add\n")
+    assert not (tmp_path / "out").exists()
+
+
 # One value of the wrong type for each ExperimentSpec field: a bool where an
 # int is declared, a string for a number, a number or string for a list.
 WRONG_TYPES = {

@@ -6,7 +6,7 @@ import pytest
 from echosep import metrics, scenegen
 from echosep.metrics import MetricsReport, component_pass, csv_text, erle, ratios
 from echosep.model import DemixState
-from echosep.optimizer import RunConfig, run_joint, run_ls_aec, run_unprocessed
+from echosep.optimizer import RunConfig, run_bnlms_ive, run_joint, run_ls_aec, run_unprocessed
 from echosep.scenegen import ScenarioConfig, render_narrowband
 
 
@@ -44,6 +44,21 @@ def test_component_pass_superposition():
     ls = run_ls_aec(scene.mixture, scene.loudspeaker)
     out = outputs(ls.state, scene, ls.diagnostics.bp_scale)
     np.testing.assert_allclose(sum(out.values()), ls.s_hat, rtol=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive, run_ls_aec],
+                         ids=["joint", "bnlms_ive", "ls_aec"])
+def test_component_pass_of_a_runs_input_is_its_output_to_the_bit(run, seed):
+    """A run's x passed as the echo image, with its u, gives its s_hat bit for bit.
+
+    component_pass extracts through the run's own front end, so the metrics
+    score the output the run returns.
+    """
+    scene = small_scene(seed=seed)
+    res = run(scene.mixture, scene.loudspeaker, RunConfig(iterations=10))
+    out = component_pass(res.state, "echo", res.x, res.u, res.diagnostics.bp_scale)
+    np.testing.assert_array_equal(out, res.s_hat)
 
 
 def test_component_pass_perfect_filter_removes_echo():
@@ -110,7 +125,7 @@ def test_unprocessed_erle_zero_with_frame_spec():
     from echosep import stft
 
     cfg = ScenarioConfig(mics=3, seed=7, duration_s=0.6)
-    spec = stft.FrameSpec.default(512, 256, 16000)
+    spec = stft.FrameSpec(512, 256, 16000)
     scene = render_narrowband(cfg, frame_spec=spec)
     rep = unprocessed_report(scene, seed=7)
     assert rep.erle_aec_db == pytest.approx(0.0)

@@ -33,7 +33,6 @@ from echosep.optimizer import (
     run_unprocessed,
     update_aec,
     update_bse,
-    _least_squares,
     _update_statistics,
 )
 from echosep.model import score_stats
@@ -200,7 +199,7 @@ def test_update_bse_fixed_point_when_gradient_vanishes():
     phi, _, nu = score_spherical(s)
     state.a = np.mean(e * phi[:, :, None], axis=1) / nu[:, None]  # forces zero direction
     w_new, ok = update_bse(state, moments(e, np.zeros((4, 16), dtype=complex), state),
-                           loaded_inverse(state.C_ee, DEFAULT_LOADING))
+                           loaded_inverse(state.C_ee, DEFAULT_LOADING)[0])
     assert ok.all()
     np.testing.assert_allclose(w_new, state.w, atol=1e-12)
 
@@ -212,7 +211,7 @@ def test_update_bse_single_channel_is_passthrough():
     state.C_ee = covariance(e)
     state.a = np.conj(1.0 / state.w)
     w_new, _ = update_bse(state, moments(e, np.zeros((4, 60), dtype=complex), state),
-                          loaded_inverse(state.C_ee, DEFAULT_LOADING))
+                          loaded_inverse(state.C_ee, DEFAULT_LOADING)[0])
     np.testing.assert_allclose(w_new, state.w, atol=1e-10)
     state.w = w_new
     normalize_w(state)
@@ -257,7 +256,7 @@ def test_shipped_updates_equal_the_checked_formulas():
                              -grad_h(state, data, mom)[:, :, None])[:, :, 0]
     np.testing.assert_allclose(h_new - state.h, step_h, rtol=1e-10)
 
-    w_new, ok = update_bse(state, mom, loaded_inverse(state.C_ee, DEFAULT_LOADING))
+    w_new, ok = update_bse(state, mom, loaded_inverse(state.C_ee, DEFAULT_LOADING)[0])
     assert ok.all()
     nu_c, rho_c = mom.nu.conj(), mom.rho.conj()
     step_w = np.linalg.solve(load_diagonal(state.C_ee),
@@ -279,17 +278,24 @@ def test_update_aec_with_given_moments_equals_its_own_pass():
 
 
 @pytest.mark.parametrize("dead", [0.0, np.nan])
-def test_update_bse_drops_a_bin_without_a_loaded_inverse(dead):
-    """A bin whose C_ee is zero or not finite keeps its w, with ok False; the others step."""
+def test_a_bin_without_a_loaded_inverse_is_inactive_and_keeps_its_w(dead):
+    """A bin whose C_ee is zero or not finite is left inactive, and update_bse keeps its w.
+
+    _update_statistics sets the mask; update_bse gives that bin ok False, and
+    the other bins take their usual step. h = h_LS in bin 1 puts its C_ee at
+    the residual covariance C_LS, which the test then replaces.
+    """
     rng = np.random.default_rng(24)
     x, u, state = _instance(rng)
+    data = DataStats.of(x, u)
+    state.h[1] = data.h_ls[1]
     mom = moments(x, u, state)
-    w_usual, ok_usual = update_bse(state, mom, loaded_inverse(state.C_ee, DEFAULT_LOADING))
-    state.C_ee = state.C_ee.copy()
-    state.C_ee[1] = dead
-    w_new, ok = update_bse(state, mom, loaded_inverse(state.C_ee, DEFAULT_LOADING))
+    w_usual, ok_usual = update_bse(state, mom, _update_statistics(state, data))
+    data.C_ls[1] = dead
+    w_new, ok = update_bse(state, mom, _update_statistics(state, data))
     assert ok_usual.all()
-    np.testing.assert_array_equal(ok, [True, False, True, True])
+    np.testing.assert_array_equal(state.active, [True, False, True, True])
+    np.testing.assert_array_equal(ok, state.active)
     np.testing.assert_array_equal(w_new[1], state.w[1])
     np.testing.assert_array_equal(w_new[[0, 2, 3]], w_usual[[0, 2, 3]])
 
@@ -329,8 +335,8 @@ def test_update_bse_freezes_bin_with_a_step_that_is_not_finite(dead):
     rng = np.random.default_rng(24)
     x, u, state = _instance(rng)
     mom = moments(x, u, state)
-    inv = loaded_inverse(state.C_ee, DEFAULT_LOADING)
-    w_usual, _ = update_bse(state, mom, inv)
+    inverse = loaded_inverse(state.C_ee, DEFAULT_LOADING)[0]
+    w_usual, _ = update_bse(state, mom, inverse)
     mom.nu, mom.rho = mom.nu.copy(), mom.rho.copy()
     if dead == "normalizer":
         mom.nu[0] = 0.0
@@ -338,7 +344,7 @@ def test_update_bse_freezes_bin_with_a_step_that_is_not_finite(dead):
         mom.rho[0] = mom.nu[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w_new, ok = update_bse(state, mom, inv)
+        w_new, ok = update_bse(state, mom, inverse)
     assert not ok[0] and ok[1:].all()
     np.testing.assert_array_equal(w_new[0], state.w[0])
     np.testing.assert_array_equal(w_new[1:], w_usual[1:])
@@ -395,12 +401,13 @@ def test_closed_form_statistics_equal_dense_passes(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_refresh_on_rows_equals_the_batched_closed_forms(m):
-    """The refresh's a equals the batched reference's, and its mask is ok & solvable.
+    """The refresh's a equals the batched reference's, and it narrows the mask by its ok.
 
     Among 12 random bins sit a zeroed C_ee, a C_ee with w in its null space
     (w^H C_ee w = 0) and a NaN C_ee; those three keep their a and freeze. An
     indefinite C_ee has a non-degenerate w^H C_ee w but no loaded inverse: it
-    takes its new a and freezes.
+    takes its new a and freezes, as _update_statistics starts the mask from
+    the loaded inverse's ok.
     """
     rng = np.random.default_rng(60 + m)
     c_ee = covariance(crandn(rng, (12, 30, m)))
@@ -410,9 +417,10 @@ def test_refresh_on_rows_equals_the_batched_closed_forms(m):
     w[5] = np.eye(m)[0]
     c_ee[8, 0, 1] = np.nan
     c_ee[10] = np.diag(np.r_[-1.0, 2.0 * np.ones(m - 1)])
-    state = DemixState(h=np.zeros((12, m), dtype=complex), w=w, a=a_old.copy(), C_ee=c_ee)
     _, solvable = loaded_inverse(c_ee, DEFAULT_LOADING)
-    optimizer._refresh_beamformer(state, solvable)
+    state = DemixState(h=np.zeros((12, m), dtype=complex), w=w, a=a_old.copy(), C_ee=c_ee,
+                       active=solvable.copy())
+    optimizer._refresh_beamformer(state)
     a, ok = refresh_batched(c_ee, w, a_old)
     np.testing.assert_array_equal(ok, ~np.isin(np.arange(12), [3, 5, 8]))
     np.testing.assert_array_equal(solvable, ~np.isin(np.arange(12), [3, 8, 10]))
@@ -638,7 +646,7 @@ def test_bnlms_step_equals_gaussian_joint_step_single_channel():
     x = crandn(rng, (8, 100, 1))
     state = DemixState.initial(8, 1)
     data = DataStats.of(x, u)
-    h_bnlms = _least_squares(data.r_xu, data.P_u)
+    h_bnlms = data.h_ls
     h_joint, _ = update_aec(state, x, u, data, score=score_gauss)
     np.testing.assert_allclose(h_bnlms, h_joint, rtol=1e-12)
 

@@ -156,7 +156,7 @@ def test_convolutive_unit_impulse_rir(tmp_path):
     sr, m = 16000, 3
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
     cfg = ScenarioConfig(mics=m, seed=9, duration_s=0.5)
-    spec = stft.FrameSpec.default(512, 256, sr)
+    spec = stft.FrameSpec(512, 256, sr)
     scene = render_convolutive(cfg, srcs, rirs, frame_spec=spec)
     # echo image is the (unscaled) loudspeaker signal on every channel
     loud, _ = stft.read_wav(srcs[1])
@@ -171,7 +171,7 @@ def test_convolutive_pure_delay_rir(tmp_path):
     sr, m, d = 16000, 2, 17
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m, delay=d)
     cfg = ScenarioConfig(mics=m, seed=10, duration_s=0.5)
-    spec = stft.FrameSpec.default(512, 256, sr)
+    spec = stft.FrameSpec(512, 256, sr)
     scene = render_convolutive(cfg, srcs, rirs, frame_spec=spec)
     loud, _ = stft.read_wav(srcs[1])
     n = scene.time_signals["echo"].shape[0]
@@ -188,7 +188,7 @@ def test_convolutive_echo_is_the_linear_convolution(tmp_path):
     rir = rng.standard_normal((400, m)) * np.exp(-np.arange(400) / 80.0)[:, None]
     stft.write_wav(rirs[1], rir, sr)
     cfg = ScenarioConfig(mics=m, seed=22, duration_s=0.5)
-    scene = render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
+    scene = render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec(512, 256, sr))
     loud, _ = stft.read_wav(srcs[1])
     rir, _ = stft.read_wav(rirs[1])  # the float32-rounded taps the render used
     echo = scene.time_signals["echo"]
@@ -209,7 +209,7 @@ def test_convolutive_silent_or_empty_source_rejected(tmp_path, index, length, re
     stft.write_wav(srcs[index], np.zeros(length), sr)
     cfg = ScenarioConfig(mics=m, seed=23, duration_s=0.5)
     with pytest.raises(ValueError, match=reason):
-        render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
+        render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec(512, 256, sr))
 
 
 def test_convolutive_images_own_their_samples(tmp_path):
@@ -217,7 +217,7 @@ def test_convolutive_images_own_their_samples(tmp_path):
     sr, m = 16000, 2
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
     cfg = ScenarioConfig(mics=m, seed=24, duration_s=0.5)
-    scene = render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
+    scene = render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec(512, 256, sr))
     for name in ("soi", "echo", "interference", "noise"):
         image = scene.time_signals[name]
         assert image.base is None and image.shape == (8000, m), name
@@ -227,7 +227,7 @@ def test_convolutive_energy_additivity(tmp_path):
     sr, m = 16000, 2
     srcs, rirs = _write_sources_and_rirs(tmp_path, sr, m)
     cfg = ScenarioConfig(mics=m, seed=11, duration_s=5.0)
-    spec = stft.FrameSpec.default(1024, 512, sr)
+    spec = stft.FrameSpec(1024, 512, sr)
     scene = render_convolutive(cfg, srcs, rirs, frame_spec=spec)
     mix_p = np.sum(scene.time_signals["mixture"] ** 2)
     comp_p = sum(np.sum(scene.time_signals[k] ** 2)
@@ -258,7 +258,7 @@ def test_convolutive_input_wav_rejected_naming_its_path(tmp_path, monkeypatch, k
     (srcs if kind == "source" else rirs)[index] = "bad.wav"
     cfg = ScenarioConfig(mics=m, seed=13, duration_s=0.5)
     with pytest.raises(ValueError) as exc:
-        render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
+        render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec(512, 256, sr))
     assert str(exc.value) == f"bad.wav: {reason}"
 
 
@@ -314,14 +314,14 @@ def test_convolutive_render_is_bitwise_the_reference(tmp_path, monkeypatch):
     cfg = ScenarioConfig(mics=m, seed=25, duration_s=0.5)
 
     def render():
-        return render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec.default(512, 256, sr))
+        return render_convolutive(cfg, srcs, rirs, frame_spec=stft.FrameSpec(512, 256, sr))
 
     assert _scene_bytes(render()) == _scene_bytes(_reference_render(monkeypatch, render))
 
 
 def test_scene_save_load_round_trip(tmp_path):
     cfg = ScenarioConfig(mics=3, seed=14, duration_s=1.0)
-    spec = stft.FrameSpec.default(512, 256, 16000)
+    spec = stft.FrameSpec(512, 256, 16000)
     scene = render_narrowband(cfg, frame_spec=spec)
     manifest = save_scene(scene, tmp_path / "scene")
     loaded = load_scene(manifest)
@@ -345,7 +345,7 @@ def test_scene_save_load_round_trip(tmp_path):
 def test_saving_a_loaded_scene_writes_its_files_back_byte_for_byte(tmp_path):
     """A loaded scene holds every WAV's samples, so save_scene writes back each file it read."""
     cfg = ScenarioConfig(mics=3, seed=15, duration_s=0.5)
-    save_scene(render_narrowband(cfg, frame_spec=stft.FrameSpec.default(512, 256, 16000)),
+    save_scene(render_narrowband(cfg, frame_spec=stft.FrameSpec(512, 256, 16000)),
                tmp_path / "a")
     save_scene(load_scene(tmp_path / "a"), tmp_path / "b")
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
@@ -361,7 +361,7 @@ def test_time_domain_images_are_analyzed_on_each_read(tmp_path, source):
     A loaded scene's samples are its WAVs, a convolutive scene's its
     time_signals; the images cannot be replaced.
     """
-    spec = stft.FrameSpec.default(512, 256, 16000)
+    spec = stft.FrameSpec(512, 256, 16000)
     cfg = ScenarioConfig(mics=3, seed=16, duration_s=0.5)
     if source == "loaded":
         scene = load_scene(save_scene(render_narrowband(cfg, frame_spec=spec), tmp_path / "s"))
