@@ -48,7 +48,6 @@ class ExperimentSpec:
     """Everything needed to reproduce a simulation, run, or benchmark."""
 
     seed: int = 0
-    mode: str = "narrowband"
     runs: int = 50
     mics: int = 4
     duration_s: float = 5.0
@@ -61,7 +60,7 @@ class ExperimentSpec:
     ier_db: tuple = (0.0, 5.0)
     enr_db: tuple = (25.0, 35.0)
     algorithms: tuple = tuple(CLI_ALGORITHMS)
-    source_wavs: list = field(default_factory=list)
+    source_wavs: list = field(default_factory=list)  # with rir_wavs, a convolutive scene
     rir_wavs: list = field(default_factory=list)
     out: str = "."
 
@@ -83,15 +82,14 @@ class ExperimentSpec:
             raise ValueError("runs must be >= 1")
         if not self.algorithms:
             raise ValueError("algorithms must name at least one algorithm")
-        if self.mode not in ("narrowband", "convolutive"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         for name in self.algorithms:
             if name not in CLI_ALGORITHMS:
                 raise ValueError(
                     f"unknown algorithm {name!r}; choose from {sorted(CLI_ALGORITHMS)}"
                 )
-        if self.mode == "convolutive" and (not self.source_wavs or not self.rir_wavs):
-            raise ValueError("convolutive mode needs source_wavs and rir_wavs")
+        if bool(self.source_wavs) != bool(self.rir_wavs):
+            raise ValueError("source_wavs and rir_wavs must both be given (a convolutive "
+                             "scene) or neither (a narrowband scene)")
 
     def frame_spec(self):
         return _stft.FrameSpec(self.frame_len, self.hop, self.sample_rate)
@@ -134,11 +132,10 @@ class ExperimentSpec:
 
 def _make_scene(spec, seed):
     cfg = spec.scenario(seed)
-    if spec.mode == "narrowband":
-        return _scenegen.render_narrowband(cfg, frame_spec=spec.frame_spec())
-    return _scenegen.render_convolutive(
-        cfg, spec.source_wavs, spec.rir_wavs, frame_spec=spec.frame_spec()
-    )
+    if spec.source_wavs:
+        return _scenegen.render_convolutive(
+            cfg, spec.source_wavs, spec.rir_wavs, frame_spec=spec.frame_spec())
+    return _scenegen.render_narrowband(cfg, frame_spec=spec.frame_spec())
 
 
 def run_algorithm(name, scene, run_cfg):
@@ -214,7 +211,7 @@ def cmd_bench(spec):
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
-    _metrics.write_csv(reports, csv_path, algorithm_order=list(spec.algorithms))
+    _metrics.write_csv(reports, csv_path)
     print(f"wrote {csv_path} ({len(reports)} runs)")
     return 0
 
@@ -240,7 +237,6 @@ def _build_parser():
         p.add_argument("--out", help="output directory")
         if scene:  # the flags that draw a scene
             p.add_argument("--seed", type=int)
-            p.add_argument("--mode", choices=("narrowband", "convolutive"))
             p.add_argument("--mics", type=int)
             p.add_argument("--duration", dest="duration_s", type=float,
                            help="scene length in seconds")
@@ -275,7 +271,7 @@ def main(argv=None):
             code = cmd_run(spec, args.scene, args.algo)
         else:
             code = cmd_bench(spec)
-    except (NumericsError, np.linalg.LinAlgError) as exc:
+    except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:

@@ -115,15 +115,16 @@ def evaluate_run(scene, state, bp_scale,
     )
 
 
-def csv_text(reports, algorithm_order):
+def csv_text(reports):
     """Render reports as CSV: per-run rows sorted by seed, then mean rows.
 
-    Rows of one seed, and the mean rows, follow algorithm_order. Column
+    Rows of one seed, and the mean rows, follow the order in which the
+    algorithms first appear in reports (run_bench's is its spec's). Column
     order and float formatting are fixed so identical inputs yield
     byte-identical output.
     """
-    rank = {name: i for i, name in enumerate(algorithm_order)}
-    rows = sorted(reports, key=lambda r: (r.seed, rank.get(r.algorithm, len(rank))))
+    order = list(dict.fromkeys(r.algorithm for r in reports))
+    rows = sorted(reports, key=lambda r: (r.seed, order.index(r.algorithm)))
     buf = io.StringIO()
     buf.write(",".join(CSV_COLUMNS) + "\n")
 
@@ -135,10 +136,8 @@ def csv_text(reports, algorithm_order):
 
     for r in rows:
         buf.write(fmt(r.row()) + "\n")
-    for name in algorithm_order:
+    for name in order:
         group = [r for r in reports if r.algorithm == name]
-        if not group:
-            continue
         mean_row = {"algorithm": name, "seed": "mean"}
         for c in CSV_COLUMNS[2:]:
             mean_row[c] = float(np.mean([getattr(r, c) for r in group]))
@@ -146,8 +145,8 @@ def csv_text(reports, algorithm_order):
     return buf.getvalue()
 
 
-def write_csv(reports, path, algorithm_order):
-    text = csv_text(reports, algorithm_order)
+def write_csv(reports, path):
+    text = csv_text(reports)
     with open(path, "w", newline="") as fh:
         fh.write(text)
     return path

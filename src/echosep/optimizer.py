@@ -68,7 +68,6 @@ from .model import (
     orthogonal_constraint_atf,
     score_spherical,
     transmission_matrix,
-    DEFAULT_LOADING,
 )
 
 __all__ = [
@@ -305,14 +304,15 @@ def normalize_w(state):
 def backprojection_scale(s_hat, ref):
     """Per-bin scale minimizing E[|alpha s_hat - ref|^2], ref the reference error channel.
 
-    Bins whose source estimate is identically zero get scale 0 (nothing to
-    project); an all-zero estimate is an error.
+    Bins whose source estimate has power at most tiny, zero or subnormal, get
+    scale 0 (nothing to project); an estimate without a bin above it is an error.
     """
     power = np.mean(np.abs(s_hat) ** 2, axis=1)
-    if not np.any(power > 0.0):
+    live = power > np.finfo(float).tiny  # corr / a subnormal power can overflow
+    if not np.any(live):
         raise NumericsError("cannot backproject: source estimate has zero power")
     corr = np.mean(s_hat.conj() * ref, axis=1)
-    return np.divide(corr, power, out=np.zeros_like(corr), where=power > 0)
+    return np.divide(corr, power, out=np.zeros_like(corr), where=live)
 
 
 def _update_statistics(state, data):
@@ -322,7 +322,7 @@ def _update_statistics(state, data):
     the mask starts at the loaded inverse's ok. Returns the inverse for the BSE steps.
     """
     state.C_ee = data.error_covariance(state.h)
-    inverse, state.active = loaded_inverse(state.C_ee, DEFAULT_LOADING)
+    inverse, state.active = loaded_inverse(state.C_ee)
     _refresh_beamformer(state)
     return inverse
 

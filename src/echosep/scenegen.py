@@ -147,8 +147,8 @@ def _spherical_nongauss(rng, n_freqs, n_frames):
     return g
 
 
-def _power(x, channel=0):
-    return float(np.mean(np.abs(x[..., channel]) ** 2))
+def _power(x):  # at microphone 1
+    return float(np.mean(np.abs(x[..., 0]) ** 2))
 
 
 def _image(transfer, source, gain=None):

@@ -240,7 +240,7 @@ def test_convolutive_bench_analyzes_each_signal_once_per_scene(tmp_path, monkeyp
         stft.write_wav(sources[-1], 0.1 * rng.standard_normal(4000), 16000)
         rirs.append(str(tmp_path / f"{name}_rir.wav"))
         stft.write_wav(rirs[-1], np.eye(8, 2), 16000)
-    spec = ExperimentSpec(mode="convolutive", source_wavs=sources, rir_wavs=rirs, runs=2,
+    spec = ExperimentSpec(source_wavs=sources, rir_wavs=rirs, runs=2,
                           seed=4, duration_s=0.3, frame_len=512, hop=256, mics=2,
                           iterations=2, algorithms=algorithms)
     calls, analyze = [], stft.analyze
@@ -274,7 +274,7 @@ def test_every_flag_sets_the_spec_field_it_is_named_after():
     reads it; the exceptions are the config file, run's scene and run's
     algorithm, which main and from_args read by name.
     """
-    scene_flags = {"seed", "mode", "mics", "duration_s", "frame_len", "hop"}
+    scene_flags = {"seed", "mics", "duration_s", "frame_len", "hop"}
     expected = {
         "simulate": {"config", "out"} | scene_flags,
         "run": {"config", "out", "iterations", "scene", "algo"},
@@ -398,7 +398,7 @@ def test_a_hop_of_a_whole_frame_exits_one_naming_hop_and_frame_len(tmp_path, cap
 # One value of the wrong type for each ExperimentSpec field: a bool where an
 # int is declared, a string for a number, a number or string for a list.
 WRONG_TYPES = {
-    "seed": 1.5, "mode": 3, "runs": "2", "mics": "4", "duration_s": "2", "sample_rate": 16e3,
+    "seed": 1.5, "runs": "2", "mics": "4", "duration_s": "2", "sample_rate": 16e3,
     "frame_len": "512", "hop": True, "iterations": 2.5, "reference_channel": False,
     "ser_db": 5, "ier_db": "0, 5", "enr_db": None, "algorithms": "joint",
     "source_wavs": "a.wav", "rir_wavs": 7, "out": 5,
@@ -428,7 +428,7 @@ def test_config_field_of_the_wrong_type_exits_one(tmp_path, capsys, field, value
 ], ids=["algorithms", "source_wavs", "rir_wavs"])
 def test_config_list_item_of_the_wrong_type_exits_one(tmp_path, capsys, field, value):
     """Each item of a list field is a string; the error names the field and the index."""
-    cfg = {"mode": "convolutive", "source_wavs": ["a.wav"] * 3, "rir_wavs": ["b.wav"] * 3,
+    cfg = {"source_wavs": ["a.wav"] * 3, "rir_wavs": ["b.wav"] * 3,
            field: value}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -492,13 +492,11 @@ def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(runs=0)
     with pytest.raises(ValueError):
-        ExperimentSpec(mode="quantum")
-    with pytest.raises(ValueError):
         ExperimentSpec(algorithms=("joint", "unknown"))
     with pytest.raises(ValueError):
         ExperimentSpec(algorithms=())
     with pytest.raises(ValueError):
-        ExperimentSpec(mode="convolutive")  # needs wav lists
+        ExperimentSpec(source_wavs=["a.wav"] * 3)  # needs rir_wavs too
 
 
 def test_cli_algorithms_cover_table():
@@ -629,7 +627,7 @@ def test_convolutive_workflow_end_to_end(tmp_path):
         pr = tmp_path / f"{name}_rir.wav"
         wavfile.write(pr, sr, (0.5 * rir).astype(np.float32))
         rir_files.append(str(pr))
-    cfg = {"mode": "convolutive", "mics": m, "duration_s": 1.0,
+    cfg = {"mics": m, "duration_s": 1.0,
            "frame_len": 512, "hop": 256, "iterations": 6, "seed": 2,
            "source_wavs": src_paths, "rir_wavs": rir_files}
     cfg_path = tmp_path / "cfg.json"
@@ -662,10 +660,39 @@ def _simulate_convolutive(tmp_path, sources):
         rir_files.append(str(tmp_path / f"{name}_rir.wav"))
         stft.write_wav(rir_files[-1], np.eye(8, 2), 16000)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"mode": "convolutive", "mics": 2, "duration_s": 0.5,
+    cfg_path.write_text(json.dumps({"mics": 2, "duration_s": 0.5,
                                     "frame_len": 512, "hop": 256,
                                     "source_wavs": src_paths, "rir_wavs": rir_files}))
     return run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "scene")])
+
+
+def test_simulate_config_with_both_wav_lists_writes_a_convolutive_scene(tmp_path):
+    """The WAV lists decide the scene: rendered from them, so no narrowband truth is saved."""
+    assert _simulate_convolutive(tmp_path, {}) == 0
+    manifest = json.loads((tmp_path / "scene" / "manifest.json").read_text())
+    assert "truth_file" not in manifest
+    assert not (tmp_path / "scene" / "truth.npz").exists()
+
+
+BOTH_OR_NEITHER = ("error: source_wavs and rir_wavs must both be given (a convolutive scene) "
+                   "or neither (a narrowband scene)\n")
+
+
+@pytest.mark.parametrize("cfg, err", [
+    ({"source_wavs": ["a.wav"] * 3}, BOTH_OR_NEITHER),
+    ({"rir_wavs": ["b.wav"] * 3}, BOTH_OR_NEITHER),
+    ({"source_wavs": ["a.wav"] * 2, "rir_wavs": ["b.wav"] * 2},
+     "error: expected three sources and three RIRs: target, loudspeaker, interferer\n"),
+    ({"mode": "narrowband", "source_wavs": ["a.wav"] * 3, "rir_wavs": ["b.wav"] * 3},
+     "error: unknown config keys: ['mode']\n"),
+], ids=["sources_alone", "rirs_alone", "two_of_each", "mode_key"])
+def test_simulate_config_whose_wav_lists_give_no_scene_exits_one(tmp_path, capsys, cfg, err):
+    """One list alone names both; a scene's kind is no config key, so mode is unknown."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "scene")]) == 1
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "scene").exists()
 
 
 @pytest.mark.parametrize("silent, length", [("soi", 16000), ("intf", 16000), ("intf", 0)],

@@ -58,8 +58,7 @@ def test_the_program_paths_call_every_exported_function(tmp_path):
         rirs.append(str(tmp_path / f"{name}_rir.wav"))
         stft.write_wav(rirs[-1], np.eye(8, 2), 16000)
     config = tmp_path / "convolutive.json"
-    config.write_text(json.dumps({"mode": "convolutive", "source_wavs": sources,
-                                  "rir_wavs": rirs}))
+    config.write_text(json.dumps({"source_wavs": sources, "rir_wavs": rirs}))
     small = ["--duration", "0.3", "--frame", "512", "--hop", "256", "--mics", "2"]
     argvs = [["bench", "--runs", "1", "--iterations", "2", *small, "--out", tmp_path / "b"],
              ["simulate", *small, "--out", tmp_path / "n"],

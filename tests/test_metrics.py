@@ -152,16 +152,25 @@ def test_csv_schema_and_formatting():
         MetricsReport(7.02, 19.78, 6.73, 11.39, 16.36, algorithm="joint", seed=1),
         MetricsReport(6.9, 19.1, 6.5, 11.1, 16.1, algorithm="joint", seed=2),
     ]
-    text = csv_text(reports, algorithm_order=["unprocessed", "joint"])
+    text = csv_text(reports)
     lines = text.strip().split("\n")
     assert lines[0] == "algorithm,seed,sir_db,ser_db,sier_db,erle_aec_db,erle_bf_db"
-    # per-run rows sorted by seed, then the requested algorithm order
+    # per-run rows sorted by seed, then the order of first appearance
     assert lines[1].startswith("joint,1,")
     assert lines[2].startswith("unprocessed,2,")
     assert lines[3].startswith("joint,2,")
     assert lines[4].startswith("unprocessed,mean,")
     assert lines[5] == "joint,mean,6.96,19.44,6.62,11.25,16.23"
     assert "4.78" in lines[2]  # two-decimal formatting
+
+
+def test_csv_rows_follow_the_algorithms_first_appearance():
+    """Not alphabetical: the order in which each algorithm first appears in the reports."""
+    reports = [MetricsReport(1.0, 2.0, 3.0, 4.0, 5.0, algorithm=name, seed=seed)
+               for seed in (5, 4) for name in ("joint", "ive", "bnlms_ive")]
+    names = [line.split(",")[:2] for line in csv_text(reports).splitlines()[1:]]
+    assert names == [[name, seed] for seed in ("4", "5", "mean")
+                     for name in ("joint", "ive", "bnlms_ive")]
 
 
 def test_write_csv_deterministic(tmp_path):
@@ -171,6 +180,6 @@ def test_write_csv_deterministic(tmp_path):
     ]
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    metrics.write_csv(reports, p1, ["joint"])
-    metrics.write_csv(list(reports), p2, ["joint"])
+    metrics.write_csv(reports, p1)
+    metrics.write_csv(list(reports), p2)
     assert p1.read_bytes() == p2.read_bytes()

@@ -1111,6 +1111,10 @@ def test_runs_reject_non_finite_input(bad):
 
 def test_run_joint_shape_and_reference_validation():
     x = np.zeros((4, 10, 2), dtype=complex)
+    with pytest.raises(ValueError, match=r"^expected shape \(n_freqs, n_frames, n_channels\)$"):
+        run_joint(x[:, :, 0], np.zeros((4, 10), dtype=complex))
+    with pytest.raises(ValueError, match="^score statistics need at least 2 frames$"):
+        run_joint(x[:, :1], np.zeros((4, 1), dtype=complex))
     with pytest.raises(ValueError):
         run_joint(x, np.zeros((4, 9), dtype=complex), RunConfig(iterations=1))
     with pytest.raises(ValueError):
@@ -1207,3 +1211,45 @@ def test_runs_raise_on_a_dead_reference_microphone(mics, seed):
                  lambda: run_ive_only(x, cfg)):
         with pytest.raises(NumericsError):
             call()
+
+
+@pytest.mark.parametrize("scale", [1e-155, 1e-160])
+@pytest.mark.parametrize("run", [run_joint, run_bnlms_ive])
+def test_bins_with_a_subnormal_estimate_get_scale_zero(run, scale):
+    """Two bins scaled so far down that their source estimate's power is subnormal.
+
+    They freeze, and their backprojection scale is 0, as for a silent bin;
+    corr / power there would overflow to inf + nan j.
+    """
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=0),
+                                       n_freqs=64, n_frames=120)
+    x, u = scene.mixture.copy(), scene.loudspeaker.copy()
+    x[18:20] *= scale
+    u[18:20] *= scale
+    result = run(x, u)
+    assert np.all(np.isfinite(result.s_hat))
+    assert np.all(np.isfinite(result.diagnostics.bp_scale))
+    assert np.all(result.diagnostics.bp_scale[18:20] == 0)
+
+
+@pytest.mark.xfail(strict=True, raises=NumericsError,
+                   reason="an active bin's C_ee, left by an echo step just above the "
+                          "dead-bin floor, is indefinite by rounding (ROADMAP item 11: a "
+                          "dead-bin floor tied to the precision)")
+def test_run_joint_finishes_on_a_bin_cancelled_to_just_above_the_dead_bin_floor():
+    """Silent, unexcited, echo-only and 1e-140-scaled bins in one scene.
+
+    Bin 13, echo alone, is cancelled to tr C_ee / tr C_xx = 5.4e-12, above
+    DEAD_BIN_FLOOR, where the smallest eigenvalue of C_ee is a rounding
+    residue (-6e-19): w^H C_ee w reads -1.6 after a BSE step at iteration 12.
+    """
+    scene = scenegen.render_narrowband(scenegen.ScenarioConfig(mics=3, seed=1),
+                                       n_freqs=64, n_frames=120)
+    x, u = scene.mixture.copy(), scene.loudspeaker.copy()
+    x[0:6], u[0:12] = 0.0, 0.0
+    x[12:18] = scene.images["echo"][12:18]
+    x[18:20] *= 1e-140
+    u[18:20] *= 1e-140
+    result = run_joint(x, u)
+    for value in (result.s_hat, result.state.h, result.state.w, result.diagnostics.bp_scale):
+        assert np.all(np.isfinite(value))

@@ -319,6 +319,19 @@ def test_convolutive_render_is_bitwise_the_reference(tmp_path, monkeypatch):
     assert _scene_bytes(render()) == _scene_bytes(_reference_render(monkeypatch, render))
 
 
+def test_narrowband_render_needs_a_frame_spec_or_a_grid():
+    with pytest.raises(ValueError, match="needs a frame_spec or explicit n_freqs/n_frames"):
+        render_narrowband(ScenarioConfig(mics=3), n_freqs=16)
+
+
+def test_a_scene_without_a_frame_spec_is_not_saved(tmp_path):
+    """Its tensors have no time signal to write; nothing is written."""
+    scene = render_narrowband(ScenarioConfig(mics=3), n_freqs=16, n_frames=40)
+    with pytest.raises(ValueError, match="^cannot save a scene without a frame spec$"):
+        save_scene(scene, tmp_path / "scene")
+    assert not (tmp_path / "scene").exists()
+
+
 def test_scene_save_load_round_trip(tmp_path):
     cfg = ScenarioConfig(mics=3, seed=14, duration_s=1.0)
     spec = stft.FrameSpec(512, 256, 16000)

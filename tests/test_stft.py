@@ -1,5 +1,6 @@
 """STFT analysis/synthesis: reconstruction, linearity, energy, WAV I/O."""
 
+import math
 import struct
 
 import numpy as np
@@ -11,6 +12,28 @@ from echosep import stft
 
 def spec_512():
     return stft.FrameSpec(512, 256, 16000)
+
+
+def overlap_added_window_squares(spec):
+    """The squares of the window's frame_len / hop shifts by hop, summed exactly, (hop,)."""
+    return np.array([math.fsum(col) for col in (spec.window ** 2).reshape(-1, spec.hop).T])
+
+
+def test_window_squares_overlap_add_to_the_gain_synthesis_undoes():
+    """Power-of-two frame_len to 2^15, each hop dividing it: a spec exactly when hop < frame_len.
+
+    Each accepted spec's window squares, summed exactly, overlap-add to
+    frame_len / (2 hop), the constant synthesize divides by, within the
+    rounding of the window's samples.
+    """
+    for frame_len in (2 ** k for k in range(16)):
+        for hop in (2 ** j for j in range(frame_len.bit_length())):
+            if hop == frame_len:
+                with pytest.raises(ValueError, match="constant overlap-add"):
+                    stft.FrameSpec(frame_len, hop, 16000)
+                continue
+            ola = overlap_added_window_squares(stft.FrameSpec(frame_len, hop, 16000))
+            np.testing.assert_allclose(ola, frame_len / (2 * hop), rtol=2e-15, atol=0)
 
 
 def test_zero_signal_gives_zero_spectrogram():
@@ -85,7 +108,7 @@ def test_synthesize_equals_the_frame_by_frame_overlap_add(n_chan, hop):
     for t in range(9):
         for m in range(n_chan):
             reference[t * hop:t * hop + 512, m] += np.fft.irfft(data[:, t, m], n=512) * spec.window
-    reference /= spec.overlap_added_window_product().mean()
+    reference /= overlap_added_window_squares(spec).mean()
     assert np.array_equal(stft.synthesize(data, spec), reference)
 
 
@@ -134,7 +157,7 @@ def test_single_bin_single_frame_is_windowed_exponential():
         np.sum(full[None, :] * np.exp(2j * np.pi * np.outer(n, np.arange(spec.frame_len))
                                       / spec.frame_len), axis=1)
     ) / spec.frame_len
-    cola = spec.overlap_added_window_product().mean()
+    cola = overlap_added_window_squares(spec).mean()
     expected = spec.window * segment / cola
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -165,6 +188,11 @@ def test_parseval_per_frame_against_direct_enumeration():
         mag2 = np.abs(spg[:, t, 0]) ** 2
         spectral += (mag2[0] + mag2[-1] + 2 * mag2[1:-1].sum()) / spec.frame_len
     assert abs(spectral - direct) <= 1e-6 * direct
+
+
+def test_analyze_rejects_a_three_dimensional_signal():
+    with pytest.raises(ValueError, match=r"^signal must be 1-D \(mono\) or 2-D"):
+        stft.analyze(np.zeros((600, 2, 2)), spec_512())
 
 
 def test_signal_shorter_than_frame_rejected():
@@ -298,7 +326,12 @@ def test_read_wav_skips_an_odd_sized_list_chunk(tmp_path):
     (riff((b"fmt ", fmt(1, 1, 1)), (b"data", bytes(10))), "8-bit"),
     (riff((b"fmt ", fmt(3, 1, 4)), (b"LIST", b"INFO")), "no data chunk"),
     (riff((b"fmt ", fmt(1, 1, 2)), (b"data", bytes(10)))[:-4], "past the end"),
-], ids=["not_riff", "pcm_8_bit", "no_data_chunk", "data_past_end"])
+    (riff((b"fmt ", fmt(1, 1, 2)[:12]), (b"data", bytes(10))), "^fmt chunk of 12 bytes$"),
+    (riff((b"fmt ", fmt(1, 2, 2)[:12] + struct.pack("<HH", 3, 16)), (b"data", bytes(12))),
+     "^2 channels in 3-byte blocks$"),
+    (riff((b"data", bytes(10)), (b"fmt ", fmt(1, 1, 2))), "^no fmt chunk before the data chunk$"),
+], ids=["not_riff", "pcm_8_bit", "no_data_chunk", "data_past_end", "short_fmt",
+        "block_align_not_per_channel", "data_before_fmt"])
 def test_read_wav_rejects(tmp_path, content, reason):
     path = tmp_path / "bad.wav"
     path.write_bytes(content)
