@@ -110,10 +110,10 @@ class Scene:
 
     mixture = sum of images (exact); frame_spec is None for scenes generated
     directly on an abstract frequency grid. A scene holds no image: each read
-    of one forms a fresh array. A narrowband scene forms its soi and echo
-    images from the truth, the target spectrum, the loudspeaker and the soi
-    gain, and its interference and noise images by drawing them again from
-    the generator states the render kept. A time-domain scene,
+    of one forms a fresh array. A narrowband scene forms its echo image from
+    the truth and the loudspeaker, and its soi, interference and noise images
+    by drawing them again from the three generator states the render kept,
+    so it holds only the mixture and loudspeaker spectra. A time-domain scene,
     convolutive or loaded, holds no image spectrum: time_signals holds the
     samples of every image, "mixture" and "loudspeaker", and each read of an
     image analyzes its own. A narrowband scene has no time_signals.
@@ -131,9 +131,9 @@ class Scene:
 
 def _circular_gauss(rng, shape):
     z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)  # each draw freed once written
-    z.imag = rng.standard_normal(shape)
-    z /= np.sqrt(2.0)  # the ufunc of (re + 1j im) / sqrt(2), so the same bytes
+    # numpy forms (re + 1j im) / sqrt(2) as each part times 1/sqrt(2), so these are its bytes
+    for part in (z.real, z.imag):
+        np.multiply(rng.standard_normal(shape), 1 / np.sqrt(2.0), out=part)
     return z
 
 
@@ -151,43 +151,38 @@ def _power(x):  # at microphone 1
     return float(np.mean(np.abs(x[..., 0]) ** 2))
 
 
-def _image(transfer, source, gain=None):
-    """A source's image transfer x source, (F, T, M), scaled in place by gain if one is given."""
-    image = transfer[:, None, :] * source[:, :, None]
-    if gain is not None:
-        image *= gain  # as _mix scales it, so the same bytes
-    return image
+def _image(transfer, source):
+    """A source's image transfer x source, (F, T, M)."""
+    return transfer[:, None, :] * source[:, :, None]
 
 
-def _drawn(draw, state, shape, gain, mixing=None):
-    """draw(rng, shape) from the PCG64 state, through (F, M, K) mixing if given, times gain."""
+def _drawn(state, form, gain):
+    """form(rng) for a PCG64 generator at state, times gain as _mix scales it."""
     bit_generator = np.random.PCG64()
     bit_generator.state = state
-    image = draw(np.random.Generator(bit_generator), shape)
-    if mixing is not None:
-        image = np.einsum("fmk,ftk->ftm", mixing, image)  # as the render mixes q
-    image *= gain  # as _mix scales it
+    image = form(np.random.Generator(bit_generator))
+    image *= gain
     return image
 
 
-def _mix(raw, cfg):
-    """Scale raw (soi, echo, interference, noise) images in place to cfg's ratios; sum them.
+def _mix(mixture, raw, cfg):
+    """Scale raw images in place to cfg's ratios and add each into mixture as it comes.
 
-    The echo keeps its level; the other gains make SER, IER and ENR at
-    microphone 1 match cfg exactly. Returns (images, mixture, gains).
+    mixture holds the raw echo image, which keeps its level; raw yields (name,
+    raw image) for soi, interference and noise in turn, gains making SER, IER
+    and ENR at microphone 1 match cfg. Each image is let go once added, so a
+    raw that forms each when asked holds one at a time. Returns (mixture, gains).
     """
-    images = dict(zip(COMPONENTS, raw))
-    p_echo = _power(images["echo"])
+    p_echo = _power(mixture)
     ratios_db = {"soi": cfg.ser_db, "interference": cfg.ier_db, "noise": -cfg.enr_db}
-    gains = {name: float(np.sqrt(p_echo * 10.0 ** (db / 10.0) / _power(images[name])))
-             for name, db in ratios_db.items()}
+    gains = {}
+    for name, image in raw:
+        gains[name] = float(np.sqrt(p_echo * 10.0 ** (ratios_db[name] / 10.0) / _power(image)))
+        image *= gains[name]
+        mixture += image  # echo + soi has the bytes of soi + echo; the later sums keep their order
+        del image  # freed before the next is formed
     gains["echo"] = 1.0
-    for name in ratios_db:
-        images[name] *= gains[name]
-    mixture = images["soi"] + images["echo"]  # one buffer; the order of the sums fixes its bytes
-    mixture += images["interference"]
-    mixture += images["noise"]
-    return images, mixture, gains
+    return mixture, gains
 
 
 def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None):
@@ -195,10 +190,11 @@ def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None):
 
     The grid is taken from frame_spec + cfg.duration_s when given, otherwise
     from explicit n_freqs/n_frames. Component gains are set so the power
-    ratios measured at microphone 1 match cfg exactly. The scene holds the
-    mixture, target s, loudspeaker u, truth, gains and the generator states
-    from just before the background and the noise draws, from which each
-    read draws those images again with the draw function this render used.
+    ratios measured at microphone 1 match cfg exactly. The echo image is
+    formed as the mixture, and _mix adds each other image as it is formed.
+    The scene holds the mixture, loudspeaker u, truth, gains and the states
+    from just before the target, background and noise draws, from which each
+    read draws those images again with this render's draw functions.
     """
     if frame_spec is not None:
         n_samples = int(round(cfg.duration_s * frame_spec.sample_rate))
@@ -207,29 +203,38 @@ def render_narrowband(cfg, frame_spec=None, n_freqs=None, n_frames=None):
     if n_freqs is None or n_frames is None:
         raise ValueError("render_narrowband needs a frame_spec or explicit n_freqs/n_frames")
     rng = np.random.default_rng(cfg.seed)
-    m, draw = cfg.mics, _circular_gauss  # the images read later draw with this render's function
-    s = _spherical_nongauss(rng, n_freqs, n_frames)
-    q_state = rng.bit_generator.state  # each read of the interference draws q again from here
-    q = draw(rng, (n_freqs, n_frames, m - 1))
-    u = _spherical_nongauss(rng, n_freqs, n_frames)
+    m, draw, spherical = cfg.mics, _circular_gauss, _spherical_nongauss  # reads draw with these
+    grid, q_shape, shape = (n_freqs, n_frames), (n_freqs, n_frames, m - 1), (n_freqs, n_frames, m)
+    s_state = rng.bit_generator.state  # each read of the soi draws s again from here
+    s = spherical(rng, *grid)
+    q_state = rng.bit_generator.state  # and of the interference, q
+    q = draw(rng, q_shape)
+    u = spherical(rng, *grid)
     a_soi = draw(rng, (n_freqs, m))
     echo_atf = draw(rng, (n_freqs, m))
     bg_mix = draw(rng, (n_freqs, m, m - 1))
-    soi, echo = _image(a_soi, s), _image(echo_atf, u)
-    interference = np.einsum("fmk,ftk->ftm", bg_mix, q)
-    del q  # only the interference image reads it
     noise_state = rng.bit_generator.state
-    noise = draw(rng, (n_freqs, n_frames, m))
-    _, mixture, gains = _mix((soi, echo, interference, noise), cfg)
+    soi_of = partial(_image, a_soi)  # the images of s and q, in the render and on each read
+    interference_of = partial(np.einsum, "fmk,ftk->ftm", bg_mix)
+
+    def later(s, q):  # the images _mix asks for in turn, each source let go once used
+        yield "soi", soi_of(s)
+        del s
+        yield "interference", interference_of(q)
+        del q
+        yield "noise", draw(rng, shape)
+
+    raw, s, q = later(s, q), None, None  # raw alone holds s and q
+    mixture, gains = _mix(_image(echo_atf, u), raw, cfg)
     return Scene(
         mixture=mixture,
         loudspeaker=u,
         images=_Images({
-            "soi": partial(_image, a_soi, s, gains["soi"]),
+            "soi": partial(_drawn, s_state, lambda g: soi_of(spherical(g, *grid)), gains["soi"]),
             "echo": partial(_image, echo_atf, u),  # the echo's gain is 1
-            "interference": partial(_drawn, draw, q_state, (n_freqs, n_frames, m - 1),
-                                    gains["interference"], bg_mix),
-            "noise": partial(_drawn, draw, noise_state, (n_freqs, n_frames, m), gains["noise"])}),
+            "interference": partial(_drawn, q_state, lambda g: interference_of(draw(g, q_shape)),
+                                    gains["interference"]),
+            "noise": partial(_drawn, noise_state, partial(draw, shape=shape), gains["noise"])}),
         config=cfg,
         truth=SceneTruth(a_soi=a_soi, echo_atf=echo_atf, bg_mix=bg_mix),
         frame_spec=frame_spec,
@@ -313,7 +318,9 @@ def render_convolutive(cfg, source_wavs, rir_wavs, frame_spec):
         if _power(image) <= 0:
             raise file_error(source, f"image through {rir} has zero power")
     noise = np.random.default_rng(cfg.seed).standard_normal((n_samples, m))
-    images, mixture, gains = _mix((*raw, noise), cfg)
+    images = dict(zip(COMPONENTS, (*raw, noise)))  # _mix scales all but the echo in place
+    mixture, gains = _mix(images["echo"].copy(),
+                          ((k, v) for k, v in images.items() if k != "echo"), cfg)
     time_signals = {**images, "loudspeaker": dry[1][:, None], "mixture": mixture}
     return _analyzed_scene(time_signals, cfg, frame_spec, gains)
 

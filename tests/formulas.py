@@ -18,7 +18,7 @@ import numpy as np
 
 from echosep.model import DEFAULT_LOADING, blocking_matrix, load_diagonal, loaded_inverse
 from echosep.optimizer import DEAD_BIN_FLOOR
-from echosep.scenegen import COMPONENTS, _power
+from echosep.scenegen import _power
 
 
 def apply_demixer(x, u, state):
@@ -163,12 +163,14 @@ def synth_sources(rng, n_freqs, n_frames, n_bg=1):
     return s, q, u
 
 
-def mix(raw, cfg):
-    """Raw (soi, echo, interference, noise) images scaled to cfg's ratios, and their sum.
+def mix(echo, raw, cfg):
+    """The raw echo and raw's (name, image) pairs scaled to cfg's ratios, and their sum.
 
-    The echo keeps its level; returns (images, mixture, gains).
+    The echo keeps its level; raw's soi, interference and noise images are
+    scaled in place, all four are held at once and summed as one expression.
+    Returns (mixture, gains).
     """
-    images = dict(zip(COMPONENTS, raw))
+    images = dict(raw, echo=echo)
     p_echo = _power(images["echo"])
     ratios_db = {"soi": cfg.ser_db, "interference": cfg.ier_db, "noise": -cfg.enr_db}
     gains = {name: float(np.sqrt(p_echo * 10.0 ** (db / 10.0) / _power(images[name])))
@@ -177,4 +179,4 @@ def mix(raw, cfg):
     for name in ratios_db:
         images[name] *= gains[name]
     mixture = images["soi"] + images["echo"] + images["interference"] + images["noise"]
-    return images, mixture, gains
+    return mixture, gains

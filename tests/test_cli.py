@@ -556,15 +556,16 @@ def test_simulate_and_run_hold_each_signal_once(tmp_path):
     """Peak memory of simulate and of a joint run, relative to the scene's STFT tensors.
 
     The reference is the bytes of the scene's six STFT tensors (mixture,
-    loudspeaker and four component images). simulate synthesizes and writes
-    one WAV at a time, forming a narrowband soi or echo image only to
-    synthesize it. run checks every WAV as it loads the scene, analyzes only
-    the mixture and loudspeaker there and keeps the images' samples, forms
-    no (F, T, M) error signal, and analyzes each component image only to
-    reduce its output to an energy before the next. That measured 1.27 and
-    1.23 times the tensors' bytes; a run that held all six tensors measured
-    1.51, and one that held every time signal, e and every evaluated output
-    2.36.
+    loudspeaker and four component images). simulate renders with one image
+    at a time besides the mixture, then synthesizes and writes one WAV at a
+    time, forming each narrowband image only to synthesize it. run checks
+    every WAV as it loads the scene, analyzes only the mixture and
+    loudspeaker there and keeps the images' samples, forms no (F, T, M)
+    error signal, and analyzes each component image only to reduce its
+    output to an energy before the next. That measured 0.84 and 1.27 times
+    the tensors' bytes; a render that formed all four images before summing
+    them measured 1.09 for simulate, a run that held all six tensors 1.51,
+    and one that held every time signal, e and every evaluated output 2.36.
     """
     warm = tmp_path / "warm"  # first calls import what numpy loads lazily
     run_cli(simulate_args(warm, duration=1.0))
@@ -577,7 +578,7 @@ def test_simulate_and_run_hold_each_signal_once(tmp_path):
     scene = scenegen.load_scene(scene_dir)
     tensors = (scene.mixture.nbytes + scene.loudspeaker.nbytes
                + sum(img.nbytes for img in scene.images.values()))
-    assert simulate_peak <= 1.55 * tensors, simulate_peak / tensors
+    assert simulate_peak <= 0.9 * tensors, simulate_peak / tensors
     assert run_peak <= 1.35 * tensors, run_peak / tensors
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from echosep import metrics, scenegen
+from echosep.cli import run_algorithm
 from echosep.metrics import MetricsReport, component_pass, csv_text, erle, ratios
 from echosep.model import DemixState
 from echosep.optimizer import RunConfig, run_bnlms_ive, run_joint, run_ls_aec, run_unprocessed
@@ -130,6 +131,20 @@ def test_unprocessed_erle_zero_with_frame_spec():
     rep = unprocessed_report(scene, seed=7)
     assert rep.erle_aec_db == pytest.approx(0.0)
     assert rep.erle_bf_db == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("name", ["joint", "bnlms_ive", "unprocessed"])
+def test_a_scene_with_the_target_off_scores_the_floor(name):
+    """With SER at -inf the soi image reads as zeros, so SIR, SER and SIER score -DB_CAP."""
+    scene = render_narrowband(ScenarioConfig(mics=3, seed=9, ser_db=-np.inf),
+                              n_freqs=24, n_frames=80)
+    assert scene.gains["soi"] == 0.0
+    assert np.all(scene.images["soi"] == 0)  # drawn again and scaled by zero
+    res = run_algorithm(name, scene, RunConfig(iterations=10))
+    rep = metrics.evaluate_run(scene, res.state, res.diagnostics.bp_scale, algorithm=name)
+    assert rep.sir_db == rep.ser_db == rep.sier_db == -metrics.DB_CAP
+    if name == "unprocessed":
+        assert rep.erle_aec_db == 0.0
 
 
 def test_scale_invariance_of_ratios():
